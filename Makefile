@@ -19,7 +19,7 @@ BENCH_GET_CPUS ?= 1,4,8
 BENCH_GET_TIME ?= 0.5s
 BENCH_GET_JSON ?= BENCH_get.json
 
-.PHONY: all build vet lint lint-gate test race check bench bench-json bench-smoke fuzz-smoke serve-smoke clean
+.PHONY: all build vet lint lint-gate test race check bench bench-json bench-smoke bench-module fuzz-smoke serve-smoke clean
 
 all: check
 
@@ -81,6 +81,14 @@ bench-json:
 # Fast smoke pass over the hot-path benchmarks (used by CI).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Place|GeneratorCost|GeneratorBatchCost' -benchmem -benchtime 100x .
+
+# The benchmark module (bench/, module repro/bench) builds against this
+# tree through a replace directive, but the root `go build ./...` never
+# builds it: vet and smoke-test it (every workload at a tiny scale, both
+# modes; ~10 s) so a signature change in cmap, persist or the facade
+# cannot break the benchmark unnoticed.
+bench-module:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Differential fuzz smoke (used by CI): each op-sequence fuzz target runs
 # against the shared shadow-map oracle for FUZZ_TIME. `go test -fuzz`

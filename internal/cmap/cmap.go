@@ -69,6 +69,7 @@ package cmap
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -190,13 +191,10 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 	if h == nil {
 		panic("cmap: nil hasher")
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 16
-	}
 	if cfg.Shards < 0 {
 		panic(fmt.Sprintf("cmap: Shards = %d", cfg.Shards))
 	}
-	shards := 1 << uint(bits.Len(uint(cfg.Shards-1))) // round up to a power of two
+	shards := shardCount(cfg.Shards)
 	shardBits := bits.TrailingZeros(uint(shards))
 	if shardBits > 32 {
 		panic(fmt.Sprintf("cmap: Shards = %d exceeds 2^32", cfg.Shards))
@@ -252,6 +250,15 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 	return m
 }
 
+// shardCount is the shard count a Config's Shards field builds: 0 means
+// 16, and any other count rounds up to a power of two.
+func shardCount(n int) int {
+	if n == 0 {
+		n = 16
+	}
+	return 1 << uint(bits.Len(uint(n-1)))
+}
+
 // digest is the map's single keyed hash evaluation per key.
 //
 //repro:digestsource
@@ -298,10 +305,37 @@ func (m *Map[K, V]) wantsResizeLocked(sh *shard[K, V]) bool {
 	if m.maxLoad == 0 || sh.core.Resizing() {
 		return false
 	}
-	if sh.core.Occupancy() > m.maxLoad {
+	if overWatermark(sh.core.Len(), sh.core.Capacity(), m.maxLoad) {
 		return true
 	}
 	return 4*sh.core.StashLen() >= 3*sh.core.StashCap()
+}
+
+// overWatermark is the growth rule: a shard holding n pairs in capacity
+// slots doubles once their ratio exceeds maxLoad.
+func overWatermark(n, capacity int, maxLoad float64) bool {
+	return float64(n)/float64(capacity) > maxLoad
+}
+
+// BucketsFor returns the buckets per shard that organic growth reaches
+// once a map built from cfg holds pairs entries spread evenly over its
+// shards: cfg.BucketsPerShard doubled until pairs/shards fits under
+// MaxLoadFactor. A loader that knows its record count up front starts at
+// this geometry and places every record once, instead of re-placing the
+// table at each doubling. Stash pressure can still double a shard below
+// the watermark; a load that meets it grows online, as it would without
+// presizing. With growth disabled it is cfg.BucketsPerShard.
+func BucketsFor(cfg Config, pairs int) int {
+	b := cfg.BucketsPerShard
+	if cfg.MaxLoadFactor <= 0 || b <= 0 || cfg.SlotsPerBucket <= 0 || cfg.Shards < 0 {
+		return b
+	}
+	shards := shardCount(cfg.Shards)
+	perShard := (pairs + shards - 1) / shards
+	for b <= math.MaxUint32/2 && overWatermark(perShard, b*cfg.SlotsPerBucket, cfg.MaxLoadFactor) {
+		b *= 2
+	}
+	return b
 }
 
 // migrateLocked advances sh's in-flight resize by up to n units of
@@ -475,7 +509,7 @@ func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
 	if m.maxLoad == 0 {
 		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
 		sh.mu.RLock()
-		v, ok := sh.core.Get(oldCands, key)
+		v, ok := sh.core.Get(oldCands, key, tag)
 		sh.mu.RUnlock()
 		return v, ok
 	}
@@ -486,9 +520,9 @@ func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		v, ok = sh.core.GetDual(oldCands, newCands, key)
+		v, ok = sh.core.GetDual(oldCands, newCands, key, tag)
 	} else {
-		v, ok = sh.core.Get(oldCands, key)
+		v, ok = sh.core.Get(oldCands, key, tag)
 	}
 	sh.mu.RUnlock()
 	return v, ok
@@ -507,7 +541,7 @@ func (m *Map[K, V]) Delete(key K) bool {
 	if m.maxLoad == 0 {
 		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
 		sh.lock()
-		ok := sh.core.Delete(oldCands, key, sh.candsOf)
+		ok := sh.core.Delete(oldCands, key, tag, sh.candsOf)
 		sh.unlock()
 		return ok
 	}
@@ -517,9 +551,9 @@ func (m *Map[K, V]) Delete(key K) bool {
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		ok = sh.core.DeleteDual(oldCands, newCands, key, sh.newCandsOf)
+		ok = sh.core.DeleteDual(oldCands, newCands, key, tag, sh.newCandsOf)
 	} else {
-		ok = sh.core.Delete(oldCands, key, sh.candsOf)
+		ok = sh.core.Delete(oldCands, key, tag, sh.candsOf)
 	}
 	m.migrateLocked(sh, m.migrateBatch)
 	sh.unlock()

@@ -93,7 +93,7 @@ func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, 
 	if m.maxLoad == 0 {
 		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
 		sh.mu.RLock()
-		v, depth, ok := sh.core.GetDepth(oldCands, key)
+		v, depth, ok := sh.core.GetDepth(oldCands, key, tag)
 		sh.mu.RUnlock()
 		return v, depth, ok
 	}
@@ -107,9 +107,9 @@ func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, 
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key)
+		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key, tag)
 	} else {
-		v, depth, ok = sh.core.GetDepth(oldCands, key)
+		v, depth, ok = sh.core.GetDepth(oldCands, key, tag)
 	}
 	sh.mu.RUnlock()
 	return v, depth, ok

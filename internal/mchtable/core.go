@@ -2,6 +2,7 @@ package mchtable
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -41,7 +42,12 @@ type stashBlock[K comparable, V any] struct {
 // one-hash discipline), while the uint64 Table simply stores the key.
 // Tags are what make online resize a pure re-placement: Migrate
 // re-derives candidates for the doubled geometry from stored tags, never
-// re-hashing user keys.
+// re-hashing user keys. They also filter probes: every locked lookup
+// takes the key's tag alongside the key, and for key types that hold
+// pointers compares a slot's stored tag before its key, so a string key
+// is dereferenced only in the slot whose tag matches. (A pointer-free key
+// compares in place, where the tag would only add a load.) The tag is a
+// filter, never an identity — equal tags still compare keys.
 //
 // A Core optionally resizes online: StartResize allocates a second Core
 // with a different bucket count, Migrate moves entries across in small
@@ -66,7 +72,7 @@ type Core[K comparable, V any] struct {
 	stashCap       int
 	keys           []K
 	vals           []V
-	tags           []uint64 // writer-only: seq readers never consult tags
+	tags           []uint64 // read under the writer's exclusion or the read lock; seq readers never consult tags
 	used           []uint32 // 1 = occupied; word-sized so seq-mode stores are atomic
 	counts         []uint32 // occupied slots per bucket
 	stash          atomic.Pointer[stashBlock[K, V]]
@@ -80,6 +86,9 @@ type Core[K comparable, V any] struct {
 	// readers keep the mutex — because raw word stores would bypass the
 	// garbage collector's write barriers.
 	seqMode bool
+	// tagFirst makes bucket probes compare stored tags before keys. It is
+	// set when K holds pointers, so a key compare may dereference memory.
+	tagFirst bool
 	// view is the published read snapshot of this geometry's bucket
 	// arrays. Its slice headers are immutable once stored; only NewCore
 	// and promotion publish a new one.
@@ -115,6 +124,7 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 		tags:           make([]uint64, total),
 		used:           make([]uint32, total),
 		counts:         make([]uint32, buckets),
+		tagFirst:       !pointerFree(reflect.TypeFor[K]()),
 	}
 	c.stash.Store(&stashBlock[K, V]{})
 	c.view.Store(&SeqView[K, V]{
@@ -152,13 +162,15 @@ func (c *Core[K, V]) StashCap() int { return c.stashCap }
 // slot returns the flat index of bucket b, slot s.
 func (c *Core[K, V]) slot(b, s int) int { return b*c.slotsPerBucket + s }
 
-// findInBucket returns the slot of key in bucket b, or -1.
+// findInBucket returns the slot of key (whose tag is tag) in bucket b, or
+// -1. For pointerful K the stored tag is compared first, so only a slot
+// whose tag matches has its key dereferenced.
 //
 //repro:noalloc
-func (c *Core[K, V]) findInBucket(key K, b int) int {
+func (c *Core[K, V]) findInBucket(key K, tag uint64, b int) int {
 	for s := 0; s < c.slotsPerBucket; s++ {
 		idx := c.slot(b, s)
-		if c.used[idx] != 0 && c.keys[idx] == key {
+		if c.used[idx] != 0 && (!c.tagFirst || c.tags[idx] == tag) && c.keys[idx] == key {
 			return idx
 		}
 	}
@@ -172,12 +184,15 @@ func (c *Core[K, V]) stashLive() []stashEntry[K, V] {
 	return blk.arr[:blk.n.Load()]
 }
 
-// stashFind returns the stash index of key, or -1.
+// stashFind returns the stash index of key (whose tag is tag), or -1. A
+// stash entry holds its tag beside its key, so the tag is always compared
+// first.
 //
 //repro:noalloc
-func (c *Core[K, V]) stashFind(key K) int {
-	for i, e := range c.stashLive() {
-		if e.key == key {
+func (c *Core[K, V]) stashFind(key K, tag uint64) int {
+	live := c.stashLive()
+	for i := range live {
+		if e := &live[i]; e.tag == tag && e.key == key {
 			return i
 		}
 	}
@@ -269,26 +284,33 @@ func (c *Core[K, V]) storeInBucket(b int, key K, val V, tag uint64) {
 //
 //repro:noalloc
 func (c *Core[K, V]) Put(cands []uint32, key K, val V, tag uint64) bool {
-	return c.put(cands, key, val, tag, true)
+	return c.update(cands, key, val, tag) || c.place(cands, key, val, tag, true)
 }
 
-// put is Put with the stash capacity check optional: growth migrations
-// pass capped=false so forward progress never depends on stash headroom
-// (see Migrate).
+// update overwrites key's value in place wherever key already lives — a
+// candidate bucket or the stash — reporting whether it was present.
 //
 //repro:noalloc
-func (c *Core[K, V]) put(cands []uint32, key K, val V, tag uint64, capped bool) bool {
-	// Update in place, wherever the key already lives.
+func (c *Core[K, V]) update(cands []uint32, key K, val V, tag uint64) bool {
 	for _, b := range cands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
+		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			c.setVal(&c.vals[idx], val)
 			return true
 		}
 	}
-	if i := c.stashFind(key); i >= 0 {
+	if i := c.stashFind(key, tag); i >= 0 {
 		c.setVal(&c.stash.Load().arr[i].val, val)
 		return true
 	}
+	return false
+}
+
+// place inserts a pair the caller knows is absent, with no lookup. The
+// stash capacity check is optional: growth migrations pass capped=false
+// so forward progress never depends on stash headroom (see Migrate).
+//
+//repro:noalloc
+func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool) bool {
 	// Place in the least-loaded candidate bucket, ties to the first —
 	// exactly the balanced-allocation rule, via the engine's shared
 	// selection.
@@ -307,20 +329,13 @@ func (c *Core[K, V]) put(cands []uint32, key K, val V, tag uint64, capped bool) 
 }
 
 // Get returns the value stored for key, given key's candidate buckets in
-// the current geometry. While a resize is in flight use GetDual.
+// the current geometry and its tag. While a resize is in flight use
+// GetDual.
 //
 //repro:noalloc
-func (c *Core[K, V]) Get(cands []uint32, key K) (V, bool) {
-	for _, b := range cands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
-			return c.vals[idx], true
-		}
-	}
-	if i := c.stashFind(key); i >= 0 {
-		return c.stash.Load().arr[i].val, true
-	}
-	var zero V
-	return zero, false
+func (c *Core[K, V]) Get(cands []uint32, key K, tag uint64) (V, bool) {
+	v, _, ok := c.GetDepth(cands, key, tag)
+	return v, ok
 }
 
 // GetDepth is Get that also reports the probe depth at which key
@@ -330,13 +345,13 @@ func (c *Core[K, V]) Get(cands []uint32, key K) (V, bool) {
 // which-choice-held distribution — from this.
 //
 //repro:noalloc
-func (c *Core[K, V]) GetDepth(cands []uint32, key K) (V, int, bool) {
+func (c *Core[K, V]) GetDepth(cands []uint32, key K, tag uint64) (V, int, bool) {
 	for depth, b := range cands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
+		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			return c.vals[idx], depth, true
 		}
 	}
-	if i := c.stashFind(key); i >= 0 {
+	if i := c.stashFind(key, tag); i >= 0 {
 		return c.stash.Load().arr[i].val, len(cands), true
 	}
 	var zero V
@@ -349,12 +364,12 @@ func (c *Core[K, V]) GetDepth(cands []uint32, key K) (V, int, bool) {
 // total buckets examined.
 //
 //repro:noalloc
-func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K) (V, int, bool) {
-	if v, depth, ok := c.GetDepth(oldCands, key); ok {
+func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K, tag uint64) (V, int, bool) {
+	if v, depth, ok := c.GetDepth(oldCands, key, tag); ok {
 		return v, depth, true
 	}
 	if next := c.next.Load(); next != nil {
-		if v, depth, ok := next.GetDepth(newCands, key); ok {
+		if v, depth, ok := next.GetDepth(newCands, key, tag); ok {
 			return v, len(oldCands) + 1 + depth, true
 		}
 	}
@@ -363,17 +378,17 @@ func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K) (V, int, b
 }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) against the current
-// geometry, given each key's candidate buckets in cands[i*d:(i+1)*d]: a
-// prefetch pass touches every candidate bucket's cache lines first, so
-// the batch's random memory accesses overlap instead of serializing
-// probe-by-probe, then each key resolves with the ordinary probe
-// (buckets, then stash). It returns the number found. Like Get, GetBatch
-// addresses the current geometry only; the resize-aware concurrent
-// batch loop lives in internal/cmap.
+// geometry, given each key's candidate buckets in cands[i*d:(i+1)*d] and
+// its tag in tags[i]: a prefetch pass touches every candidate bucket's
+// cache lines first, so the batch's random memory accesses overlap
+// instead of serializing probe-by-probe, then each key resolves with the
+// ordinary probe (buckets, then stash). It returns the number found.
+// Like Get, GetBatch addresses the current geometry only; the
+// resize-aware concurrent batch loop lives in internal/cmap.
 //
 //repro:noalloc
-func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found []bool) int {
-	if d <= 0 || len(cands) < len(keys)*d || len(vals) < len(keys) || len(found) < len(keys) {
+func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, tags []uint64, vals []V, found []bool) int {
+	if d <= 0 || len(cands) < len(keys)*d || len(tags) < len(keys) || len(vals) < len(keys) || len(found) < len(keys) {
 		panic("mchtable: GetBatch slice shapes do not cover the key batch")
 	}
 	v := c.view.Load()
@@ -384,7 +399,7 @@ func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found [
 	keepAlive32(sum)
 	n := 0
 	for i := range keys {
-		vals[i], found[i] = c.Get(cands[i*d:(i+1)*d], keys[i])
+		vals[i], found[i] = c.Get(cands[i*d:(i+1)*d], keys[i], tags[i])
 		if found[i] {
 			n++
 		}
@@ -392,24 +407,24 @@ func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found [
 	return n
 }
 
-// Delete removes key, reporting whether it was present. Freeing a bucket
-// slot triggers a stash drain: any stashed entry with that bucket among
-// its candidates (re-derived from its stored tag through candsOf) moves
-// back into the table, so transient overflow does not pin stash capacity
-// forever. cands must not alias the buffer candsOf writes into — the
-// drain recomputes stashed entries' candidates while cands is still live.
-// While a resize is in flight use DeleteDual.
+// Delete removes key (whose tag is tag), reporting whether it was
+// present. Freeing a bucket slot triggers a stash drain: any stashed
+// entry with that bucket among its candidates (re-derived from its stored
+// tag through candsOf) moves back into the table, so transient overflow
+// does not pin stash capacity forever. cands must not alias the buffer
+// candsOf writes into — the drain recomputes stashed entries' candidates
+// while cands is still live. While a resize is in flight use DeleteDual.
 //
 //repro:noalloc
-func (c *Core[K, V]) Delete(cands []uint32, key K, candsOf func(tag uint64) []uint32) bool {
+func (c *Core[K, V]) Delete(cands []uint32, key K, tag uint64, candsOf func(tag uint64) []uint32) bool {
 	for _, b := range cands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
+		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			c.clearSlot(idx, int(b))
 			c.drainStashInto(int(b), candsOf)
 			return true
 		}
 	}
-	if i := c.stashFind(key); i >= 0 {
+	if i := c.stashFind(key, tag); i >= 0 {
 		c.stashRemove(i)
 		c.size.Add(-1)
 		return true
@@ -501,6 +516,10 @@ func (c *Core[K, V]) Resizes() int { return int(c.resizes.Load()) }
 // was armed by stash pressure. It returns the work performed; 0 means
 // there is nothing left to do or the new geometry rejected an entry.
 //
+// Entries are placed with no lookup in the new geometry: mid-resize an
+// entry lives in exactly one geometry (PutDual moves a key across before
+// writing it), so a migrating key cannot already be there.
+//
 // A growth migration (more buckets) always makes progress: an entry whose
 // new-geometry candidates are all full goes to the new stash even past
 // its capacity, so a resize can never wedge behind one unplaceable entry
@@ -538,7 +557,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 					break
 				}
 			}
-			if !next.put(candsOf(c.tags[idx]), c.keys[idx], c.vals[idx], c.tags[idx], capped) {
+			if !next.place(candsOf(c.tags[idx]), c.keys[idx], c.vals[idx], c.tags[idx], capped) {
 				return work
 			}
 			c.clearSlot(idx, b)
@@ -551,7 +570,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 		// saturated growth migration builds).
 		live := c.stashLive()
 		e := live[len(live)-1]
-		if !next.put(candsOf(e.tag), e.key, e.val, e.tag, capped) {
+		if !next.place(candsOf(e.tag), e.key, e.val, e.tag, capped) {
 			return work
 		}
 		c.stashPopBack()
@@ -588,15 +607,9 @@ func (c *Core[K, V]) promote() {
 // unreachable mid-migration. With no resize in flight it is plain Get.
 //
 //repro:noalloc
-func (c *Core[K, V]) GetDual(oldCands, newCands []uint32, key K) (V, bool) {
-	if v, ok := c.Get(oldCands, key); ok {
-		return v, true
-	}
-	if next := c.next.Load(); next != nil {
-		return next.Get(newCands, key)
-	}
-	var zero V
-	return zero, false
+func (c *Core[K, V]) GetDual(oldCands, newCands []uint32, key K, tag uint64) (V, bool) {
+	v, _, ok := c.GetDualDepth(oldCands, newCands, key, tag)
+	return v, ok
 }
 
 // PutDual is Put while a resize is in flight. A key still resident in the
@@ -614,7 +627,7 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 		panic("mchtable: PutDual without a resize in flight")
 	}
 	for _, b := range oldCands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
+		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			if next.Put(newCands, key, val, tag) {
 				c.clearSlot(idx, int(b))
 				return true
@@ -623,7 +636,7 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 			return true
 		}
 	}
-	if i := c.stashFind(key); i >= 0 {
+	if i := c.stashFind(key, tag); i >= 0 {
 		if next.Put(newCands, key, val, tag) {
 			c.stashRemove(i)
 			c.size.Add(-1)
@@ -642,23 +655,23 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 // panics without a resize in flight.
 //
 //repro:noalloc
-func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, newCandsOf func(tag uint64) []uint32) bool {
+func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, tag uint64, newCandsOf func(tag uint64) []uint32) bool {
 	next := c.next.Load()
 	if next == nil {
 		panic("mchtable: DeleteDual without a resize in flight")
 	}
 	for _, b := range oldCands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
+		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			c.clearSlot(idx, int(b))
 			return true
 		}
 	}
-	if i := c.stashFind(key); i >= 0 {
+	if i := c.stashFind(key, tag); i >= 0 {
 		c.stashRemove(i)
 		c.size.Add(-1)
 		return true
 	}
-	return next.Delete(newCands, key, newCandsOf)
+	return next.Delete(newCands, key, tag, newCandsOf)
 }
 
 // Len returns the number of stored pairs (including stashed ones and, mid-

@@ -65,9 +65,9 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 			var v uint64
 			var ok bool
 			if c.Resizing() {
-				v, ok = c.GetDual(oldOp(k), newOp(k), k)
+				v, ok = c.GetDual(oldOp(k), newOp(k), k, k)
 			} else {
-				v, ok = c.Get(newOp(k), k)
+				v, ok = c.Get(newOp(k), k, k)
 			}
 			if !ok || v != k*10 {
 				t.Fatalf("step %d: key %d unreachable mid-migration (v=%d ok=%v)", steps, k, v, ok)
@@ -88,10 +88,10 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 	}
 	// The promoted core serves plain ops with new-geometry candidates.
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k); !ok || v != k*10 {
+		if v, ok := c.Get(newOp(k), k, k); !ok || v != k*10 {
 			t.Fatalf("key %d lost after promotion", k)
 		}
-		if !c.Delete(newOp(k), k, newDrain) {
+		if !c.Delete(newOp(k), k, k, newDrain) {
 			t.Fatalf("key %d not deletable after promotion", k)
 		}
 	}
@@ -125,7 +125,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending {
 		t.Fatalf("fresh insert changed the backlog: %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(100), newOp(100), 100); !ok || v != 100 {
+	if v, ok := c.GetDual(oldOp(100), newOp(100), 100, 100); !ok || v != 100 {
 		t.Fatal("fresh key unreachable mid-resize")
 	}
 
@@ -136,21 +136,21 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending-1 {
 		t.Fatalf("update of an old resident did not migrate it: backlog %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(1), newOp(1), 1); !ok || v != 111 {
+	if v, ok := c.GetDual(oldOp(1), newOp(1), 1, 1); !ok || v != 111 {
 		t.Fatalf("moved key: v=%d ok=%v", v, ok)
 	}
 
 	// Deletes find keys in either geometry.
-	if !c.DeleteDual(oldOp(2), newOp(2), 2, newDrain) {
+	if !c.DeleteDual(oldOp(2), newOp(2), 2, 2, newDrain) {
 		t.Fatal("old-resident delete missed")
 	}
-	if !c.DeleteDual(oldOp(100), newOp(100), 100, newDrain) {
+	if !c.DeleteDual(oldOp(100), newOp(100), 100, 100, newDrain) {
 		t.Fatal("new-resident delete missed")
 	}
-	if c.DeleteDual(oldOp(2), newOp(2), 2, newDrain) {
+	if c.DeleteDual(oldOp(2), newOp(2), 2, 2, newDrain) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := c.GetDual(oldOp(2), newOp(2), 2); ok {
+	if _, ok := c.GetDual(oldOp(2), newOp(2), 2, 2); ok {
 		t.Fatal("deleted key still reachable")
 	}
 
@@ -167,7 +167,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Len() != 19 {
 		t.Fatalf("Len = %d after promotion", c.Len())
 	}
-	if v, ok := c.Get(newOp(1), 1); !ok || v != 111 {
+	if v, ok := c.Get(newOp(1), 1, 1); !ok || v != 111 {
 		t.Fatal("moved key lost its updated value across promotion")
 	}
 }
@@ -186,7 +186,7 @@ func TestCoreResizeGuards(t *testing.T) {
 	mustPanic("same size", func() { c.StartResize(8) })
 	mustPanic("non-positive", func() { c.StartResize(0) })
 	mustPanic("PutDual idle", func() { c.PutDual(nil, nil, 1, 1, 1) })
-	mustPanic("DeleteDual idle", func() { c.DeleteDual(nil, nil, 1, nil) })
+	mustPanic("DeleteDual idle", func() { c.DeleteDual(nil, nil, 1, 1, nil) })
 	if c.Migrate(10, nil) != 0 {
 		t.Error("Migrate on an idle core moved entries")
 	}
@@ -244,7 +244,7 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 		t.Fatalf("stash %d within cap %d; the test never forced overflow", c.StashLen(), c.StashCap())
 	}
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k); !ok || v != k {
+		if v, ok := c.Get(newOp(k), k, k); !ok || v != k {
 			t.Fatalf("key %d lost completing a saturated growth migration", k)
 		}
 	}
@@ -286,7 +286,7 @@ func TestCoreShrinkStallsInsteadOfLosing(t *testing.T) {
 		t.Fatal("impossible shrink completed")
 	}
 	for _, k := range stored {
-		if v, ok := c.GetDual(oldOp(k), newOp(k), k); !ok || v != k {
+		if v, ok := c.GetDual(oldOp(k), newOp(k), k, k); !ok || v != k {
 			t.Fatalf("key %d lost in a stalled shrink", k)
 		}
 	}

@@ -146,8 +146,8 @@ func (c *Core[K, V]) setCount(b int, v uint32) {
 }
 
 // setStashEntry writes a published stash entry with the mode's store
-// discipline. Tags are writer-only state, so they stay plain in both
-// modes.
+// discipline. Seq readers never read tags (only probes under the shard
+// lock do), so they stay plain in both modes.
 //
 //repro:noalloc
 func (c *Core[K, V]) setStashEntry(dst *stashEntry[K, V], e stashEntry[K, V]) {

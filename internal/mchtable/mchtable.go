@@ -134,7 +134,7 @@ func (t *Table) Put(key, val uint64) bool {
 
 // Get returns the value stored for key.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	return t.core.Get(t.candidates(key), key)
+	return t.core.Get(t.candidates(key), key, key)
 }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:
@@ -151,7 +151,7 @@ func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
 	for i, k := range keys {
 		copy(cands[i*d:(i+1)*d], t.candidates(k))
 	}
-	return t.core.GetBatch(cands, d, keys, vals, found)
+	return t.core.GetBatch(cands, d, keys, keys, vals, found) // each key is its own tag
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -160,7 +160,7 @@ func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
 // pin stash capacity forever.
 func (t *Table) Delete(key uint64) bool {
 	copy(t.delScratch, t.candidates(key))
-	return t.core.Delete(t.delScratch, key, t.candidates)
+	return t.core.Delete(t.delScratch, key, key, t.candidates)
 }
 
 // Len returns the number of stored pairs (including stashed ones).

@@ -30,9 +30,11 @@ type Map[K comparable, V any] struct {
 	// Core.Delete's stash-drain callback recomputes candidates of *stashed*
 	// keys into scratch — the two sets must not alias.
 	delScratch []uint32
-	// batchScratch holds a whole GetBatch's candidate buckets, key-major;
-	// it grows to the largest batch seen and is reused across calls.
+	// batchScratch holds a whole GetBatch's candidate buckets, key-major,
+	// and batchTags its digests; both grow to the largest batch seen and
+	// are reused across calls.
 	batchScratch []uint32
+	batchTags    []uint64
 	candsOf      func(tag uint64) []uint32
 }
 
@@ -86,7 +88,8 @@ func (m *Map[K, V]) Put(key K, val V) bool {
 
 // Get returns the value stored for key.
 func (m *Map[K, V]) Get(key K) (V, bool) {
-	return m.core.Get(m.candidates(m.digest(key)), key)
+	d := m.digest(key)
+	return m.core.Get(m.candidates(d), key, d)
 }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:
@@ -99,12 +102,15 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	d := len(m.scratch)
 	if cap(m.batchScratch) < len(keys)*d {
 		m.batchScratch = make([]uint32, len(keys)*d)
+		m.batchTags = make([]uint64, len(keys))
 	}
 	cands := m.batchScratch[:len(keys)*d]
+	tags := m.batchTags[:len(keys)]
 	for i, k := range keys {
-		m.deriver.CandidateBins(m.digest(k), cands[i*d:(i+1)*d])
+		tags[i] = m.digest(k)
+		m.deriver.CandidateBins(tags[i], cands[i*d:(i+1)*d])
 	}
-	return m.core.GetBatch(cands, d, keys, vals, found)
+	return m.core.GetBatch(cands, d, keys, tags, vals, found)
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -114,7 +120,7 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 func (m *Map[K, V]) Delete(key K) bool {
 	d := m.digest(key)
 	m.deriver.CandidateBins(d, m.delScratch)
-	return m.core.Delete(m.delScratch, key, m.candsOf)
+	return m.core.Delete(m.delScratch, key, d, m.candsOf)
 }
 
 // Len returns the number of stored pairs (including stashed ones).

@@ -277,13 +277,24 @@ func NewSnapshotReader(r io.Reader) (*SnapshotReader, error) {
 	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
+	h, err := parseHeader(&hdr)
+	if err != nil {
+		return nil, err
+	}
+	sr.hdr = h
+	return sr, nil
+}
+
+// parseHeader verifies a snapshot header's magic, CRC and version and
+// decodes it.
+func parseHeader(hdr *[headerSize]byte) (Header, error) {
 	if string(hdr[:8]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
+		return Header{}, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
 	if got, want := binary.LittleEndian.Uint32(hdr[44:]), crc32.Checksum(hdr[:44], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: header CRC %#x, want %#x", ErrCorrupt, got, want)
+		return Header{}, fmt.Errorf("%w: header CRC %#x, want %#x", ErrCorrupt, got, want)
 	}
-	sr.hdr = Header{
+	h := Header{
 		Version:  binary.LittleEndian.Uint16(hdr[8:]),
 		Sections: binary.LittleEndian.Uint32(hdr[12:]),
 		Seed:     binary.LittleEndian.Uint64(hdr[16:]),
@@ -293,10 +304,72 @@ func NewSnapshotReader(r io.Reader) (*SnapshotReader, error) {
 		D:        binary.LittleEndian.Uint32(hdr[36:]),
 		Stash:    binary.LittleEndian.Uint32(hdr[40:]),
 	}
-	if sr.hdr.Version != Version {
-		return nil, fmt.Errorf("%w: version %d, reader speaks %d", ErrCorrupt, sr.hdr.Version, Version)
+	if h.Version != Version {
+		return Header{}, fmt.Errorf("%w: version %d, reader speaks %d", ErrCorrupt, h.Version, Version)
 	}
-	return sr, nil
+	return h, nil
+}
+
+// parseSectionHeader decodes a section header and bounds its claims
+// before anything trusts them. A record is at least 2 length bytes + 8
+// digest bytes, so a count that could not fit the payload is corruption;
+// an empty section must carry an empty payload (nothing would ever parse
+// it). section is the index errors name.
+func parseSectionHeader(hdr *[sectionHeaderSize]byte, section int) (count, length uint64, err error) {
+	count = binary.LittleEndian.Uint64(hdr[0:])
+	length = binary.LittleEndian.Uint64(hdr[8:])
+	if count > length/10 || (count == 0 && length != 0) {
+		return 0, 0, fmt.Errorf("%w: section %d claims %d records in %d bytes", ErrCorrupt, section, count, length)
+	}
+	return count, length, nil
+}
+
+// SnapshotRecords sums the record counts declared by the section headers
+// of the snapshot in r, which is size bytes long, without reading any
+// payload: one ReadAt for the file header and one per section header,
+// each offset checked against size first. A loader calls it to size its
+// table before streaming the same file through a SnapshotReader, which
+// still verifies every CRC this walk skips. Each section is bounded as
+// the reader bounds it — its count fits its length, its payload and CRC
+// end inside the file — so a lying header can claim at most size/10
+// records. Bytes after the last declared section are ignored, as the
+// reader ignores them.
+//
+//repro:boundedinput
+func SnapshotRecords(r io.ReaderAt, size int64) (int64, error) {
+	var hdr [headerSize]byte
+	if size < headerSize {
+		return 0, fmt.Errorf("%w: %d bytes cannot hold a header", ErrCorrupt, size)
+	}
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, headerSize), hdr[:]); err != nil {
+		return 0, err
+	}
+	h, err := parseHeader(&hdr)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	off := int64(headerSize)
+	for s := 0; s < int(h.Sections); s++ {
+		if size-off < sectionHeaderSize {
+			return 0, fmt.Errorf("%w: section %d header starts %d bytes before the end of the file", ErrCorrupt, s, size-off)
+		}
+		var sec [sectionHeaderSize]byte
+		if _, err := io.ReadFull(io.NewSectionReader(r, off, sectionHeaderSize), sec[:]); err != nil {
+			return 0, err
+		}
+		off += sectionHeaderSize
+		count, length, err := parseSectionHeader(&sec, s)
+		if err != nil {
+			return 0, err
+		}
+		if rest := uint64(size - off); rest < 4 || length > rest-4 {
+			return 0, fmt.Errorf("%w: section %d payload of %d bytes runs past the end of the file", ErrCorrupt, s, length)
+		}
+		off += int64(length) + 4
+		total += int64(count)
+	}
+	return total, nil
 }
 
 // Header returns the verified snapshot header.
@@ -344,14 +417,11 @@ func (sr *SnapshotReader) loadSection() bool {
 		sr.err = fmt.Errorf("%w: section %d header: %v", ErrCorrupt, sr.section+1, err)
 		return false
 	}
-	count := binary.LittleEndian.Uint64(hdr[0:])
-	length := binary.LittleEndian.Uint64(hdr[8:])
-	// A record is at least 2 length bytes + 8 digest bytes, so a count
-	// that could not fit the payload is corruption — reject before
-	// reading (and before trusting `length` anywhere). An empty section
-	// must carry an empty payload (nothing would ever parse it).
-	if count > length/10 || (count == 0 && length != 0) {
-		sr.err = fmt.Errorf("%w: section %d claims %d records in %d bytes", ErrCorrupt, sr.section+1, count, length)
+	// Reject implausible counts before reading (and before trusting
+	// `length` anywhere).
+	count, length, err := parseSectionHeader(&hdr, sr.section+1)
+	if err != nil {
+		sr.err = err
 		return false
 	}
 	if !sr.readPayload(length) {

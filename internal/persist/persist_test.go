@@ -237,3 +237,21 @@ func TestSnapshotTrailingGarbageIgnored(t *testing.T) {
 		t.Fatalf("trailing bytes after the declared sections: %v", err)
 	}
 }
+
+// TestSnapshotRecords pins the presizing walk against a written snapshot:
+// it counts every section's records (an empty section included) without
+// reading payloads, and rejects a file cut short anywhere inside its
+// sections.
+func TestSnapshotRecords(t *testing.T) {
+	r := func(i int) rec { return rec{key: []byte{byte(i)}, val: []byte("v"), digest: uint64(i)} }
+	data := writeSnapshot(t, Header{Seed: 1}, [][]rec{{r(1), r(2), r(3)}, {}, {r(4), r(5)}})
+	if n, err := SnapshotRecords(bytes.NewReader(data), int64(len(data))); err != nil || n != 5 {
+		t.Fatalf("walk = (%d, %v), want (5, nil)", n, err)
+	}
+	for _, cut := range []int{1, 4, 5, len(data) - headerSize - 1, len(data) - headerSize + 1} {
+		short := data[:len(data)-cut]
+		if _, err := SnapshotRecords(bytes.NewReader(short), int64(len(short))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("walk over a file missing its last %d bytes: err %v, want ErrCorrupt", cut, err)
+		}
+	}
+}

@@ -271,6 +271,7 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	}
 	var m *Map[K, V]
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
+		cfg.BucketsPerShard = recoveryBuckets(f, filepath.Join(dir, walFile), cfg)
 		m, err = cmap.LoadKeyed[K, V](bufio.NewReaderSize(f, 1<<20), h, kc, vc, cfg)
 		f.Close()
 		if err != nil {
@@ -312,6 +313,35 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	s := &DurableMap[K, V]{m: m, wal: wal, kc: kc, vc: vc, dir: dir, metrics: o.durableMetrics}
 	s.buf.New = func() any { return &walScratch{} }
 	return s, nil
+}
+
+// recoveryBuckets returns the buckets per shard recovery starts at: the
+// geometry organic growth would end at once the snapshot's records and
+// the WAL's Puts are loaded, so every record is placed once instead of
+// being re-placed at each doubling. Placement is a function of each
+// record's digest, not of the table's history, so the presized map is
+// the grown one. The snapshot's count comes from its section headers,
+// the WAL's from a counting replay; the WAL's share is capped at the
+// snapshot's, so a log of overwrites over-provisions by at most one
+// doubling. Any error keeps cfg's geometry: the load and the replay that
+// follow report it.
+func recoveryBuckets(snap *os.File, walPath string, cfg cmap.Config) int {
+	st, err := snap.Stat()
+	if err != nil {
+		return cfg.BucketsPerShard
+	}
+	records, err := persist.SnapshotRecords(snap, st.Size())
+	if err != nil {
+		return cfg.BucketsPerShard
+	}
+	var puts int64
+	persist.ReplayWAL(walPath, func(op persist.WALOp, _, _ []byte) error {
+		if op == persist.WALPut {
+			puts++
+		}
+		return nil
+	})
+	return cmap.BucketsFor(cfg, int(records+min(puts, records)))
 }
 
 // Put durably stores key → val: the write is acknowledged only after

@@ -342,3 +342,141 @@ func TestCheckpointFailureCleansTmp(t *testing.T) {
 		t.Fatalf("snapshot missing after successful Checkpoint: %v", err)
 	}
 }
+
+// servedFlags is cmd/served's default geometry, with the benchmark's
+// seed. The WAL skips fsync: these tests check recovery's geometry, not
+// the disk.
+func servedFlags() []repro.Option {
+	return []repro.Option{repro.WithShards(16), repro.WithBuckets(1 << 12), repro.WithSlots(4),
+		repro.WithD(3), repro.WithMaxLoadFactor(0.9), repro.WithSeed(1), repro.WithWALSync(false)}
+}
+
+func recoveryKey(i int) string { return fmt.Sprintf("key-%08d", i) }
+
+// putRange durably stores recoveryKey(i) → i+bump for i in [from, to).
+func putRange(t *testing.T, s *repro.DurableMap[string, uint64], from, to, bump int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := s.Put(recoveryKey(i), uint64(i+bump)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// settledStats finishes any in-flight migration, then takes the map's
+// snapshot: the geometry organic growth ended at.
+func settledStats(m *repro.Map[string, uint64]) repro.ContainerStats {
+	for m.MigrateStep(1<<20) > 0 {
+	}
+	return m.Stats()
+}
+
+// reopen closes s and recovers its directory at opts, checking that key
+// i holds want(i) for every i in [0, n) and nothing else is stored. It
+// returns the recovered map's settled stats.
+func reopen(t *testing.T, s *repro.DurableMap[string, uint64], dir string, n int, want func(i int) uint64, opts ...repro.Option) repro.ContainerStats {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := repro.Open[string, uint64](dir, opts...)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	if s2.Len() != n {
+		t.Fatalf("recovered %d pairs, want %d", s2.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := s2.Get(recoveryKey(i)); !ok || v != want(i) {
+			t.Fatalf("key %d = (%d, %v), want (%d, true)", i, v, ok, want(i))
+		}
+	}
+	return settledStats(s2.Map())
+}
+
+// TestRecoveryPresizedForNewKeys: a snapshot plus a WAL of new keys
+// recovers straight into the geometry a map that Put the same keys one
+// by one grew to, with no resize. n is chosen so the snapshot alone fits
+// served's initial 4096 buckets per shard (14,000 of 14,745 pairs a shard
+// holds under the watermark) while the WAL's new keys push every shard
+// over it: presizing from the snapshot alone would still double once.
+func TestRecoveryPresizedForNewKeys(t *testing.T) {
+	const n = 224_000
+	dir := t.TempDir()
+	s, err := repro.Open[string, uint64](dir, servedFlags()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putRange(t, s, 0, n, 0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	putRange(t, s, n, n+n/8, 0)
+	grown := settledStats(s.Map())
+	if grown.Resizes == 0 {
+		t.Fatal("the keys never grew the map; the test checks nothing")
+	}
+
+	st := reopen(t, s, dir, n+n/8, func(i int) uint64 { return uint64(i) }, servedFlags()...)
+	if st.Resizes != 0 {
+		t.Errorf("recovery resized %d times, want 0", st.Resizes)
+	}
+	if st.Capacity != grown.Capacity {
+		t.Errorf("recovered capacity %d, want %d (the map that grew by Puts)", st.Capacity, grown.Capacity)
+	}
+}
+
+// TestRecoveryPresizedOverwriteWAL: the Puts of a WAL that only
+// overwrites snapshot keys are counted, capped at the snapshot's count,
+// so recovery over-provisions by at most one doubling of the
+// snapshot-only geometry.
+func TestRecoveryPresizedOverwriteWAL(t *testing.T) {
+	const n = 160_000 // 10,000 a shard: served's 4096 buckets hold them with no growth
+	dir := t.TempDir()
+	s, err := repro.Open[string, uint64](dir, servedFlags()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putRange(t, s, 0, n, 0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snapOnly := settledStats(s.Map())
+	// Overwrite every key three times: uncapped, the 3n logged Puts would
+	// count as 4n pairs and size the map two doublings up.
+	for round := 1; round <= 3; round++ {
+		putRange(t, s, 0, n, round)
+	}
+
+	st := reopen(t, s, dir, n, func(i int) uint64 { return uint64(i + 3) }, servedFlags()...)
+	if st.Resizes != 0 {
+		t.Errorf("recovery resized %d times, want 0", st.Resizes)
+	}
+	if st.Capacity > 2*snapOnly.Capacity {
+		t.Errorf("recovered capacity %d, more than one doubling over the snapshot-only %d", st.Capacity, snapOnly.Capacity)
+	}
+}
+
+// TestRecoveryWALOnlyNotPresized: with no snapshot there is nothing to
+// count, so recovery starts at the options' geometry and grows exactly
+// as the original map did while its Puts were logged.
+func TestRecoveryWALOnlyNotPresized(t *testing.T) {
+	const n = 20_000
+	opts := append(servedFlags(), repro.WithBuckets(64))
+	dir := t.TempDir()
+	s, err := repro.Open[string, uint64](dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putRange(t, s, 0, n, 0)
+	grown := settledStats(s.Map())
+
+	st := reopen(t, s, dir, n, func(i int) uint64 { return uint64(i) }, opts...)
+	if st.Resizes == 0 || st.Resizes != grown.Resizes {
+		t.Errorf("WAL-only recovery resized %d times, want the original map's %d (> 0)", st.Resizes, grown.Resizes)
+	}
+	if st.Capacity != grown.Capacity {
+		t.Errorf("recovered capacity %d, want %d", st.Capacity, grown.Capacity)
+	}
+}
