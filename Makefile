@@ -9,13 +9,18 @@ FUZZ_TIME ?= 20s
 
 # The Get-path trajectory benchmarks: single-key Get (serial + parallel,
 # steady and mid-migration), batched GetBatch, and the Put baselines the
-# read path is traded against. BENCH_GET_CPUS exercises reader scaling.
-# CMapGet also picks up CMapGetObsOff/On (the instrumented-vs-bare Get
-# pair pinning the metrics overhead) and ObsRecord covers the obs
-# recording primitives themselves, so BENCH_get.json carries the
-# observability cost trajectory alongside the read path's.
+# read path is traded against, for uint64 maps and for served's
+# string → []byte shape (MapSerialGet/bytes, MapSerialPut/bytes,
+# CMapGetBatchBytes). CMapGet also picks up CMapGetObsOff/On (the
+# instrumented-vs-bare Get pair pinning the metrics overhead) and
+# ObsRecord covers the obs recording primitives themselves, so
+# BENCH_get.json carries the observability cost trajectory alongside the
+# read path's. Each benchmark runs six times at one CPU and
+# at every CPU the machine has (more procs than CPUs would only measure
+# oversubscription); cmd/benchjson folds the repeats into a median with
+# its min and max, and records the CPU count.
 BENCH_GET_PATTERN ?= CMapGet|MapSerialGet|MapSerialPut|CMapPutParallel|ObsRecord|ObsCounterAdd
-BENCH_GET_CPUS ?= 1,4,8
+BENCH_GET_CPUS ?= 1,$(shell nproc)
 BENCH_GET_TIME ?= 0.5s
 BENCH_GET_JSON ?= BENCH_get.json
 
@@ -76,7 +81,7 @@ bench:
 # BENCH_get.json): the cmap read/write hot paths across -cpu values, so
 # the repo carries a perf history PR over PR. CI uploads the artifact.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_GET_PATTERN)' -benchmem -benchtime $(BENCH_GET_TIME) -cpu $(BENCH_GET_CPUS) ./internal/cmap ./internal/obs | $(GO) run ./cmd/benchjson > $(BENCH_GET_JSON)
+	$(GO) test -run '^$$' -bench '$(BENCH_GET_PATTERN)' -benchmem -benchtime $(BENCH_GET_TIME) -count 6 -cpu $(BENCH_GET_CPUS) ./internal/cmap ./internal/obs | $(GO) run ./cmd/benchjson > $(BENCH_GET_JSON)
 
 # Fast smoke pass over the hot-path benchmarks (used by CI).
 bench-smoke:

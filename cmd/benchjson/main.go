@@ -5,70 +5,72 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'CMapGet' -benchmem ./internal/cmap | go run ./cmd/benchjson
+//	go test -run '^$' -bench 'CMapGet' -benchmem -count 6 -cpu 1,$(nproc) ./internal/cmap | go run ./cmd/benchjson
 //
 // Each result line
 //
 //	BenchmarkCMapGetParallel/shards=64/uniform-8   20000000   86.4 ns/op   0 B/op   0 allocs/op
 //
-// becomes one entry carrying the benchmark name, the GOMAXPROCS suffix
-// (the `-cpu` value the run used), iterations, and every recognized
-// per-op metric. Environment header lines (goos/goarch/pkg/cpu) are
-// captured once. Unrecognized lines are ignored, so the tool is safe to
-// feed a whole `make bench` transcript.
+// is keyed by the package it ran in (the latest `pkg:` header line), the
+// benchmark name and the GOMAXPROCS suffix (the `-cpu` value the run
+// used). The repeats a `-count` run prints for one key fold into one
+// entry: the median of every recognized per-op metric, plus the minimum
+// and maximum time per op and the number of runs, so a reader can tell a
+// difference from the spread. The document also records the machine:
+// goos, goarch, the CPU model line and the CPU count (nproc, as the Go
+// runtime sees it on the machine benchjson runs on — run it in the same
+// pipeline as the benchmarks). Unrecognized lines are ignored, so the
+// tool is safe to feed a whole `make bench` transcript.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark's measurements, folded over its runs.
 type Result struct {
+	Pkg         string  `json:"pkg"`                // import path of the package the benchmark ran in
 	Name        string  `json:"name"`               // full sub-benchmark path, -cpu suffix stripped
 	Procs       int     `json:"procs"`              // GOMAXPROCS the run used (the -N suffix; 1 if absent)
-	Iterations  int64   `json:"iterations"`         // b.N
-	NsPerOp     float64 `json:"ns_per_op"`          // time/op in nanoseconds
-	BytesPerOp  float64 `json:"b_per_op"`           // allocated bytes/op (-benchmem)
-	AllocsPerOp float64 `json:"allocs_per_op"`      // allocations/op (-benchmem)
-	MBPerSec    float64 `json:"mb_per_s,omitempty"` // throughput, when the benchmark reports it
+	Runs        int     `json:"runs"`               // result lines folded into this entry (the -count)
+	Iterations  int64   `json:"iterations"`         // median b.N
+	NsPerOp     float64 `json:"ns_per_op"`          // median time/op in nanoseconds
+	NsPerOpMin  float64 `json:"ns_per_op_min"`      // fastest run
+	NsPerOpMax  float64 `json:"ns_per_op_max"`      // slowest run
+	BytesPerOp  float64 `json:"b_per_op"`           // median allocated bytes/op (-benchmem)
+	AllocsPerOp float64 `json:"allocs_per_op"`      // median allocations/op (-benchmem)
+	MBPerSec    float64 `json:"mb_per_s,omitempty"` // median throughput, when the benchmark reports it
 }
 
 // Doc is the whole converted run.
 type Doc struct {
 	GoOS       string   `json:"goos,omitempty"`
 	GoArch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	NProc      int      `json:"nproc"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// run is one parsed result line.
+type run struct {
+	key                         string // pkg, name and procs
+	pkg, name                   string
+	procs                       int
+	iters                       int64
+	ns, bytes, allocs, mbPerSec float64
+}
+
 func main() {
-	doc := Doc{Benchmarks: []Result{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			doc.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseResult(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := convert(os.Stdin, runtime.NumCPU())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -80,36 +82,110 @@ func main() {
 	}
 }
 
-// parseResult decodes one benchfmt result line: name, iteration count,
+// convert reads a benchfmt transcript and folds it into a Doc for a
+// machine with nproc CPUs.
+func convert(in io.Reader, nproc int) (Doc, error) {
+	doc := Doc{NProc: nproc, Benchmarks: []Result{}}
+	var order []string
+	runs := make(map[string][]run)
+	pkg := ""
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			doc.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseRun(pkg, line); ok {
+				if _, seen := runs[r.key]; !seen {
+					order = append(order, r.key)
+				}
+				runs[r.key] = append(runs[r.key], r)
+			}
+		}
+	}
+	for _, k := range order {
+		doc.Benchmarks = append(doc.Benchmarks, fold(runs[k]))
+	}
+	return doc, sc.Err()
+}
+
+// parseRun decodes one benchfmt result line: name, iteration count,
 // then (value, unit) pairs.
-func parseResult(line string) (Result, bool) {
+func parseRun(pkg, line string) (run, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
-		return Result{}, false
+		return run{}, false
 	}
 	name, procs := splitProcs(f[0])
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return run{}, false
 	}
-	r := Result{Name: name, Procs: procs, Iterations: iters}
+	r := run{key: fmt.Sprintf("%s\x00%s\x00%d", pkg, name, procs), pkg: pkg, name: name, procs: procs, iters: iters}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return Result{}, false
+			return run{}, false
 		}
 		switch f[i+1] {
 		case "ns/op":
-			r.NsPerOp = v
+			r.ns = v
 		case "B/op":
-			r.BytesPerOp = v
+			r.bytes = v
 		case "allocs/op":
-			r.AllocsPerOp = v
+			r.allocs = v
 		case "MB/s":
-			r.MBPerSec = v
+			r.mbPerSec = v
 		}
 	}
 	return r, true
+}
+
+// fold merges the runs of one benchmark into its entry.
+func fold(rs []run) Result {
+	ns := field(rs, func(r run) float64 { return r.ns })
+	return Result{
+		Pkg:         rs[0].pkg,
+		Name:        rs[0].name,
+		Procs:       rs[0].procs,
+		Runs:        len(rs),
+		Iterations:  int64(median(field(rs, func(r run) float64 { return float64(r.iters) }))),
+		NsPerOp:     median(ns),
+		NsPerOpMin:  slices.Min(ns),
+		NsPerOpMax:  slices.Max(ns),
+		BytesPerOp:  median(field(rs, func(r run) float64 { return r.bytes })),
+		AllocsPerOp: median(field(rs, func(r run) float64 { return r.allocs })),
+		MBPerSec:    median(field(rs, func(r run) float64 { return r.mbPerSec })),
+	}
+}
+
+// field extracts one metric from every run.
+func field(rs []run, f func(run) float64) []float64 {
+	vs := make([]float64, len(rs))
+	for i, r := range rs {
+		vs[i] = f(r)
+	}
+	return vs
+}
+
+// median returns the median of vs (the mean of the middle two for an
+// even count).
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // splitProcs strips the trailing -N GOMAXPROCS suffix the bench runner

@@ -14,8 +14,8 @@
 //	        report Mops/sec per key kind
 //	-keys   size of the key space (smaller = hotter keys, more same-shard
 //	        lock traffic and update-in-place)
-//	-read   fraction of operations that are Gets (seq-capable key kinds
-//	        read lock-free under the seqlock protocol, so high read
+//	-read   fraction of operations that are Gets (every key kind reads
+//	        lock-free under the seqlock protocol, so high read
 //	        fractions scale with GOMAXPROCS and never wait on writers)
 //	-mget   batch Gets through the pipelined GetBatch tier, this many
 //	        keys per call (0 = per-key Gets); amortizes hashing and

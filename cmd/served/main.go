@@ -187,51 +187,3 @@ func publishAddr(path, bound string) error {
 	}
 	return nil
 }
-
-// bytesCodec encodes []byte values verbatim. Decode clones: the map
-// owns its values, and WAL replay / snapshot load hand the codec
-// buffers they immediately reuse.
-var bytesCodec = repro.Codec[[]byte]{
-	Append: func(dst []byte, v []byte) []byte { return append(dst, v...) },
-	Decode: func(b []byte) ([]byte, error) { return append([]byte(nil), b...), nil },
-}
-
-// backend adapts the durable map to the wire server's Backend. Keys
-// cross from []byte frame views to the map's string keys here; values
-// stored are clones (the frame buffer a SET's value points into is
-// reused by the very next frame), and values returned are the map's
-// own immutable slices (updates swap the slice, never mutate bytes),
-// so handing them back as reply views is safe.
-type backend struct {
-	m *repro.DurableMap[string, []byte]
-	// keyScratch pools []string conversion buffers for GetBatch: the
-	// adapter is shared by every connection goroutine.
-	keyScratch sync.Pool // *[]string
-}
-
-func (b *backend) Get(key []byte) ([]byte, bool) {
-	return b.m.Get(string(key))
-}
-
-func (b *backend) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {
-	skp, _ := b.keyScratch.Get().(*[]string)
-	if skp == nil {
-		skp = new([]string)
-	}
-	sk := (*skp)[:0]
-	for _, k := range keys {
-		sk = append(sk, string(k))
-	}
-	n := b.m.GetBatch(sk, vals[:len(sk)], found[:len(sk)])
-	*skp = sk
-	b.keyScratch.Put(skp)
-	return n
-}
-
-func (b *backend) Set(key, val []byte) error {
-	return b.m.Put(string(key), append([]byte(nil), val...))
-}
-
-func (b *backend) Delete(key []byte) (bool, error) {
-	return b.m.Delete(string(key))
-}

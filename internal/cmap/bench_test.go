@@ -201,6 +201,16 @@ func BenchmarkMapSerialPut(b *testing.B) {
 			m.Put(fiveTuple{SrcIP: uint32(k), DstIP: uint32(k >> 13), SrcPort: uint16(k), Proto: 6}, k)
 		})
 	})
+	b.Run("bytes", func(b *testing.B) {
+		// served's shape: string keys, []byte values, both in the arena.
+		// Overwrites of the 2^17 keys keep the arena rebuilding, so the
+		// figure includes reclamation.
+		m := NewKeyed[string, []byte](keyed.ForType[string](), Config{
+			Shards: 16, BucketsPerShard: 1 << 12, SlotsPerBucket: 4, D: 3, Seed: 42, StashPerShard: 64,
+		})
+		keys, val := benchStringKeys(), benchValue()
+		bench(b, func(k uint64) { m.Put(keys[k&(1<<17-1)], val) })
+	})
 }
 
 func BenchmarkMapSerialGet(b *testing.B) {
@@ -240,7 +250,66 @@ func BenchmarkMapSerialGet(b *testing.B) {
 		}
 		bench(b, func(k uint64) { m.Get(mk(k)) })
 	})
+	b.Run("bytes", func(b *testing.B) {
+		m := NewKeyed[string, []byte](keyed.ForType[string](), Config{
+			Shards: 16, BucketsPerShard: 1 << 12, SlotsPerBucket: 4, D: 3, Seed: 42, StashPerShard: 64,
+		})
+		keys, val := benchStringKeys(), benchValue()
+		for k := uint64(0); k < 1<<16; k++ {
+			m.Put(keys[k], val)
+		}
+		bench(b, func(k uint64) { m.Get(keys[k]) })
+	})
 }
+
+// BenchmarkCMapGetBatchBytes is BenchmarkCMapGetBatch for served's map
+// shape — string keys and []byte values, both held in the arena — over
+// 2^20 pairs, beyond the last-level cache: 16-key batches against the
+// same keys looked up one Get at a time.
+func BenchmarkCMapGetBatchBytes(b *testing.B) {
+	const (
+		mask = 1<<20 - 1
+		size = 16
+	)
+	m := NewKeyed[string, []byte](keyed.ForType[string](), Config{
+		Shards: 16, BucketsPerShard: 1 << 16, SlotsPerBucket: 4, D: 3, Seed: 42, StashPerShard: 64,
+	})
+	val := benchValue()
+	names := make([]string, mask+1)
+	for k := range names {
+		names[k] = fmt.Sprintf("key-%016x", k)
+		m.Put(names[k], val)
+	}
+	keys := make([]string, size)
+	vals := make([][]byte, size)
+	found := make([]bool, size)
+	fill := func(src rng.Source) {
+		for i := range keys {
+			keys[i] = names[src.Uint64()&mask]
+		}
+	}
+	b.Run(fmt.Sprintf("batch/size=%d", size), func(b *testing.B) {
+		src := rng.NewXoshiro256(1)
+		b.ResetTimer()
+		for n := 0; n < b.N; n += size {
+			fill(src)
+			m.GetBatch(keys, vals, found)
+		}
+	})
+	b.Run(fmt.Sprintf("perkey/size=%d", size), func(b *testing.B) {
+		src := rng.NewXoshiro256(1)
+		b.ResetTimer()
+		for n := 0; n < b.N; n += size {
+			fill(src)
+			for _, k := range keys {
+				m.Get(k)
+			}
+		}
+	})
+}
+
+// benchValue is a 32-byte value, the size served's benchmark stores.
+func benchValue() []byte { return []byte("0123456789abcdef0123456789abcdef") }
 
 // benchStringKeys pre-renders the 2^17 string keys so the benchmarks
 // measure the map, not fmt.

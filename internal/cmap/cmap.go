@@ -18,26 +18,51 @@
 //
 // # Seqlock reads
 //
-// For seq-capable key/value types (pointer-free, size a multiple of 4
-// bytes — mchtable.SeqCapable; uint64s, fixed arrays, packet 5-tuple
-// structs), Get and GetBatch never take the shard lock on their fast
-// path. Each shard carries a sequence counter that writers bump to odd
-// on entering a mutation and back to even on leaving; a reader snapshots
+// Get and GetBatch never take the shard lock on their fast path, for
+// every key and value type the map accepts. mchtable.Core's type rule
+// makes every slot pointer-free: a key or value type is either
+// pointer-free with a size that is a multiple of 4 bytes (uint64s, fixed
+// arrays, packet 5-tuple structs), stored inline in the slot arrays, or
+// a string kind (or []byte, for values), stored in the shard geometry's
+// append-only byte arena, named by a 64-bit ref in the slot. Any other
+// type panics in the constructor.
+//
+// Each shard carries a sequence counter that writers bump to odd on
+// entering a mutation and back to even on leaving; a reader snapshots
 // the counter, probes the shard's published bucket views and stash with
-// atomic word reads (both geometries mid-resize, old first), and accepts
-// the result only if the counter is still the same even value — anything
+// atomic reads (both geometries mid-resize, old first), and accepts the
+// result only if the counter is still the same even value — anything
 // else means a writer overlapped the probe and the value may be torn, so
 // the reader retries, falling back to the read lock after a few spins so
 // readers never starve under write churn. Readers therefore wait on no
 // lock, block no writer, and cost writers two uncontended atomic
 // increments; see internal/mchtable's seq-mode notes for why both sides
-// use word-granular atomics (Go's memory model, unlike a C seqlock's,
-// does not forgive torn plain reads even when discarded).
+// use atomics (Go's memory model, unlike a C seqlock's, does not forgive
+// torn plain reads even when discarded).
 //
-// Pointerful types (string keys, slice values, ...) keep the classic
-// read-lock path: raw word stores would bypass the garbage collector's
-// write barriers, so those types are never published to lock-free
-// readers.
+// The probe loads each slot's ref, which carries 16 bits of the pair's
+// tag, compares those bits before anything else, and reads a key's arena
+// bytes only in a slot whose tag bits match. An arena record is written
+// before the ref naming it is published, and never written again, so a
+// reader that loads a stale ref reads intact bytes that the generation
+// check then rejects. A string or []byte returned by Get, GetBatch or
+// Range is a view of its record: it stays valid, and byte-identical, for
+// as long as the caller holds it — across overwrites, deletes, doublings
+// and rebuilds — and a returned []byte must not be written. Put copies
+// string and []byte arguments into the arena, so a caller may reuse
+// their memory as soon as Put returns.
+//
+// Overwrites and deletes leave dead record bytes behind. A shard whose
+// current geometry holds more dead arena bytes than live ones (see
+// mchtable.Core.NeedsRebuild) starts a same-size rebuild, migrated like
+// a doubling, MigrateBatch entries per write; every doubling compacts
+// the same way. Stats().Resizes counts rebuilds with the doublings.
+// Like a doubling, a rebuild never stalls on stash headroom: a pair whose
+// candidate buckets are all full in the rebuilt geometry goes to its
+// stash even past StashPerShard. With MaxLoadFactor set, that stash
+// pressure doubles the shard at its next write; with resize disabled the
+// stash stays overfull until deletes drain it, and meanwhile a new key
+// whose candidate buckets are full is rejected.
 //
 // # Online incremental resize
 //
@@ -59,12 +84,12 @@
 // batch step and retries only if the step overlaps its probe, while a
 // fallback (locked) read can wait behind one, bounded by MigrateBatch.
 //
-// The keyed hash evaluation always happens outside the shard lock. With
-// resize enabled, the cheap geometry-dependent candidate expansion moves
-// under the lock on the write path, because a doubling may change the
-// shard's bucket count at any write; seqlock readers instead validate
-// that their deriver and bucket view describe the same geometry and
-// retry on mismatch, keeping the whole read path lock-free.
+// The keyed hash evaluation always happens outside the shard lock. The
+// cheap geometry-dependent candidate expansion happens under the lock on
+// the write path, because a doubling or rebuild may start at any write;
+// seqlock readers instead validate that their deriver and bucket view
+// describe the same geometry and retry on mismatch, keeping the whole
+// read path lock-free.
 package cmap
 
 import (
@@ -104,10 +129,11 @@ type Config struct {
 	// (stored pairs, stash included, over slot capacity) exceeds this
 	// watermark doubles its bucket count and migrates incrementally. 0
 	// disables resize (the map is fixed-capacity and rejects overflow,
-	// the pre-resize behaviour); otherwise it must lie in (0, 1].
+	// the pre-resize behaviour; same-size arena rebuilds still run, see
+	// the package doc); otherwise it must lie in (0, 1].
 	MaxLoadFactor float64
 	// MigrateBatch is the number of entries each Put or Delete migrates
-	// as a piggybacked resize step; 0 means 32 when resize is enabled.
+	// as a piggybacked resize or rebuild step; 0 means 32.
 	MigrateBatch int
 }
 
@@ -172,7 +198,6 @@ type Map[K comparable, V any] struct {
 	hash         keyed.Hasher[K]
 	maxLoad      float64
 	migrateBatch int
-	seqRead      bool     // lock-free Get path enabled (K and V are SeqCapable)
 	metrics      *Metrics // optional latency/probe instrumentation; nil = uninstrumented
 	shards       []shard[K, V]
 	mgetPool     sync.Pool // *mgetScratch[K, V], reused across GetBatch calls
@@ -186,7 +211,9 @@ func New(cfg Config) *Map[uint64, uint64] {
 }
 
 // NewKeyed returns an empty typed map whose single keyed hash evaluation
-// per operation is h. It panics on invalid configuration or a nil hasher.
+// per operation is h. It panics on invalid configuration, a nil hasher,
+// or a K or V that breaks mchtable.Core's type rule (see the package
+// doc's "Seqlock reads").
 func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 	if h == nil {
 		panic("cmap: nil hasher")
@@ -225,16 +252,13 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 		hash:         h,
 		maxLoad:      cfg.MaxLoadFactor,
 		migrateBatch: cfg.MigrateBatch,
-		seqRead:      mchtable.SeqCapable[K]() && mchtable.SeqCapable[V](),
 		shards:       make([]shard[K, V], shards),
 	}
 	deriver := hashes.NewDeriver(cfg.BucketsPerShard) // shared until a shard resizes
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.core = mchtable.NewCore[K, V](cfg.BucketsPerShard, cfg.SlotsPerBucket, cfg.StashPerShard)
-		if m.seqRead {
-			sh.core.EnableSeq()
-		}
+		sh.core.EnableSeq()
 		sh.deriver.Store(deriver)
 		sh.scratch = make([]uint32, cfg.D)
 		sh.newScratch = make([]uint32, cfg.D)
@@ -286,29 +310,41 @@ func (m *Map[K, V]) routeDigest(digest uint64) (*shard[K, V], uint64) {
 	return &m.shards[idx], inShard
 }
 
-// startResizeLocked begins doubling sh. Caller holds sh.mu.
+// startResizeLocked begins migrating sh to newBuckets buckets: a
+// doubling, or at the current count a rebuild. Caller holds sh.mu.
 //
 //repro:requires-lock
-func (m *Map[K, V]) startResizeLocked(sh *shard[K, V]) {
-	newBuckets := 2 * sh.core.Buckets()
+func (m *Map[K, V]) startResizeLocked(sh *shard[K, V], newBuckets int) {
+	der := sh.deriver.Load()
+	if newBuckets == der.N() {
+		sh.nextDeriver.Store(der)
+		sh.core.StartRebuild()
+		return
+	}
 	sh.nextDeriver.Store(hashes.NewDeriver(newBuckets))
 	sh.core.StartResize(newBuckets)
 }
 
-// wantsResizeLocked reports whether sh has crossed the growth watermark:
-// occupancy past MaxLoadFactor, or the overflow stash three-quarters
-// full (stash pressure precedes rejections well below the watermark on
-// unlucky shards). Caller holds sh.mu.
+// resizeTargetLocked returns the bucket count sh should migrate to after
+// a write on a settled geometry, or 0 to stay. With growth enabled, a
+// rejected insertion, occupancy past MaxLoadFactor or an overflow stash
+// three-quarters full (stash pressure precedes rejections well below the
+// watermark on unlucky shards) doubles the shard. Otherwise an arena
+// holding more dead bytes than live ones rebuilds it at the same size.
+// Caller holds sh.mu.
 //
 //repro:requires-lock
-func (m *Map[K, V]) wantsResizeLocked(sh *shard[K, V]) bool {
-	if m.maxLoad == 0 || sh.core.Resizing() {
-		return false
+func (m *Map[K, V]) resizeTargetLocked(sh *shard[K, V], rejected bool) int {
+	c := sh.core
+	switch {
+	case c.Resizing():
+		return 0
+	case m.maxLoad > 0 && (rejected || overWatermark(c.Len(), c.Capacity(), m.maxLoad) || 4*c.StashLen() >= 3*c.StashCap()):
+		return 2 * c.Buckets()
+	case c.NeedsRebuild():
+		return c.Buckets()
 	}
-	if overWatermark(sh.core.Len(), sh.core.Capacity(), m.maxLoad) {
-		return true
-	}
-	return 4*sh.core.StashLen() >= 3*sh.core.StashCap()
+	return 0
 }
 
 // overWatermark is the growth rule: a shard holding n pairs in capacity
@@ -360,17 +396,38 @@ func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 // Put stores key → val, updating in place if key is present. It reports
 // whether the pair is stored; false means the insertion was rejected with
 // the map unchanged. With resize disabled that happens whenever every
-// candidate bucket and the shard's stash are full; with MaxLoadFactor set
-// a rejection instead starts the shard's resize and retries into the
-// doubled geometry, so false becomes rare but remains possible while a
-// migration is already in flight and the new geometry's candidates and
-// stash are themselves full (a second doubling cannot start until the
-// first completes). Every Put on a resizing shard migrates up to
-// MigrateBatch entries.
+// candidate bucket and the shard's stash are full — mid-rebuild, those of
+// the geometry being rebuilt into, whose stash the rebuild may have
+// overfilled (see the package doc). With MaxLoadFactor set a rejection
+// instead starts the shard's resize and retries into the doubled
+// geometry, so false becomes rare but remains possible while a migration
+// is already in flight and the new geometry's candidates and stash are
+// themselves full (a second doubling cannot start until the first
+// completes). A rejection never retries into a rebuild. Every Put on a
+// resizing shard migrates up to MigrateBatch entries.
 //
 //repro:noalloc
 func (m *Map[K, V]) Put(key K, val V) bool {
-	digest := m.digest(key)
+	return PutDigest(m, m.digest(key), key, val)
+}
+
+// Digest returns m's keyed digest of key: the one hash evaluation an
+// operation spends, which PutDigest and DeleteDigest then carry. A
+// caller that needs the digest for its own bookkeeping as well — the
+// durable map picks its write-ordering stripe from it — hashes once and
+// passes it on. It is a function rather than a method so that the
+// method set of the public Map stays as it is.
+//
+//repro:digestsource
+//repro:noalloc
+func Digest[K comparable, V any](m *Map[K, V], key K) uint64 { return m.digest(key) }
+
+// PutDigest is m.Put(key, val) for a key whose digest the caller already
+// computed with Digest — it must be Digest(m, key).
+//
+//repro:digestcarried
+//repro:noalloc
+func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) bool {
 	if mx := m.metrics; mx != nil && digest&sampleMask == 0 {
 		start := nowNanos()
 		ok := m.putDigest(digest, key, val)
@@ -380,41 +437,28 @@ func (m *Map[K, V]) Put(key K, val V) bool {
 	return m.putDigest(digest, key, val)
 }
 
-// putDigest is Put from an already computed full digest — shared by Put
-// (which spends the operation's one keyed hash evaluation to get it) and
-// the snapshot loader (which streams stored digests back in, re-hashing
-// nothing).
+// putDigest is Put from an already computed full digest — shared by
+// PutDigest and the snapshot loader (which streams stored digests back
+// in, re-hashing nothing).
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 	var oldBuf, newBuf [maxD]uint32
 	sh, tag := m.routeDigest(digest)
-	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		// Fixed geometry: the shared deriver is immutable, so candidate
-		// expansion stays outside the lock (the pre-resize hot path).
-		sh.deriver.Load().CandidateBins(tag, oldCands)
-		sh.lock()
-		ok := sh.core.Put(oldCands, key, val, tag)
-		sh.unlock()
-		return ok
-	}
+	oldCands, newCands := oldBuf[:m.d], newBuf[:m.d]
 	sh.lock()
 	sh.deriver.Load().CandidateBins(tag, oldCands)
 	var ok bool
 	if sh.core.Resizing() {
-		newCands := newBuf[:m.d]
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
 		ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
 	} else {
 		ok = sh.core.Put(oldCands, key, val, tag)
-		if !ok || m.wantsResizeLocked(sh) {
-			// Watermark crossed — or the fixed geometry rejected the pair
-			// outright, which forces growth regardless of occupancy.
-			m.startResizeLocked(sh)
-			if !ok {
-				newCands := newBuf[:m.d]
+		if n := m.resizeTargetLocked(sh, !ok); n > 0 {
+			doubling := n != sh.core.Buckets()
+			m.startResizeLocked(sh, n)
+			if !ok && doubling {
 				sh.nextDeriver.Load().CandidateBins(tag, newCands)
 				ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
 			}
@@ -425,14 +469,14 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 	return ok
 }
 
-// Get returns the value stored for key. For seq-capable K/V the read is
-// optimistic and lock-free: it probes the shard's published bucket views
-// (both geometries mid-resize, old first) with atomic word reads and
-// validates the shard's seqlock generation around the probe, retrying on
-// writer overlap and falling back to the read lock after seqSpins torn
+// Get returns the value stored for key. The read is optimistic and
+// lock-free: it probes the shard's published bucket views (both
+// geometries mid-resize, old first) with atomic reads and validates the
+// shard's seqlock generation around the probe, retrying on writer
+// overlap and falling back to the read lock after seqSpins torn
 // attempts. Readers therefore never block writers and never wait on a
-// lock on the fast path. For pointerful K/V, Get takes the shard's read
-// lock as before; either way a Get never migrates.
+// lock on the fast path, and a Get never migrates. A string or []byte
+// result is a view of the map's arena (see the package doc).
 //
 //repro:noalloc
 func (m *Map[K, V]) Get(key K) (V, bool) {
@@ -440,22 +484,33 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 	if mx := m.metrics; mx != nil && tag&sampleMask == 0 {
 		return m.sampledGet(mx, sh, tag, key)
 	}
-	if m.seqRead {
-		if v, ok, done := m.seqGet(sh, tag, key); done {
-			return v, ok
-		}
-		sh.seqFallbacks.Add(1)
+	v, _, ok := m.getRouted(sh, tag, key)
+	return v, ok
+}
+
+// getRouted is Get after routing: the seqlock probe, then the locked
+// fallback if it spins out. It reports the probe depth as
+// mchtable.Core.GetDepth does.
+//
+//repro:digestcarried
+//repro:noalloc
+func (m *Map[K, V]) getRouted(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
+	if v, depth, ok, done := m.seqGet(sh, tag, key); done {
+		return v, depth, ok
 	}
+	sh.seqFallbacks.Add(1)
 	return m.lockedGet(sh, tag, key)
 }
 
 // seqGet is the optimistic lock-free read: snapshot the generation,
 // probe wait-free, accept only if the generation never moved. done=false
 // after seqSpins torn attempts sends the caller to the mutex fallback.
+// Depths past the old geometry's probe sequence are offset as in
+// mchtable.Core.GetDualDepth.
 //
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, ok, done bool) {
+func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, depth int, ok, done bool) {
 	var buf, nbuf [maxD]uint32
 	for spin := 0; spin < seqSpins; spin++ {
 		s := sh.seq.Load()
@@ -470,7 +525,7 @@ func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, ok, done 
 		}
 		cands := buf[:m.d]
 		der.CandidateBins(tag, cands)
-		val, ok = core.SeqGet(v, cands, key)
+		val, depth, ok = core.SeqGet(v, cands, key, tag)
 		if !ok {
 			// Old geometry missed; mid-resize the pair may already have
 			// migrated, so chase the next core exactly like GetDual.
@@ -482,50 +537,47 @@ func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, ok, done 
 				}
 				ncands := nbuf[:m.d]
 				nder.CandidateBins(tag, ncands)
-				val, ok = next.SeqGet(nv, ncands, key)
+				if val, depth, ok = next.SeqGet(nv, ncands, key, tag); ok {
+					depth += m.d + 1
+				}
 			}
 		}
 		if sh.seq.Load() == s {
 			if spin > 0 {
 				sh.seqRetries.Add(uint64(spin))
 			}
-			return val, ok, true
+			return val, depth, ok, true
 		}
 	}
 	sh.seqRetries.Add(seqSpins)
 	var zero V
-	return zero, false, false
+	return zero, -1, false, false
 }
 
-// lockedGet is the classic read-locked Get — the only read path for
-// pointerful K/V, and the fallback when seqGet keeps colliding with
-// writers.
+// lockedGet is the read-locked probe: the fallback when seqGet keeps
+// colliding with writers. It reports the probe depth like getRouted.
 //
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
+func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
 	var oldBuf, newBuf [maxD]uint32
 	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.mu.RLock()
-		v, ok := sh.core.Get(oldCands, key, tag)
-		sh.mu.RUnlock()
-		return v, ok
-	}
 	sh.mu.RLock()
 	sh.deriver.Load().CandidateBins(tag, oldCands)
-	var v V
-	var ok bool
+	var (
+		v     V
+		depth int
+		ok    bool
+	)
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		v, ok = sh.core.GetDual(oldCands, newCands, key, tag)
+		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key, tag)
 	} else {
-		v, ok = sh.core.Get(oldCands, key, tag)
+		v, depth, ok = sh.core.GetDepth(oldCands, key, tag)
 	}
 	sh.mu.RUnlock()
-	return v, ok
+	return v, depth, ok
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -534,17 +586,17 @@ func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
 // entries of an in-flight resize.
 //
 //repro:noalloc
-func (m *Map[K, V]) Delete(key K) bool {
+func (m *Map[K, V]) Delete(key K) bool { return DeleteDigest(m, m.digest(key), key) }
+
+// DeleteDigest is m.Delete(key) for a key whose digest the caller
+// already computed with Digest — it must be Digest(m, key).
+//
+//repro:digestcarried
+//repro:noalloc
+func DeleteDigest[K comparable, V any](m *Map[K, V], digest uint64, key K) bool {
 	var oldBuf, newBuf [maxD]uint32
-	sh, tag := m.route(key)
+	sh, tag := m.routeDigest(digest)
 	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.lock()
-		ok := sh.core.Delete(oldCands, key, tag, sh.candsOf)
-		sh.unlock()
-		return ok
-	}
 	sh.lock()
 	sh.deriver.Load().CandidateBins(tag, oldCands)
 	var ok bool
@@ -554,6 +606,9 @@ func (m *Map[K, V]) Delete(key K) bool {
 		ok = sh.core.DeleteDual(oldCands, newCands, key, tag, sh.newCandsOf)
 	} else {
 		ok = sh.core.Delete(oldCands, key, tag, sh.candsOf)
+		if n := m.resizeTargetLocked(sh, false); n > 0 {
+			m.startResizeLocked(sh, n)
+		}
 	}
 	m.migrateLocked(sh, m.migrateBatch)
 	sh.unlock()
@@ -595,19 +650,17 @@ func (m *Map[K, V]) D() int { return m.d }
 
 // Len returns the number of stored pairs (including stashed ones). Each
 // shard's count is captured under the seqlock protocol (a validated
-// lock-free read, falling back to the read lock under write churn or for
-// pointerful K/V), so per-shard counts are exact while the cross-shard
+// lock-free read, falling back to the read lock under write churn), so
+// per-shard counts are exact while the cross-shard
 // total remains per-shard-consistent: concurrent writers may move the
 // total while it accumulates.
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
-		if m.seqRead {
-			if n, ok := m.seqShardLen(sh); ok {
-				total += n
-				continue
-			}
+		if n, ok := m.seqShardLen(sh); ok {
+			total += n
+			continue
 		}
 		sh.mu.RLock()
 		total += sh.core.Len()
@@ -642,8 +695,7 @@ type Stats = container.Stats
 // stash depth, resize progress and its bucket-load histogram — are
 // captured under the seqlock protocol: a validated lock-free read of
 // that shard at one instant, even mid-migration (the read-lock fallback
-// covers write churn and pointerful K/V, and is every bit as
-// consistent). The aggregate is therefore per-shard-consistent: each
+// covers write churn, and is every bit as consistent). The aggregate is therefore per-shard-consistent: each
 // shard's numbers are internally coherent, while shards are snapshotted
 // one after another, so concurrent writers may shift the cross-shard
 // totals as they accumulate — the inherent limit of a lock-per-shard
@@ -665,6 +717,7 @@ func (m *Map[K, V]) Stats() Stats {
 		st.Stashed += snap.stashed
 		st.Resizes += snap.resizes
 		st.Migrating += snap.migrating
+		st.ArenaBytes += snap.arena
 		for load, buckets := range snap.loads {
 			st.BucketLoads.AddN(load, buckets)
 		}
@@ -686,35 +739,36 @@ func (m *Map[K, V]) Stats() Stats {
 // occupied slots. The buffer is reused across shards.
 type shardSnap struct {
 	len, capacity, stashed, resizes, migrating int
+	arena                                      int64
 	loads                                      []int64
 }
 
 // shardStats captures one shard's snapshot into snap, preferring the
 // validated seqlock read and falling back to the read lock.
 func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
-	if m.seqRead {
-		for spin := 0; spin < seqSpins; spin++ {
-			s := sh.seq.Load()
-			if s&1 != 0 {
-				continue
-			}
-			core := sh.core
-			v := core.View()
-			snap.reset(v.Slots())
-			snap.len = core.Len()
-			snap.stashed = core.StashLen()
-			snap.resizes = core.Resizes()
-			snap.migrating = core.Pending()
-			snap.capacity = v.Buckets() * v.Slots()
-			v.AddLoads(snap.loads)
-			if next := core.Next(); next != nil {
-				nv := next.View()
-				snap.capacity += nv.Buckets() * nv.Slots()
-				nv.AddLoads(snap.loads)
-			}
-			if sh.seq.Load() == s {
-				return
-			}
+	for spin := 0; spin < seqSpins; spin++ {
+		s := sh.seq.Load()
+		if s&1 != 0 {
+			continue
+		}
+		core := sh.core
+		v := core.View()
+		snap.reset(v.Slots())
+		snap.len = core.Len()
+		snap.stashed = core.StashLen()
+		snap.resizes = core.Resizes()
+		snap.migrating = core.Pending()
+		snap.capacity = v.Buckets() * v.Slots()
+		snap.arena = v.ArenaBytes()
+		v.AddLoads(snap.loads)
+		if next := core.Next(); next != nil {
+			nv := next.View()
+			snap.capacity += nv.Buckets() * nv.Slots()
+			snap.arena += nv.ArenaBytes()
+			nv.AddLoads(snap.loads)
+		}
+		if sh.seq.Load() == s {
+			return
 		}
 	}
 	sh.mu.RLock()
@@ -724,6 +778,7 @@ func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
 	snap.stashed = sh.core.StashLen()
 	snap.resizes = sh.core.Resizes()
 	snap.migrating = sh.core.Pending()
+	snap.arena = sh.core.ArenaBytes()
 	var h container.Stats
 	sh.core.AddBucketLoads(&h.BucketLoads)
 	for load := 0; load <= h.BucketLoads.MaxValue() && load < len(snap.loads); load++ {
@@ -735,7 +790,7 @@ func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
 // reset clears the snapshot for a geometry with the given slots per
 // bucket (loads needs slots+1 entries: loads 0..slots).
 func (s *shardSnap) reset(slots int) {
-	s.len, s.capacity, s.stashed, s.resizes, s.migrating = 0, 0, 0, 0, 0
+	s.len, s.capacity, s.stashed, s.resizes, s.migrating, s.arena = 0, 0, 0, 0, 0, 0
 	if cap(s.loads) < slots+1 {
 		s.loads = make([]int64, slots+1)
 	}

@@ -2,6 +2,7 @@ package cmap
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/keyed"
@@ -97,11 +98,14 @@ func FuzzCMapOps(f *testing.F) {
 }
 
 // FuzzCMapStringOps is FuzzCMapOps driven through the generic typed
-// surface — Map[string, uint64] — instead of the uint64 shim: the same
-// decoded op sequences, with each uint64 key rendered as a string
-// (injectively), against the same shadow-map oracle. It pins that the
-// string hasher, the generic shard cores and the resize machinery keep
-// the exact sequential semantics of the uint64 path.
+// surface instead of the uint64 shim: the same decoded op sequences, with
+// each uint64 key rendered as a string (injectively), against the same
+// shadow-map oracle — once on Map[string, uint64] (arena keys, inline
+// values) and once on Map[string, []byte] (keys and values in the arena,
+// each value's length and bytes a function of the op's value). It pins
+// that the string hasher, the generic shard cores, the arena and the
+// resize and rebuild machinery keep the exact sequential semantics of the
+// uint64 path.
 func FuzzCMapStringOps(f *testing.F) {
 	const keySpace = 512
 	for _, seed := range fuzzSeeds(keySpace) {
@@ -128,17 +132,54 @@ func FuzzCMapStringOps(f *testing.F) {
 			cfg.MaxLoadFactor = 0.55 + float64(hdr[3]>>1%4)*0.1
 			cfg.MigrateBatch = 1 + int(hdr[3]>>3%8)
 		}
+		decoded := testutil.DecodeOps(body, keySpace)
+		key := func(k uint64) string { return fmt.Sprintf("key-%04x", k) }
 		m := NewKeyed[string, uint64](keyed.ForType[string](), cfg)
-		ops := testutil.MapOps(testutil.DecodeOps(body, keySpace),
-			func(k uint64) string { return fmt.Sprintf("key-%04x", k) },
-			func(v uint64) uint64 { return v },
-		)
 		opt := testutil.Options{TrackValues: true, Finalize: func() {
 			for m.MigrateStep(64) > 0 {
 			}
 		}}
-		if err := testutil.Run(m, ops, opt); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
+		if err := testutil.Run(m, testutil.MapOps(decoded, key, func(v uint64) uint64 { return v }), opt); err != nil {
+			t.Fatalf("Map[string, uint64] cfg %+v: %v", cfg, err)
+		}
+		bm := bytesValued{NewKeyed[string, []byte](keyed.ForType[string](), cfg)}
+		opt.Finalize = func() {
+			for bm.m.MigrateStep(64) > 0 {
+			}
+		}
+		if err := testutil.Run(bm, testutil.MapOps(decoded, key, fuzzValue), opt); err != nil {
+			t.Fatalf("Map[string, []byte] cfg %+v: %v", cfg, err)
 		}
 	})
+}
+
+// fuzzValue renders an op's value as bytes whose length and content both
+// depend on it, so a stale or torn arena ref shows up as a wrong value.
+func fuzzValue(v uint64) string { return strings.Repeat(string(rune('a'+v%26)), int(v%37)) }
+
+// bytesValued presents a Map[string, []byte] to the differential harness,
+// whose oracle needs comparable values, as a map of strings: values
+// cross as copies on the way in and out, so the harness compares bytes.
+type bytesValued struct{ m *Map[string, []byte] }
+
+func (b bytesValued) Put(k, v string) bool { return b.m.Put(k, []byte(v)) }
+func (b bytesValued) Delete(k string) bool { return b.m.Delete(k) }
+func (b bytesValued) Len() int             { return b.m.Len() }
+
+func (b bytesValued) Get(k string) (string, bool) {
+	v, ok := b.m.Get(k)
+	return string(v), ok
+}
+
+func (b bytesValued) GetBatch(keys, vals []string, found []bool) int {
+	bv := make([][]byte, len(keys))
+	n := b.m.GetBatch(keys, bv, found)
+	for i, v := range bv {
+		vals[i] = string(v)
+	}
+	return n
+}
+
+func (b bytesValued) Range(fn func(k, v string) bool) {
+	b.m.Range(func(k string, v []byte) bool { return fn(k, string(v)) })
 }

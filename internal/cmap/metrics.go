@@ -63,54 +63,18 @@ func (m *Map[K, V]) SetMetrics(mx *Metrics) { m.metrics = mx }
 func (m *Map[K, V]) Metrics() *Metrics { return m.metrics }
 
 // sampledGet is the timed Get variant the sampler routes 1-in-64
-// lookups through. It resolves under the read lock via the
-// depth-reporting probes, so a single operation yields both the
-// latency and the probe-depth observation; the measured latency
-// therefore includes read-lock acquisition, which the unsampled seq
-// path avoids — a deliberate trade that keeps the depth probe off the
-// 63-in-64 fast path entirely.
+// lookups through. It runs the same seqlock probe as every Get, which
+// reports the probe depth alongside the value, so a single operation
+// yields both the latency and the probe-depth observation.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) sampledGet(mx *Metrics, sh *shard[K, V], tag uint64, key K) (V, bool) {
 	start := nowNanos()
-	v, depth, ok := m.lockedGetDepth(sh, tag, key)
+	v, depth, ok := m.getRouted(sh, tag, key)
 	mx.GetNanos.Record(nowNanos() - start)
 	if ok {
 		mx.ProbeDepth.Record(int64(depth))
 	}
 	return v, ok
-}
-
-// lockedGetDepth mirrors lockedGet through the depth-reporting core
-// probes.
-//
-//repro:digestcarried
-//repro:noalloc
-func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
-	var oldBuf, newBuf [maxD]uint32
-	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.mu.RLock()
-		v, depth, ok := sh.core.GetDepth(oldCands, key, tag)
-		sh.mu.RUnlock()
-		return v, depth, ok
-	}
-	sh.mu.RLock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
-	var (
-		v     V
-		depth int
-		ok    bool
-	)
-	if sh.core.Resizing() {
-		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key, tag)
-	} else {
-		v, depth, ok = sh.core.GetDepth(oldCands, key, tag)
-	}
-	sh.mu.RUnlock()
-	return v, depth, ok
 }

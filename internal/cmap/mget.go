@@ -54,10 +54,10 @@ type mgetScratch[K comparable, V any] struct {
 // the number found. vals and found must be at least len(keys) long (it
 // panics otherwise); entries beyond len(keys) are untouched. All keys are
 // SipHashed up front and probed in cache-friendly phases (see the file
-// comment); for seq-capable K/V the probes run under the seqlock
-// protocol with no lock held. Each key's result is individually
-// consistent with concurrent writers, but the batch as a whole is not an
-// atomic snapshot.
+// comment), under the seqlock protocol with no lock held. Each key's
+// result is individually consistent with concurrent writers, but the
+// batch as a whole is not an atomic snapshot. String and []byte results
+// are views of the map's arena, as Get's are.
 //
 //repro:noalloc
 func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
@@ -109,51 +109,49 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 		sc.shards[i], tags[i] = m.routeDigest(d)
 	}
 	clear(sc.views[:len(keys)])
-	if m.seqRead {
-		clear(sc.nextViews[:len(keys)])
-		// Phase 2a: snapshot generations and derive candidates — all
-		// compute over small, cache-hot control structures. A key whose
-		// shard is mid-mutation or whose deriver/view disagree on geometry
-		// right now goes straight to the fallback — GetBatch pipelines the
-		// common case, it does not spin.
-		for i := range keys {
-			sh := sc.shards[i]
-			s := sh.seq.Load()
-			if s&1 != 0 {
+	clear(sc.nextViews[:len(keys)])
+	// Phase 2a: snapshot generations and derive candidates — all compute
+	// over small, cache-hot control structures. A key whose shard is
+	// mid-mutation or whose deriver/view disagree on geometry right now
+	// goes straight to the fallback — GetBatch pipelines the common case,
+	// it does not spin.
+	for i := range keys {
+		sh := sc.shards[i]
+		s := sh.seq.Load()
+		if s&1 != 0 {
+			continue
+		}
+		core := sh.core
+		v := core.View()
+		der := sh.deriver.Load()
+		if der.N() != v.Buckets() {
+			continue
+		}
+		der.CandidateBins(tags[i], sc.cands[i*m.d:(i+1)*m.d])
+		if next := core.Next(); next != nil {
+			nder := sh.nextDeriver.Load()
+			nv := next.View()
+			if nder == nil || nder.N() != nv.Buckets() {
 				continue
 			}
-			core := sh.core
-			v := core.View()
-			der := sh.deriver.Load()
-			if der.N() != v.Buckets() {
-				continue
-			}
-			der.CandidateBins(tags[i], sc.cands[i*m.d:(i+1)*m.d])
-			if next := core.Next(); next != nil {
-				nder := sh.nextDeriver.Load()
-				nv := next.View()
-				if nder == nil || nder.N() != nv.Buckets() {
-					continue
-				}
-				nder.CandidateBins(tags[i], sc.nextCands[i*m.d:(i+1)*m.d])
-				sc.nexts[i], sc.nextViews[i] = next, nv
-			}
-			sc.seqs[i], sc.views[i] = s, v
+			nder.CandidateBins(tags[i], sc.nextCands[i*m.d:(i+1)*m.d])
+			sc.nexts[i], sc.nextViews[i] = next, nv
 		}
-		// Phase 2b: the prefetch volley, kept free of interleaved compute
-		// so the candidate buckets' cache misses issue back-to-back and
-		// overlap as deeply as the memory system allows.
-		var sum uint32
-		for i := range keys {
-			if v := sc.views[i]; v != nil {
-				sum += v.Prefetch(sc.cands[i*m.d : (i+1)*m.d])
-				if nv := sc.nextViews[i]; nv != nil {
-					sum += nv.Prefetch(sc.nextCands[i*m.d : (i+1)*m.d])
-				}
-			}
-		}
-		keepAlive(sum)
+		sc.seqs[i], sc.views[i] = s, v
 	}
+	// Phase 2b: the prefetch volley, kept free of interleaved compute so
+	// the cache misses issue back-to-back and overlap as deeply as the
+	// memory system allows.
+	var sum uint32
+	for i := range keys {
+		if v := sc.views[i]; v != nil {
+			sum += v.Prefetch(sc.cands[i*m.d : (i+1)*m.d])
+			if nv := sc.nextViews[i]; nv != nil {
+				sum += nv.Prefetch(sc.nextCands[i*m.d : (i+1)*m.d])
+			}
+		}
+	}
+	keepAlive(sum)
 	// Phase 3: probe and validate; anything torn or unsnapshotted takes
 	// the per-key locked path.
 	hits := 0
@@ -163,10 +161,10 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 		var val V
 		var ok bool
 		if v != nil {
-			val, ok = sh.core.SeqGet(v, sc.cands[i*m.d:(i+1)*m.d], key)
+			val, _, ok = sh.core.SeqGet(v, sc.cands[i*m.d:(i+1)*m.d], key, tags[i])
 			if !ok {
 				if nv := sc.nextViews[i]; nv != nil {
-					val, ok = sc.nexts[i].SeqGet(nv, sc.nextCands[i*m.d:(i+1)*m.d], key)
+					val, _, ok = sc.nexts[i].SeqGet(nv, sc.nextCands[i*m.d:(i+1)*m.d], key, tags[i])
 				}
 			}
 			if sh.seq.Load() != sc.seqs[i] {
@@ -174,13 +172,11 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 			}
 		}
 		if v == nil {
-			if m.seqRead {
-				// The optimistic snapshot tore (or was never taken): this
-				// key's probe is a seqlock fallback, same health signal as
-				// a spun-out Get.
-				sh.seqFallbacks.Add(1)
-			}
-			val, ok = m.lockedGet(sh, tags[i], key)
+			// The optimistic snapshot tore (or was never taken): this
+			// key's probe is a seqlock fallback, same health signal as a
+			// spun-out Get.
+			sh.seqFallbacks.Add(1)
+			val, _, ok = m.lockedGet(sh, tags[i], key)
 		}
 		vals[i], found[i] = val, ok
 		if ok {

@@ -1,37 +1,115 @@
 package cmap
 
-// Tests for the seqlock read path: mode gating, torn-read safety under
-// concurrent resize (the case the race detector must bless), batched
-// lookups mid-migration, and the consistency of the lock-free Stats
-// snapshot.
+// Tests for the seqlock read path: the type rule, torn-read safety under
+// concurrent resize and rebuild (the case the race detector must bless),
+// batched lookups mid-migration, and the consistency of the lock-free
+// Stats snapshot.
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/rng"
 )
 
-// TestSeqReadGating pins which key/value shapes get the lock-free read
-// path: pointer-free types whose size tiles into 32-bit words do,
-// pointerful ones (strings, slices) never do — raw word stores would
-// bypass the collector's write barriers.
+// TestSeqReadGating pins the type rule: every key and value shape the
+// map accepts — inline pointer-free words, string kinds and []byte
+// values in the arena — takes the lock-free read path, and every other
+// pointer-holding type panics at construction. A Get that completes
+// while a writer holds the shard lock (its generation even, as between
+// two mutations) can only have been served by the seqlock probe.
 func TestSeqReadGating(t *testing.T) {
 	cfg := Config{Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 2, Seed: 1}
-	if m := New(cfg); !m.seqRead {
-		t.Error("uint64 → uint64 map did not enable seqlock reads")
+	t.Run("uint64", func(t *testing.T) {
+		seqReadWhileLocked(t, New(cfg), 7, 70, eqComparable[uint64])
+	})
+	t.Run("fiveTuple", func(t *testing.T) {
+		m := NewKeyed[fiveTuple, uint64](keyed.ForType[fiveTuple](), cfg)
+		seqReadWhileLocked(t, m, fiveTuple{SrcIP: 1, DstPort: 80}, 9, eqComparable[uint64])
+	})
+	t.Run("string-uint64", func(t *testing.T) {
+		m := NewKeyed[string, uint64](keyed.ForType[string](), cfg)
+		seqReadWhileLocked(t, m, "alpha", 11, eqComparable[uint64])
+	})
+	t.Run("uint64-bytes", func(t *testing.T) {
+		m := NewKeyed[uint64, []byte](keyed.ForType[uint64](), cfg)
+		seqReadWhileLocked(t, m, 3, []byte("three"), bytes.Equal)
+	})
+	t.Run("string-bytes", func(t *testing.T) {
+		m := NewKeyed[string, []byte](keyed.ForType[string](), cfg)
+		seqReadWhileLocked(t, m, "beta", []byte("value of beta"), bytes.Equal)
+	})
+	t.Run("string-string", func(t *testing.T) {
+		m := NewKeyed[string, string](keyed.ForType[string](), cfg)
+		seqReadWhileLocked(t, m, "gamma", "value of gamma", eqComparable[string])
+	})
+
+	mustPanic := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Errorf("%s: no panic", name)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not state the rule (%q)", name, msg, want)
+			}
+		}()
+		fn()
 	}
-	if m := NewKeyed[fiveTuple, uint64](keyed.ForType[fiveTuple](), cfg); !m.seqRead {
-		t.Error("fiveTuple-keyed map (pointer-free, 16 bytes) did not enable seqlock reads")
+	mustPanic("*int value", "pointer-free", func() { NewKeyed[uint64, *int](keyed.ForType[uint64](), cfg) })
+	mustPanic("[]string value", "[]byte", func() { NewKeyed[uint64, []string](keyed.ForType[uint64](), cfg) })
+	mustPanic("[3]byte key", "multiple of 4", func() {
+		NewKeyed[[3]byte, uint64](func(hashes.SipKey, [3]byte) uint64 { return 0 }, cfg)
+	})
+}
+
+// eqComparable is == as a function, for the generic helpers below.
+func eqComparable[T comparable](a, b T) bool { return a == b }
+
+// seqReadWhileLocked stores key → val, takes key's shard lock the way a
+// stalled writer would hold it between mutations, and requires Get and
+// GetBatch to return val without waiting for the lock.
+func seqReadWhileLocked[K comparable, V any](t *testing.T, m *Map[K, V], key K, val V, eq func(V, V) bool) {
+	t.Helper()
+	if !m.Put(key, val) {
+		t.Fatal("Put rejected")
 	}
-	if m := NewKeyed[string, uint64](keyed.ForType[string](), cfg); m.seqRead {
-		t.Error("string-keyed map enabled seqlock reads; strings carry a pointer")
+	sh, _ := m.route(key)
+	sh.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		if got, ok := m.Get(key); !ok || !eq(got, val) {
+			done <- fmt.Errorf("Get = (%v, %v), want (%v, true)", got, ok, val)
+			return
+		}
+		vals, found := make([]V, 1), make([]bool, 1)
+		if m.GetBatch([]K{key}, vals, found); !found[0] || !eq(vals[0], val) {
+			done <- fmt.Errorf("GetBatch = (%v, %v), want (%v, true)", vals[0], found[0], val)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		sh.mu.Unlock()
+		<-done
+		t.Fatal("reads waited for the shard lock: the seqlock path was not taken")
 	}
-	if m := NewKeyed[uint64, []byte](keyed.ForType[uint64](), cfg); m.seqRead {
-		t.Error("[]byte-valued map enabled seqlock reads; slices carry a pointer")
+	if st := m.Stats(); st.SeqFallbacks != 0 {
+		t.Errorf("SeqFallbacks = %d, want 0", st.SeqFallbacks)
 	}
 }
 
@@ -39,56 +117,94 @@ func TestSeqReadGating(t *testing.T) {
 // stable keys is written once, then writer goroutines churn a disjoint
 // key range hard enough to drive repeated resizes (MigrateBatch 1 keeps
 // every shard mid-migration almost continuously, maximizing the window
-// where Gets probe two geometries), while reader goroutines hammer the
-// stable keys through both Get and GetBatch and require exact values
-// every time. A torn read that escaped generation validation shows up as
-// a wrong value or a false miss; under -race, any non-atomic
-// writer/reader overlap shows up as a report.
+// where Gets probe two geometries) while another overwrites a third range
+// over and over — for arena values that fills the arena with dead bytes
+// and drives same-size rebuilds. Reader goroutines hammer the stable keys
+// through both Get and GetBatch and require exact values every time. A
+// torn read that escaped generation validation shows up as a wrong value
+// or a false miss — for the string → []byte map, whose value lengths vary
+// by key, a torn or stale ref shows up as a wrong length or wrong bytes;
+// under -race, any non-atomic writer/reader overlap shows up as a report.
 func TestSeqlockStableReadsDuringResize(t *testing.T) {
+	cfg := Config{
+		Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 3, Seed: 7,
+		StashPerShard: 16, MaxLoadFactor: 0.6, MigrateBatch: 1,
+	}
+	t.Run("uint64", func(t *testing.T) {
+		stableReadsDuringResize(t, New(cfg),
+			func(k uint64) uint64 { return k },
+			func(k uint64) uint64 { return k * 3 },
+			eqComparable[uint64], false)
+	})
+	t.Run("string-bytes", func(t *testing.T) {
+		stableReadsDuringResize(t, NewKeyed[string, []byte](keyed.ForType[string](), cfg),
+			func(k uint64) string { return fmt.Sprintf("k%x", k) },
+			varValue, bytes.Equal, true)
+	})
+}
+
+// varValue is a value whose length and bytes both depend on k.
+func varValue(k uint64) []byte {
+	v := make([]byte, k%61)
+	for i := range v {
+		v[i] = byte(k>>(i%8)) ^ byte(i)
+	}
+	return v
+}
+
+// stableReadsDuringResize runs the torn-read hunt on m; key and val
+// derive each key and value from an integer. wantRebuilds requires the
+// overwrite churn to have rebuilt some shard at the same size.
+func stableReadsDuringResize[K comparable, V any](t *testing.T, m *Map[K, V], key func(uint64) K, val func(uint64) V, eq func(V, V) bool, wantRebuilds bool) {
+	initialBuckets := m.shards[0].core.Buckets()
 	const (
 		stableKeys = 1 << 10
 		writers    = 2
 		readers    = 2
 		writerOps  = 15000
 	)
-	m := New(Config{
-		Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 3, Seed: 7,
-		StashPerShard: 16, MaxLoadFactor: 0.6, MigrateBatch: 1,
-	})
-	if !m.seqRead {
-		t.Fatal("uint64 map must run the seqlock read path")
-	}
 	for k := uint64(1); k <= stableKeys; k++ {
 		// MigrateBatch 1 lets the fill outrun migration; a rejection just
 		// means the in-flight doubling needs draining before the next one
 		// can start.
-		for !m.Put(k, k*3) {
+		for !m.Put(key(k), val(k)) {
 			if m.MigrateStep(64) == 0 {
 				t.Fatalf("stable fill rejected key %d with nothing to migrate", k)
 			}
 		}
 	}
 
-	var stop atomic.Bool
+	var stop atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer stop.Add(1)
 			src := rng.NewXoshiro256(uint64(w+1) * 0x9E3779B97F4A7C15)
 			for i := 0; i < writerOps; i++ {
 				// Disjoint churn range: deletes keep occupancy oscillating
 				// around the watermark so resizes keep starting.
 				k := 1<<20 + uint64(w)<<32 + src.Uint64()%(1<<12)
 				if src.Uint64()%4 == 0 {
-					m.Delete(k)
+					m.Delete(key(k))
 				} else {
-					m.Put(k, k)
+					m.Put(key(k), val(k))
 				}
 			}
-			stop.Store(true)
 		}(w)
 	}
+	wg.Add(1)
+	go func() {
+		// Overwrite churn: a fixed set of keys rewritten round after
+		// round, so their old records die.
+		defer wg.Done()
+		defer stop.Add(1)
+		for i := uint64(0); i < writerOps; i++ {
+			k := 1<<40 + i%64
+			m.Put(key(k), val(k+i))
+		}
+	}()
 
 	errs := make(chan error, readers)
 	for r := 0; r < readers; r++ {
@@ -96,25 +212,27 @@ func TestSeqlockStableReadsDuringResize(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			src := rng.NewXoshiro256(uint64(r+100) * 0xD1B54A32D192ED03)
-			batch := make([]uint64, 48)
-			vals := make([]uint64, len(batch))
+			batch := make([]K, 48)
+			ids := make([]uint64, len(batch))
+			vals := make([]V, len(batch))
 			found := make([]bool, len(batch))
-			for !stop.Load() {
+			for stop.Load() < writers+1 {
 				k := 1 + src.Uint64()%stableKeys
-				if v, ok := m.Get(k); !ok || v != k*3 {
-					errs <- fmt.Errorf("Get(%d) = (%d, %v), want (%d, true)", k, v, ok, k*3)
+				if v, ok := m.Get(key(k)); !ok || !eq(v, val(k)) {
+					errs <- fmt.Errorf("Get(%d) = (%v, %v), want (%v, true)", k, v, ok, val(k))
 					return
 				}
 				for i := range batch {
-					batch[i] = 1 + src.Uint64()%stableKeys
+					ids[i] = 1 + src.Uint64()%stableKeys
+					batch[i] = key(ids[i])
 				}
 				if hits := m.GetBatch(batch, vals, found); hits != len(batch) {
 					errs <- fmt.Errorf("GetBatch hit %d of %d stable keys", hits, len(batch))
 					return
 				}
-				for i, k := range batch {
-					if !found[i] || vals[i] != k*3 {
-						errs <- fmt.Errorf("GetBatch[%d] key %d = (%d, %v), want (%d, true)", i, k, vals[i], found[i], k*3)
+				for i, k := range ids {
+					if !found[i] || !eq(vals[i], val(k)) {
+						errs <- fmt.Errorf("GetBatch[%d] key %d = (%v, %v), want (%v, true)", i, k, vals[i], found[i], val(k))
 						return
 					}
 				}
@@ -129,22 +247,52 @@ func TestSeqlockStableReadsDuringResize(t *testing.T) {
 	if st := m.Stats(); st.Resizes == 0 {
 		t.Error("churn drove no resizes; the test exercised nothing")
 	}
+	if wantRebuilds && rebuilds(m, initialBuckets) == 0 {
+		t.Error("overwrite churn drove no same-size rebuilds")
+	}
+}
+
+// rebuilds counts the same-size resizes m's shards have completed since
+// they held initial buckets each: all completed resizes, less the
+// doublings the shards' bucket counts show.
+func rebuilds[K comparable, V any](m *Map[K, V], initial int) int {
+	n := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		doublings := bits.Len(uint(sh.core.Buckets()/initial)) - 1
+		n += sh.core.Resizes() - doublings
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // TestSeqSteadyStateNoFallbacks pins the seqlock health counters'
 // steady-state contract: with no writer in flight, every optimistic
 // read must succeed on its first attempt — zero retries, zero mutex
-// fallbacks — no matter how many readers hammer the map concurrently.
-// Any nonzero count here means the read path is paying for writer
-// exclusion it does not need.
+// fallbacks — no matter how many readers hammer the map concurrently,
+// for inline keys and arena-held string keys alike. Any nonzero count
+// here means the read path is paying for writer exclusion it does not
+// need.
 func TestSeqSteadyStateNoFallbacks(t *testing.T) {
-	m := New(Config{
+	cfg := Config{
 		Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 5,
 		MaxLoadFactor: 0.9,
+	}
+	t.Run("uint64", func(t *testing.T) {
+		steadyStateNoFallbacks(t, New(cfg),
+			func(k uint64) uint64 { return k }, func(k uint64) uint64 { return k * 7 }, eqComparable[uint64])
 	})
+	t.Run("string-bytes", func(t *testing.T) {
+		steadyStateNoFallbacks(t, NewKeyed[string, []byte](keyed.ForType[string](), cfg),
+			func(k uint64) string { return fmt.Sprintf("key-%016x", k) }, varValue, bytes.Equal)
+	})
+}
+
+func steadyStateNoFallbacks[K comparable, V any](t *testing.T, m *Map[K, V], key func(uint64) K, val func(uint64) V, eq func(V, V) bool) {
 	const n = 5000
 	for k := uint64(1); k <= n; k++ {
-		m.Put(k, k*7)
+		m.Put(key(k), val(k))
 	}
 	for m.MigrateStep(256) > 0 {
 	}
@@ -155,18 +303,18 @@ func TestSeqSteadyStateNoFallbacks(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			src := rng.NewXoshiro256(uint64(r+1) * 0xA076_1D64_78BD_642F)
-			batch := make([]uint64, 32)
-			vals := make([]uint64, len(batch))
+			batch := make([]K, 32)
+			vals := make([]V, len(batch))
 			found := make([]bool, len(batch))
 			for i := 0; i < 5000; i++ {
 				k := 1 + src.Uint64()%n
-				if v, ok := m.Get(k); !ok || v != k*7 {
-					t.Errorf("Get(%d) = (%d, %v)", k, v, ok)
+				if v, ok := m.Get(key(k)); !ok || !eq(v, val(k)) {
+					t.Errorf("Get(%d) = (%v, %v)", k, v, ok)
 					return
 				}
 				if i%16 == 0 {
 					for j := range batch {
-						batch[j] = 1 + src.Uint64()%n
+						batch[j] = key(1 + src.Uint64()%n)
 					}
 					m.GetBatch(batch, vals, found)
 				}
@@ -270,7 +418,7 @@ func TestGetBatchMidMigration(t *testing.T) {
 
 // TestMGet covers the allocating wrapper and GetBatch edge shapes:
 // duplicate keys in one batch, empty batches, chunk-boundary lengths,
-// and the locked path (string keys) through the same interface.
+// and arena-held string keys through the same interface.
 func TestMGet(t *testing.T) {
 	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 3})
 	for k := uint64(1); k <= 100; k++ {

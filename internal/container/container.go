@@ -23,7 +23,7 @@ type Stats struct {
 	Occupancy   float64    // Len / Capacity
 	MinShardLen int        // least-loaded shard's pair count
 	MaxShardLen int        // most-loaded shard's pair count
-	Resizes     int        // completed online resizes
+	Resizes     int        // completed online resizes, including same-size rebuilds
 	Migrating   int        // entries still awaiting migration in resizing shards
 	BucketLoads stats.Hist // occupied-slots-per-bucket histogram (slot occupancy for 1-slot tables)
 
@@ -35,6 +35,13 @@ type Stats struct {
 	// writers are starving the lock-free path.
 	SeqRetries   int64
 	SeqFallbacks int64
+
+	// ArenaBytes is the bytes allocated in the byte arenas that hold
+	// string-kind keys and values and []byte values out of line (both
+	// geometries mid-resize; zero when K and V are stored inline). A
+	// table's memory is about its slot bytes times Capacity, plus
+	// ArenaBytes.
+	ArenaBytes int64
 }
 
 // Container is the shared typed key-value store contract.

@@ -1,9 +1,9 @@
 // Package hashes provides the keyed hash functions a deployment of
 // double hashing needs when items are real byte strings rather than
 // simulation indices: SipHash-2-4 (a keyed, DoS-resistant PRF — the hash
-// family routers and hash tables should use against adversarial keys) and
-// FNV-1a (the classic cheap byte mixer), plus the derivation of a
-// balanced-allocation candidate set (f, g) from a single 64-bit digest.
+// family routers and hash tables should use against adversarial keys),
+// plus the derivation of a balanced-allocation candidate set (f, g) from a
+// single 64-bit digest.
 //
 // The simulators in this repository draw (f, g) directly from a PRNG —
 // legitimate because hash values of distinct keys are modeled as random —
@@ -103,36 +103,6 @@ func SipHash24String(key SipKey, s string) uint64 {
 		return SipHash24(key, nil)
 	}
 	return SipHash24(key, unsafe.Slice(unsafe.StringData(s), len(s)))
-}
-
-// FNV-1a constants (64-bit).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// FNV1a returns the 64-bit FNV-1a hash of data.
-//
-//repro:noalloc
-func FNV1a(data []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// FNV1aString is FNV1a over a string without allocation.
-//
-//repro:noalloc
-func FNV1aString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
 }
 
 // Choices holds a key's derived balanced-allocation parameters. Indices

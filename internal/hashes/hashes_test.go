@@ -65,26 +65,6 @@ func TestSipHash24AvalancheQuick(t *testing.T) {
 	}
 }
 
-func TestFNV1aKnownValues(t *testing.T) {
-	// Canonical FNV-1a 64-bit values.
-	cases := []struct {
-		in   string
-		want uint64
-	}{
-		{"", 0xCBF29CE484222325},
-		{"a", 0xAF63DC4C8601EC8C},
-		{"foobar", 0x85944171F73967E8},
-	}
-	for _, c := range cases {
-		if got := FNV1aString(c.in); got != c.want {
-			t.Errorf("FNV1aString(%q) = %#x, want %#x", c.in, got, c.want)
-		}
-		if got := FNV1a([]byte(c.in)); got != c.want {
-			t.Errorf("FNV1a(%q) = %#x, want %#x", c.in, got, c.want)
-		}
-	}
-}
-
 func TestDeriveChoicesContracts(t *testing.T) {
 	// For prime, power-of-two and composite n: F in range, G coprime to n.
 	for _, n := range []int{16411, 1 << 14, 12000} {

@@ -15,7 +15,7 @@ package lint
 // A digest source is:
 //
 //   - any function of repro/internal/hashes whose name starts with
-//     SipHash24 or FNV1a;
+//     SipHash24;
 //   - repro/internal/keyed.DigestBatch and the built-in keyed hashers
 //     (Uint64, Int, String, Bytes);
 //   - a call of any value whose type is keyed.Hasher (hashing through a
@@ -92,7 +92,7 @@ func runDigestFlow(p *Pass) error {
 			if pkg := fn.Pkg(); pkg != nil {
 				name := fn.Name()
 				switch {
-				case pkg.Path() == hashesPkgPath && (strings.HasPrefix(name, "SipHash24") || strings.HasPrefix(name, "FNV1a")):
+				case pkg.Path() == hashesPkgPath && strings.HasPrefix(name, "SipHash24"):
 					return "hashes." + name, true
 				case pkg.Path() == keyedPkgPath && (name == "DigestBatch" || name == "Uint64" || name == "Int" || name == "String" || name == "Bytes"):
 					return "keyed." + name, true

@@ -5,7 +5,7 @@ package lint
 // them, the seqlock protocol's word-granular stores. Each is sound only
 // behind a type-level gate that proved the viewed type pointer-free
 // (and, for the seq protocol, word-tiling): BytesOf's byteIdentity,
-// ViewCodec's noIndirection, EnableSeq's SeqCapable. This analyzer pins
+// ViewCodec's noIndirection, NewCore's layoutOf. This analyzer pins
 // that shape mechanically:
 //
 //   - every use of unsafe.Pointer / Add / Slice / String / SliceData /
@@ -16,7 +16,7 @@ package lint
 //     dominated by a gate: either it calls a //repro:unsafegate
 //     function before its first unsafe use, or it carries
 //     //repro:gated <reason> declaring where the gate ran (a
-//     construction-time check such as EnableSeq, or a reflect.Kind
+//     construction-time check such as NewCore's, or a reflect.Kind
 //     switch arm that proved the layout).
 
 import (

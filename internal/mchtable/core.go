@@ -2,37 +2,99 @@ package mchtable
 
 import (
 	"fmt"
-	"reflect"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
-// stashEntry is one overflowed pair plus the tag its candidates re-derive
-// from.
-type stashEntry[K comparable, V any] struct {
-	key K
-	val V
-	tag uint64
+// inlineRef is the ref an entry carries when K and V are both inline:
+// occupied, with no arena record. Arena refs are at least 1<<32.
+const inlineRef = 1
+
+// slots is a run of pair storage: the control words, the tags, and the
+// key and value arrays of fields stored inline (nil for a field kept in
+// the arena). A geometry's buckets and each stash block are one slots
+// each, so the same accessors serve both.
+//
+// A slot's control word takes one of two shapes, fixed by the layout.
+// With arena fields, refs holds the slot's 64-bit ref: 0 for an empty
+// slot, otherwise the pair's arena record with 16 bits of the pair's tag
+// in its top bits (see refTag), so one load both filters the slot on the
+// tag and finds its record, and a 4-slot bucket's refs are half a cache
+// line. With K and V both inline, used holds a 32-bit occupancy flag per
+// slot — one cache line covers four 4-slot buckets — and the probe
+// compares the key in place, where a tag compare would only add a load.
+// Either way the full tags sit apart, read only by writers (migration
+// and the stash drain re-derive candidates from them).
+type slots[K comparable, V any] struct {
+	refs []uint64 // arena layouts
+	used []uint32 // inline layouts: 1 = occupied
+	tags []uint64
+	keys []K // nil when K lives in the arena
+	vals []V // nil when V lives in the arena
 }
 
-// stashBlock is the stash storage cell: a fixed backing array plus the
-// atomic live count. The arr slice header is immutable once the block is
-// published through Core.stash — growth builds a bigger block off to the
-// side and swaps the pointer — so seq-mode readers can walk arr[:n]
-// without a header tear, and n never exceeds len(arr) of the same block.
-type stashBlock[K comparable, V any] struct {
-	n   atomic.Int32
-	arr []stashEntry[K, V]
+// makeSlots allocates n empty slots for lay. With arena fields, refs and
+// tags share one allocation: as two half-size arrays per shard they moved
+// where the collector's cycles land in a presized recovery, and served's
+// peak RSS after recovering 2M pairs measured 11 MiB higher.
+func makeSlots[K comparable, V any](n int, lay layout) slots[K, V] {
+	var s slots[K, V]
+	if lay.inArena() {
+		words := make([]uint64, 2*n)
+		s.refs, s.tags = words[:n:n], words[n:]
+	} else {
+		s.tags = make([]uint64, n)
+		s.used = make([]uint32, n)
+	}
+	if lay&keyInArena == 0 {
+		s.keys = make([]K, n)
+	}
+	if lay&valInArena == 0 {
+		s.vals = make([]V, n)
+	}
+	return s
 }
+
+// bytes returns the memory of n slots of this shape.
+func (s *slots[K, V]) bytes() int64 {
+	var zk K
+	var zv V
+	return int64(len(s.refs))*8 + int64(len(s.used))*4 + int64(len(s.tags))*8 +
+		int64(len(s.keys))*int64(unsafe.Sizeof(zk)) + int64(len(s.vals))*int64(unsafe.Sizeof(zv))
+}
+
+// entry is one stored pair in transit between slots: its tag and ref,
+// and its inline fields (zero for fields kept in the arena).
+type entry[K comparable, V any] struct {
+	tag, ref uint64
+	key      K
+	val      V
+}
+
+// stashBlock is the stash storage cell: fixed slot arrays plus the
+// atomic live count, and the arena its refs name. The arrays are
+// immutable once the block is published through Core.stash — growth
+// builds a bigger block off to the side and swaps the pointer — so
+// seq-mode readers can walk the first n slots without a header tear, and
+// n never exceeds the block's length.
+type stashBlock[K comparable, V any] struct {
+	n     atomic.Int32
+	arena *arena
+	slots[K, V]
+}
+
+// cap returns the block's slot count.
+func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 
 // Core is the bucket/stash placement engine of the multiple-choice hash
 // table: fixed-slot buckets, least-loaded placement over caller-supplied
 // candidate buckets, and an overflow stash drained back into buckets as
 // deletes free slots. It is hashing-agnostic — callers derive each key's
 // candidate buckets themselves — and generic over the stored key and
-// value types, so the single-threaded Table, the typed Map and the locked
+// value types, so the single-threaded Table, the typed Map and the
 // shards of internal/cmap all share one placement implementation.
 //
 // Every stored pair carries an opaque 64-bit tag from which the caller can
@@ -41,69 +103,80 @@ type stashBlock[K comparable, V any] struct {
 // new geometry come from the same single hash evaluation, the paper's
 // one-hash discipline), while the uint64 Table simply stores the key.
 // Tags are what make online resize a pure re-placement: Migrate
-// re-derives candidates for the doubled geometry from stored tags, never
-// re-hashing user keys. They also filter probes: every locked lookup
-// takes the key's tag alongside the key, and for key types that hold
-// pointers compares a slot's stored tag before its key, so a string key
-// is dereferenced only in the slot whose tag matches. (A pointer-free key
+// re-derives candidates for the new geometry from stored tags, never
+// re-hashing user keys. They also filter probes: every lookup takes the
+// key's tag alongside the key, and in a layout with arena fields compares
+// the 16 tag bits a slot's ref carries before its key, so a key held in
+// the arena is read only in a slot whose tag bits match. (An inline key
 // compares in place, where the tag would only add a load.) The tag is a
 // filter, never an identity — equal tags still compare keys.
 //
+// The type rule, fixed at construction: K and V must each be pointer-free
+// with a size that is a multiple of 4 bytes — stored inline, in the slot
+// arrays — or a string kind (K or V) or []byte (V only), stored in the
+// geometry's append-only byte arena, with the slot holding a 64-bit ref
+// to the record (see arena.go and slots). Any other type panics in
+// NewCore. Every slot is therefore pointer-free: the collector never
+// scans the slot arrays, and lock-free readers can load every slot word
+// atomically. Get, GetBatch and Range return arena fields as views
+// of their records, valid for as long as the caller holds them; a
+// returned []byte must not be written. Put copies string and []byte
+// arguments into the arena.
+//
+// The publication invariant: a record's bytes are written before the ref
+// that names them is stored (one atomic 64-bit store in seq mode), and
+// never written after. Inline fields are stored before the ref (or, with
+// no arena fields, the used flag) that publishes the slot.
+//
 // A Core optionally resizes online: StartResize allocates a second Core
-// with a different bucket count, Migrate moves entries across in small
-// batches, and the *Dual operations keep every key reachable mid-migration
-// by consulting the old geometry first and the new one second. When the
-// old side empties, the new Core is promoted in place — the *Core pointer
-// held by callers keeps working across the hand-off.
+// with a different bucket count, and StartRebuild one with the same count,
+// which compacts the arena (see NeedsRebuild); Migrate moves entries
+// across in small batches, and the *Dual operations keep every key
+// reachable mid-migration by consulting the old geometry first and the
+// new one second. When the old side empties, the new Core is promoted in
+// place — the *Core pointer held by callers keeps working across the
+// hand-off.
 //
 // The stash is insertion-ordered so that drain and migration order — and
 // therefore placement — is fully deterministic for a fixed op sequence.
 //
-// Mutating a Core still requires external exclusion (internal/cmap wraps
-// each shard's core in a lock). What changed for the seqlock read path is
-// the *read* side: with EnableSeq, every reader-visible word is written
-// with sync/atomic stores, a SeqView of the bucket arrays is published
-// through an atomic pointer, and SeqGet can probe concurrently with a
-// writer — no lock, no fault — as long as the caller validates a seqlock
-// generation counter around the probe (see internal/cmap).
+// Mutating a Core requires external exclusion (internal/cmap wraps each
+// shard's core in a lock). With EnableSeq, every reader-visible word is
+// written with sync/atomic stores, a SeqView of the bucket arrays is
+// published through an atomic pointer, and SeqGet can probe concurrently
+// with a writer — no lock, no fault — as long as the caller validates a
+// seqlock generation counter around the probe (see internal/cmap).
 type Core[K comparable, V any] struct {
 	buckets        int
 	slotsPerBucket int
 	stashCap       int
-	keys           []K
-	vals           []V
-	tags           []uint64 // read under the writer's exclusion or the read lock; seq readers never consult tags
-	used           []uint32 // 1 = occupied; word-sized so seq-mode stores are atomic
+	lay            layout
+	slots[K, V]             // bucket storage, slot s of bucket b at b*slotsPerBucket+s
 	counts         []uint32 // occupied slots per bucket
+	arena          *arena
 	stash          atomic.Pointer[stashBlock[K, V]]
 	size           atomic.Int64
 
 	// seqMode routes every mutation of reader-visible words (slot
-	// payloads, used flags, counts, stash entries) through sync/atomic
-	// stores so lock-free seqlock readers are data-race-free. It is only
-	// enabled for pointer-free K/V whose size tiles into 32-bit words
-	// (SeqCapable); pointerful types keep plain stores — and their
-	// readers keep the mutex — because raw word stores would bypass the
-	// garbage collector's write barriers.
+	// control words, inline fields, counts) through sync/atomic stores
+	// so lock-free seqlock readers are data-race-free.
 	seqMode bool
-	// tagFirst makes bucket probes compare stored tags before keys. It is
-	// set when K holds pointers, so a key compare may dereference memory.
-	tagFirst bool
 	// view is the published read snapshot of this geometry's bucket
 	// arrays. Its slice headers are immutable once stored; only NewCore
 	// and promotion publish a new one.
 	view atomic.Pointer[SeqView[K, V]]
 
-	// Resize state. next is the doubled-geometry table entries migrate
-	// into; nil when no resize is in flight. Buckets [0, cursor) of the
-	// old geometry have been drained by Migrate. resizes counts completed
-	// promotions (it survives promotion).
+	// Resize state. next is the table entries migrate into; nil when no
+	// resize is in flight. Buckets [0, cursor) of the old geometry have
+	// been drained by Migrate. resizes counts completed promotions (it
+	// survives promotion).
 	next    atomic.Pointer[Core[K, V]]
 	cursor  int
 	resizes atomic.Int64
 }
 
-// NewCore returns an empty placement core. It panics on invalid shape.
+// NewCore returns an empty placement core. It panics on invalid shape,
+// or if K or V breaks the type rule (see the type comment).
 func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K, V] {
 	if buckets <= 0 {
 		panic(fmt.Sprintf("mchtable: Buckets = %d", buckets))
@@ -114,25 +187,26 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 	if stashCap < 0 {
 		panic(fmt.Sprintf("mchtable: StashSize = %d", stashCap))
 	}
-	total := buckets * slotsPerBucket
+	lay := layoutOf[K, V]()
 	c := &Core[K, V]{
 		buckets:        buckets,
 		slotsPerBucket: slotsPerBucket,
 		stashCap:       stashCap,
-		keys:           make([]K, total),
-		vals:           make([]V, total),
-		tags:           make([]uint64, total),
-		used:           make([]uint32, total),
+		lay:            lay,
+		slots:          makeSlots[K, V](buckets*slotsPerBucket, lay),
 		counts:         make([]uint32, buckets),
-		tagFirst:       !pointerFree(reflect.TypeFor[K]()),
+		arena:          newArena(),
 	}
-	c.stash.Store(&stashBlock[K, V]{})
+	c.stash.Store(&stashBlock[K, V]{arena: c.arena})
 	c.view.Store(&SeqView[K, V]{
 		buckets: buckets,
 		slots:   slotsPerBucket,
+		lay:     lay,
+		arena:   c.arena,
+		refs:    c.refs,
+		used:    c.used,
 		keys:    c.keys,
 		vals:    c.vals,
-		used:    c.used,
 		counts:  c.counts,
 	})
 	return c
@@ -141,14 +215,8 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 // EnableSeq switches the core into seq mode: every subsequent mutation of
 // reader-visible words goes through sync/atomic stores, making SeqGet
 // safe to run with no lock held. It must be called before the first
-// concurrent reader exists (internal/cmap calls it at construction) and
-// panics if K or V is not SeqCapable.
-func (c *Core[K, V]) EnableSeq() {
-	if !SeqCapable[K]() || !SeqCapable[V]() {
-		panic("mchtable: EnableSeq requires pointer-free, word-tiling key and value types")
-	}
-	c.seqMode = true
-}
+// concurrent reader exists (internal/cmap calls it at construction).
+func (c *Core[K, V]) EnableSeq() { c.seqMode = true }
 
 // Buckets returns the number of buckets in the current (old) geometry.
 func (c *Core[K, V]) Buckets() int { return c.buckets }
@@ -162,37 +230,155 @@ func (c *Core[K, V]) StashCap() int { return c.stashCap }
 // slot returns the flat index of bucket b, slot s.
 func (c *Core[K, V]) slot(b, s int) int { return b*c.slotsPerBucket + s }
 
+// holds reports whether slot i of s stores key, whose ref tag bits are
+// rt (refTag of its tag). With arena fields the tag bits are compared
+// first, so a key kept in the arena is read only in a slot whose tag
+// bits match. Writer-side: plain reads under the writer's exclusion (or
+// a reader's lock).
+//
+//repro:noalloc
+func (c *Core[K, V]) holds(s *slots[K, V], i int, key K, rt uint64) bool {
+	if !c.lay.inArena() {
+		return s.used[i] != 0 && s.keys[i] == key
+	}
+	ref := s.refs[i]
+	if ref == 0 || ref&refTagMask != rt {
+		return false
+	}
+	if c.lay&keyInArena == 0 {
+		return s.keys[i] == key
+	}
+	kb, _, ok := c.arena.table.Load().fields(c.lay, ref)
+	return ok && viewString(kb) == keyString(&key)
+}
+
+// occupied reports whether slot i of s holds a pair (writer-side).
+//
+//repro:noalloc
+func (c *Core[K, V]) occupied(s *slots[K, V], i int) bool {
+	if c.lay.inArena() {
+		return s.refs[i] != 0
+	}
+	return s.used[i] != 0
+}
+
+// entryAt reads slot i of s (writer-side, plain reads).
+//
+//repro:noalloc
+func (c *Core[K, V]) entryAt(s *slots[K, V], i int) entry[K, V] {
+	e := entry[K, V]{tag: s.tags[i], ref: inlineRef}
+	if c.lay.inArena() {
+		e.ref = s.refs[i]
+	}
+	if c.lay&keyInArena == 0 {
+		e.key = s.keys[i]
+	}
+	if c.lay&valInArena == 0 {
+		e.val = s.vals[i]
+	}
+	return e
+}
+
+// pair returns the key and value e stores, arena fields as views of its
+// record (writer-side: the stash and the buckets share c.arena).
+//
+//repro:noalloc
+func (c *Core[K, V]) pair(e *entry[K, V]) (K, V) {
+	k, v := e.key, e.val
+	if c.lay.inArena() {
+		kb, vb, _ := c.arena.table.Load().fields(c.lay, e.ref)
+		if c.lay&keyInArena != 0 {
+			k = keyView[K](kb)
+		}
+		if c.lay&valInArena != 0 {
+			v = valView[V](c.lay, vb)
+		}
+	}
+	return k, v
+}
+
+// value returns the value slot i of s stores (writer-side).
+//
+//repro:noalloc
+func (c *Core[K, V]) value(s *slots[K, V], i int) V {
+	if c.lay&valInArena == 0 {
+		return s.vals[i]
+	}
+	_, vb, _ := c.arena.table.Load().fields(c.lay, s.refs[i])
+	return valView[V](c.lay, vb)
+}
+
+// encode returns the entry that stores key → val under tag, appending
+// the pair's arena fields, if it has any, as a new record.
+//
+//repro:noalloc
+func (c *Core[K, V]) encode(key K, val V, tag uint64) entry[K, V] {
+	e := entry[K, V]{tag: tag, ref: inlineRef}
+	var ks, vs string
+	if c.lay&keyInArena == 0 {
+		e.key = key
+	} else {
+		ks = keyString(&key)
+	}
+	if c.lay&valInArena == 0 {
+		e.val = val
+	} else {
+		vs = valString(c.lay, &val)
+	}
+	if c.lay.inArena() {
+		e.ref = c.arena.put(c.lay, ks, vs) | refTag(tag)
+	}
+	return e
+}
+
+// setValue replaces the value of the pair in slot i of s, whose key is
+// key and whose tag is tag: in place when V is inline, otherwise as a new
+// record whose ref replaces the old one (the old record's bytes stay
+// intact for views and readers that hold them).
+//
+//repro:noalloc
+func (c *Core[K, V]) setValue(s *slots[K, V], i int, key K, val V, tag uint64) {
+	if c.lay&valInArena == 0 {
+		c.setVal(&s.vals[i], val)
+		return
+	}
+	old := s.refs[i] // V is in the arena, so the slot has a ref
+	e := c.encode(key, val, tag)
+	c.setRef(&s.refs[i], e.ref)
+	c.arena.release(c.lay, old)
+}
+
 // findInBucket returns the slot of key (whose tag is tag) in bucket b, or
-// -1. For pointerful K the stored tag is compared first, so only a slot
-// whose tag matches has its key dereferenced.
+// -1.
 //
 //repro:noalloc
 func (c *Core[K, V]) findInBucket(key K, tag uint64, b int) int {
-	for s := 0; s < c.slotsPerBucket; s++ {
-		idx := c.slot(b, s)
-		if c.used[idx] != 0 && (!c.tagFirst || c.tags[idx] == tag) && c.keys[idx] == key {
+	lo, hi := c.slot(b, 0), c.slot(b+1, 0)
+	if !c.lay.inArena() {
+		for idx := lo; idx < hi; idx++ { // holds, unrolled for inline layouts
+			if c.used[idx] != 0 && c.keys[idx] == key {
+				return idx
+			}
+		}
+		return -1
+	}
+	rt := refTag(tag)
+	for idx := lo; idx < hi; idx++ {
+		if c.holds(&c.slots, idx, key, rt) {
 			return idx
 		}
 	}
 	return -1
 }
 
-// stashLive returns the live stash entries for writer-side iteration
-// (plain reads; the caller holds the writer's exclusion).
-func (c *Core[K, V]) stashLive() []stashEntry[K, V] {
-	blk := c.stash.Load()
-	return blk.arr[:blk.n.Load()]
-}
-
-// stashFind returns the stash index of key (whose tag is tag), or -1. A
-// stash entry holds its tag beside its key, so the tag is always compared
-// first.
+// stashFind returns the stash index of key (whose tag is tag), or -1.
 //
 //repro:noalloc
 func (c *Core[K, V]) stashFind(key K, tag uint64) int {
-	live := c.stashLive()
-	for i := range live {
-		if e := &live[i]; e.tag == tag && e.key == key {
+	blk := c.stash.Load()
+	rt := refTag(tag)
+	for i := 0; i < int(blk.n.Load()); i++ {
+		if c.holds(&blk.slots, i, key, rt) {
 			return i
 		}
 	}
@@ -201,21 +387,29 @@ func (c *Core[K, V]) stashFind(key K, tag uint64) int {
 
 // stashAppend adds e to the stash, growing the backing block by
 // replacement (build bigger, copy, publish) so the published block's
-// array header never mutates under a seq reader.
+// arrays never change under a seq reader.
 //
 //repro:noalloc
-func (c *Core[K, V]) stashAppend(e stashEntry[K, V]) {
+func (c *Core[K, V]) stashAppend(e *entry[K, V]) {
 	blk := c.stash.Load()
 	n := int(blk.n.Load())
-	if n == len(blk.arr) {
-		grown := &stashBlock[K, V]{arr: make([]stashEntry[K, V], max(8, 2*len(blk.arr)))} //repro:allocok growth path: the stash block doubles by replacement, amortized over inserts
-		copy(grown.arr, blk.arr[:n])
-		grown.arr[n] = e
+	if n == blk.cap() {
+		grown := &stashBlock[K, V]{arena: c.arena, slots: makeSlots[K, V](max(8, 2*n), c.lay)} //repro:allocok growth path: the stash block doubles by replacement, amortized over inserts
+		copy(grown.refs, blk.refs)
+		copy(grown.used, blk.used)
+		copy(grown.tags, blk.tags)
+		if c.lay&keyInArena == 0 {
+			copy(grown.keys, blk.keys[:n])
+		}
+		if c.lay&valInArena == 0 {
+			copy(grown.vals, blk.vals[:n])
+		}
+		c.putSlot(&grown.slots, n, e)
 		grown.n.Store(int32(n + 1))
 		c.stash.Store(grown)
 		return
 	}
-	c.setStashEntry(&blk.arr[n], e)
+	c.putSlot(&blk.slots, n, e)
 	blk.n.Store(int32(n + 1))
 }
 
@@ -227,45 +421,20 @@ func (c *Core[K, V]) stashRemove(i int) {
 	blk := c.stash.Load()
 	n := int(blk.n.Load())
 	for j := i; j < n-1; j++ {
-		c.setStashEntry(&blk.arr[j], blk.arr[j+1])
+		e := c.entryAt(&blk.slots, j+1)
+		c.putSlot(&blk.slots, j, &e)
 	}
 	blk.n.Store(int32(n - 1))
-	if !c.seqMode {
-		blk.arr[n-1] = stashEntry[K, V]{} // release pointers held by the dead entry
-	}
 }
 
-// stashPopBack removes and returns the newest stash entry (Migrate's
-// deterministic O(1) drain order).
+// storeInBucket places e in a free slot of bucket b, which the caller has
+// verified exists.
 //
 //repro:noalloc
-func (c *Core[K, V]) stashPopBack() stashEntry[K, V] {
-	blk := c.stash.Load()
-	n := int(blk.n.Load())
-	e := blk.arr[n-1]
-	blk.n.Store(int32(n - 1))
-	if !c.seqMode {
-		blk.arr[n-1] = stashEntry[K, V]{}
-	}
-	return e
-}
-
-// storeInBucket places the pair in a free slot of bucket b, which the
-// caller has verified exists.
-//
-//repro:noalloc
-func (c *Core[K, V]) storeInBucket(b int, key K, val V, tag uint64) {
+func (c *Core[K, V]) storeInBucket(b int, e *entry[K, V]) {
 	for s := 0; s < c.slotsPerBucket; s++ {
-		idx := c.slot(b, s)
-		if c.used[idx] == 0 {
-			// Payload before the used flag: a concurrent seq reader that
-			// observes used=1 then reads a half-written pair still retries
-			// (its generation check fails), but ordering this way keeps
-			// such windows rare.
-			c.setKey(&c.keys[idx], key)
-			c.setVal(&c.vals[idx], val)
-			c.tags[idx] = tag
-			c.setUsed(idx, 1)
+		if idx := c.slot(b, s); !c.occupied(&c.slots, idx) {
+			c.putSlot(&c.slots, idx, e)
 			c.setCount(b, c.counts[b]+1)
 			return
 		}
@@ -287,19 +456,19 @@ func (c *Core[K, V]) Put(cands []uint32, key K, val V, tag uint64) bool {
 	return c.update(cands, key, val, tag) || c.place(cands, key, val, tag, true)
 }
 
-// update overwrites key's value in place wherever key already lives — a
+// update overwrites key's value wherever key already lives — a
 // candidate bucket or the stash — reporting whether it was present.
 //
 //repro:noalloc
 func (c *Core[K, V]) update(cands []uint32, key K, val V, tag uint64) bool {
 	for _, b := range cands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.setVal(&c.vals[idx], val)
+			c.setValue(&c.slots, idx, key, val, tag)
 			return true
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
-		c.setVal(&c.stash.Load().arr[i].val, val)
+		c.setValue(&c.stash.Load().slots, i, key, val, tag)
 		return true
 	}
 	return false
@@ -315,13 +484,15 @@ func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool
 	// exactly the balanced-allocation rule, via the engine's shared
 	// selection.
 	if best, count := engine.LeastLoadedFirst(c.counts, cands); int(count) < c.slotsPerBucket {
-		c.storeInBucket(int(best), key, val, tag)
+		e := c.encode(key, val, tag)
+		c.storeInBucket(int(best), &e)
 		c.size.Add(1)
 		return true
 	}
 	// All candidates full: stash.
 	if !capped || int(c.stash.Load().n.Load()) < c.stashCap {
-		c.stashAppend(stashEntry[K, V]{key: key, val: val, tag: tag})
+		e := c.encode(key, val, tag)
+		c.stashAppend(&e)
 		c.size.Add(1)
 		return true
 	}
@@ -340,19 +511,18 @@ func (c *Core[K, V]) Get(cands []uint32, key K, tag uint64) (V, bool) {
 
 // GetDepth is Get that also reports the probe depth at which key
 // resolved: the index into cands of the bucket holding it, len(cands)
-// for a stash hit, -1 on a miss. The sampled read path in
-// internal/cmap feeds its probe-depth histogram — the paper's
-// which-choice-held distribution — from this.
+// for a stash hit, -1 on a miss — the paper's which-choice-held
+// distribution, which internal/cmap's probe-depth histogram records.
 //
 //repro:noalloc
 func (c *Core[K, V]) GetDepth(cands []uint32, key K, tag uint64) (V, int, bool) {
 	for depth, b := range cands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			return c.vals[idx], depth, true
+			return c.value(&c.slots, idx), depth, true
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
-		return c.stash.Load().arr[i].val, len(cands), true
+		return c.value(&c.stash.Load().slots, i), len(cands), true
 	}
 	var zero V
 	return zero, -1, false
@@ -381,10 +551,10 @@ func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K, tag uint64
 // geometry, given each key's candidate buckets in cands[i*d:(i+1)*d] and
 // its tag in tags[i]: a prefetch pass touches every candidate bucket's
 // cache lines first, so the batch's random memory accesses overlap
-// instead of serializing probe-by-probe, then each key resolves with the
-// ordinary probe (buckets, then stash). It returns the number found.
-// Like Get, GetBatch addresses the current geometry only; the
-// resize-aware concurrent batch loop lives in internal/cmap.
+// instead of serializing probe-by-probe; then each key resolves with the
+// ordinary probe (buckets, then stash). It returns the number found. Like Get, GetBatch addresses the current
+// geometry only; the resize-aware concurrent batch loop lives in
+// internal/cmap.
 //
 //repro:noalloc
 func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, tags []uint64, vals []V, found []bool) int {
@@ -425,50 +595,91 @@ func (c *Core[K, V]) Delete(cands []uint32, key K, tag uint64, candsOf func(tag 
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
-		c.stashRemove(i)
-		c.size.Add(-1)
+		c.dropStash(i)
 		return true
 	}
 	return false
 }
 
-// clearSlot frees flat slot idx of bucket b. Outside seq mode the stored
-// pair is zeroed so no dead key or value (which may hold pointers for
-// generic V) stays reachable; in seq mode the types are pointer-free —
-// nothing is pinned — and plain zeroing would race with lock-free
-// readers, so the dead payload just stays behind the cleared used flag.
+// dropStash removes stash entry i and releases its record.
+//
+//repro:noalloc
+func (c *Core[K, V]) dropStash(i int) {
+	blk := c.stash.Load()
+	c.release(&blk.slots, i)
+	c.stashRemove(i)
+	c.size.Add(-1)
+}
+
+// clearSlot frees flat slot idx of bucket b, releasing its record. The
+// slot's other words stay behind the cleared ref: they hold no pointers,
+// and zeroing them would race with lock-free readers.
 //
 //repro:noalloc
 func (c *Core[K, V]) clearSlot(idx, b int) {
-	c.setUsed(idx, 0)
-	if !c.seqMode {
-		var zeroK K
-		var zeroV V
-		c.keys[idx] = zeroK
-		c.vals[idx] = zeroV
+	c.release(&c.slots, idx)
+	if c.lay.inArena() {
+		c.setRef(&c.refs[idx], 0)
+	} else {
+		c.setUsed(&c.used[idx], 0)
 	}
 	c.setCount(b, c.counts[b]-1)
 	c.size.Add(-1)
 }
 
+// release marks the arena record of the pair in slot i of s dead, if it
+// has one.
+//
+//repro:noalloc
+func (c *Core[K, V]) release(s *slots[K, V], i int) {
+	if c.lay.inArena() {
+		c.arena.release(c.lay, s.refs[i])
+	}
+}
+
 // drainStashInto moves the first stashed entry (insertion order) whose
-// candidate set covers bucket b into b, if b has a free slot.
+// candidate set covers bucket b into b, if b has a free slot. The entry's
+// record stays where it is: the stash and the buckets share the arena.
 //
 //repro:noalloc
 func (c *Core[K, V]) drainStashInto(b int, candsOf func(tag uint64) []uint32) {
 	if int(c.counts[b]) >= c.slotsPerBucket {
 		return
 	}
-	for i, e := range c.stashLive() {
+	blk := c.stash.Load()
+	for i := 0; i < int(blk.n.Load()); i++ {
+		e := c.entryAt(&blk.slots, i)
 		for _, cb := range candsOf(e.tag) {
 			if int(cb) != b {
 				continue
 			}
-			c.storeInBucket(b, e.key, e.val, e.tag)
+			c.storeInBucket(b, &e)
 			c.stashRemove(i)
 			return
 		}
 	}
+}
+
+// NeedsRebuild reports whether the geometry's arena holds more dead
+// bytes than live ones — and more than its slot arrays' bytes or
+// maxChunk, whichever is less, so a rebuild, which costs a pass over
+// the slots, is amortized over at least that many dead bytes. The
+// caller answers with StartRebuild: Migrate re-appends every
+// live pair into the new geometry's arena, and promotion drops the old
+// one.
+func (c *Core[K, V]) NeedsRebuild() bool {
+	a := c.arena
+	return a.dead() > a.live && a.dead() > min(c.slots.bytes(), maxChunk)
+}
+
+// ArenaBytes returns the bytes allocated in arena chunks, both
+// geometries mid-resize. Like Len it reads only atomic words.
+func (c *Core[K, V]) ArenaBytes() int64 {
+	n := c.View().ArenaBytes()
+	if next := c.next.Load(); next != nil {
+		n += next.View().ArenaBytes()
+	}
+	return n
 }
 
 // StartResize begins an online resize to newBuckets buckets (same slots
@@ -477,11 +688,22 @@ func (c *Core[K, V]) drainStashInto(b int, candsOf func(tag uint64) []uint32) {
 // or the shape is invalid. Until the resize completes, all operations must
 // go through the *Dual variants with candidates for both geometries.
 func (c *Core[K, V]) StartResize(newBuckets int) {
-	if c.next.Load() != nil {
-		panic("mchtable: StartResize during an in-flight resize")
-	}
 	if newBuckets <= 0 || newBuckets == c.buckets {
 		panic(fmt.Sprintf("mchtable: resize %d -> %d buckets", c.buckets, newBuckets))
+	}
+	c.startMigration(newBuckets)
+}
+
+// StartRebuild begins a same-size resize: the rebuild that compacts the
+// arena once NeedsRebuild reports it holding more dead bytes than live
+// ones. It runs exactly like a resize — Migrate, the *Dual operations,
+// promotion — with identical candidates in both geometries.
+func (c *Core[K, V]) StartRebuild() { c.startMigration(c.buckets) }
+
+// startMigration allocates the Core a resize or rebuild migrates into.
+func (c *Core[K, V]) startMigration(newBuckets int) {
+	if c.next.Load() != nil {
+		panic("mchtable: StartResize during an in-flight resize")
 	}
 	next := NewCore[K, V](newBuckets, c.slotsPerBucket, c.stashCap)
 	next.seqMode = c.seqMode
@@ -520,12 +742,15 @@ func (c *Core[K, V]) Resizes() int { return int(c.resizes.Load()) }
 // entry lives in exactly one geometry (PutDual moves a key across before
 // writing it), so a migrating key cannot already be there.
 //
-// A growth migration (more buckets) always makes progress: an entry whose
-// new-geometry candidates are all full goes to the new stash even past
-// its capacity, so a resize can never wedge behind one unplaceable entry
-// while chained doublings are blocked — the overflow is temporary, since
-// the promoted geometry's stash pressure immediately re-arms the next
-// doubling, which re-places it. A shrink migration keeps the stash cap:
+// A growth migration (more buckets) or a rebuild (the same count) always
+// makes progress: an entry whose new-geometry candidates are all full goes
+// to the new stash even past its capacity, so a resize can never wedge
+// behind one unplaceable entry while chained doublings are blocked. After
+// a doubling the overflow is temporary, since the promoted geometry's
+// stash pressure immediately re-arms the next doubling, which re-places
+// it; after a rebuild with growth disabled it stays until deletes drain
+// it, and meanwhile Put rejects a new pair whose candidates are full. A
+// shrink migration keeps the stash cap:
 // if the smaller geometry cannot hold the backlog, Migrate reports no
 // progress and every entry stays reachable in the old geometry rather
 // than being lost.
@@ -552,12 +777,14 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 			}
 			idx := -1
 			for s := 0; s < c.slotsPerBucket; s++ {
-				if i := c.slot(b, s); c.used[i] != 0 {
+				if i := c.slot(b, s); c.occupied(&c.slots, i) {
 					idx = i
 					break
 				}
 			}
-			if !next.place(candsOf(c.tags[idx]), c.keys[idx], c.vals[idx], c.tags[idx], capped) {
+			e := c.entryAt(&c.slots, idx)
+			k, v := c.pair(&e)
+			if !next.place(candsOf(e.tag), k, v, e.tag, capped) {
 				return work
 			}
 			c.clearSlot(idx, b)
@@ -568,12 +795,14 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 		// and O(1) per entry, where consuming the front would memmove the
 		// remainder every step (quadratic on the oversized stashes a
 		// saturated growth migration builds).
-		live := c.stashLive()
-		e := live[len(live)-1]
-		if !next.place(candsOf(e.tag), e.key, e.val, e.tag, capped) {
+		blk := c.stash.Load()
+		last := int(blk.n.Load()) - 1
+		e := c.entryAt(&blk.slots, last)
+		k, v := c.pair(&e)
+		if !next.place(candsOf(e.tag), k, v, e.tag, capped) {
 			return work
 		}
-		c.stashPopBack()
+		blk.n.Store(int32(last))
 		c.size.Add(-1)
 		work++
 	}
@@ -592,8 +821,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 func (c *Core[K, V]) promote() {
 	next := c.next.Load()
 	c.buckets = next.buckets
-	c.keys, c.vals, c.tags = next.keys, next.vals, next.tags
-	c.used, c.counts = next.used, next.counts
+	c.slots, c.counts, c.arena = next.slots, next.counts, next.arena
 	c.cursor = 0
 	c.size.Store(next.size.Load())
 	c.stash.Store(next.stash.Load())
@@ -632,17 +860,16 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 				c.clearSlot(idx, int(b))
 				return true
 			}
-			c.setVal(&c.vals[idx], val)
+			c.setValue(&c.slots, idx, key, val, tag)
 			return true
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
 		if next.Put(newCands, key, val, tag) {
-			c.stashRemove(i)
-			c.size.Add(-1)
+			c.dropStash(i)
 			return true
 		}
-		c.setVal(&c.stash.Load().arr[i].val, val)
+		c.setValue(&c.stash.Load().slots, i, key, val, tag)
 		return true
 	}
 	return next.Put(newCands, key, val, tag)
@@ -667,8 +894,7 @@ func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, tag uint64, 
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
-		c.stashRemove(i)
-		c.size.Add(-1)
+		c.dropStash(i)
 		return true
 	}
 	return next.Delete(newCands, key, tag, newCandsOf)
@@ -724,13 +950,19 @@ func (c *Core[K, V]) Occupancy() float64 {
 // fn must not mutate the core. Range reads plainly, so the caller must
 // exclude writers (internal/cmap holds the shard lock).
 func (c *Core[K, V]) Range(fn func(key K, val V, tag uint64) bool) bool {
-	for idx, used := range c.used {
-		if used != 0 && !fn(c.keys[idx], c.vals[idx], c.tags[idx]) {
+	for idx := 0; idx < c.buckets*c.slotsPerBucket; idx++ {
+		if !c.occupied(&c.slots, idx) {
+			continue
+		}
+		e := c.entryAt(&c.slots, idx)
+		if k, v := c.pair(&e); !fn(k, v, e.tag) {
 			return false
 		}
 	}
-	for _, e := range c.stashLive() {
-		if !fn(e.key, e.val, e.tag) {
+	blk := c.stash.Load()
+	for i := 0; i < int(blk.n.Load()); i++ {
+		e := c.entryAt(&blk.slots, i)
+		if k, v := c.pair(&e); !fn(k, v, e.tag) {
 			return false
 		}
 	}

@@ -1,4 +1,4 @@
-// Seq-mode primitives: the word-atomic storage protocol that lets
+// Seq-mode primitives: the atomic storage protocol that lets
 // internal/cmap's seqlock readers probe a Core with no lock held.
 //
 // The scheme is a classic seqlock with one twist imposed by the Go
@@ -6,76 +6,52 @@
 // discard it after the generation check, but in Go a plain load racing a
 // plain store is a data race regardless of whether the value is used —
 // the race detector (and the compiler) may assume it never happens. So
-// in seq mode *both* sides go through sync/atomic at 32-bit word
-// granularity: writers publish every reader-visible word with
-// atomic.StoreUint32, readers assemble values from atomic.LoadUint32.
-// Word-by-word assembly means a reader can still observe half of one
-// write and half of another — that is exactly the tear the caller's
-// generation validation rejects — but every individual access is
-// race-free and every probe stays in bounds, so a torn read can produce
-// a wrong value, never a fault.
+// in seq mode *both* sides go through sync/atomic: a slot's ref is a
+// 64-bit atomic word (its used flag a 32-bit one, when K and V are both
+// inline), and inline keys and values are stored and loaded as 32-bit
+// atomic words. Readers never load a slot's full tag: the ref carries
+// the 16 tag bits a probe filters on. Word-by-word assembly means a
+// reader can still observe half of one write and half of another — that
+// is exactly the tear the caller's generation validation rejects — but
+// every individual access is race-free and every probe stays in bounds,
+// so a torn read can produce a wrong value, never a fault.
 //
-// Two type-level preconditions make the raw word copies sound, checked
-// by SeqCapable and enforced by Core.EnableSeq:
+// The type rule (layoutOf, applied by NewCore) makes this sound for
+// every Core:
 //
-//   - no pointers: unsafe word stores bypass the garbage collector's
-//     write barriers, and a torn pointer could escape validation into a
-//     dereference. Pointerful K/V keep plain stores and mutex readers.
-//   - size ≡ 0 (mod 4): values tile exactly into 32-bit words, and every
-//     slot or stash field offset is then 4-aligned, so the per-word
-//     atomics are aligned on every platform (32-bit included — which is
-//     also why the granularity is 32 and not 64 bits).
+//   - an inline K or V is pointer-free — raw word stores would bypass the
+//     garbage collector's write barriers — and its size is a multiple of
+//     4 bytes, so values tile exactly into 32-bit words and every slot
+//     field offset is 4-aligned on every platform (32-bit included, which
+//     is why inline fields move as 32-bit and not 64-bit words);
+//   - a string-kind K or V, or a []byte V, lives in the geometry's arena,
+//     and the slot holds only its 64-bit ref (and, for writers, its tag).
+//
+// The publication invariant: a record's bytes are written before the ref
+// that names them is stored with one atomic 64-bit store, and never
+// written after; inline fields are stored before the ref (or, inline,
+// the used flag). A reader loads the ref, compares its tag bits, and only
+// then reads key bytes, bounds-checking the ref against the chunk table
+// it loaded atomically. A stale ref — one its slot has since replaced —
+// names bytes that are still intact, so it produces at worst a value the
+// generation check rejects.
 
-//repro:unsafeview word-granular views of seq-capable slot storage, gated by SeqCapable at EnableSeq time
+//repro:unsafeview word-granular views of inline slot fields, which layoutOf proves pointer-free and word-tiling at NewCore
 
 package mchtable
 
 import (
-	"reflect"
 	"sync/atomic"
 	"unsafe"
 )
 
-// SeqCapable reports whether T's values may be stored under the seq-mode
-// word-atomic protocol (see the file comment for the two conditions).
-//
-//repro:unsafegate
-func SeqCapable[T any]() bool {
-	t := reflect.TypeFor[T]()
-	return t.Size()%4 == 0 && pointerFree(t)
-}
-
-// pointerFree walks t's layout and reports whether no word of a value
-// can hold a pointer the garbage collector tracks.
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // storeWords publishes src into dst as aligned 32-bit atomic stores. dst
-// must point at a seq-capable value (pointer-free, size%4 == 0 — the
-// caller guarantees this via EnableSeq's gate).
+// must point at an inline field (pointer-free, size%4 == 0 — layoutOf's
+// rule).
 //
 //repro:seqaccessor
 //repro:noalloc
-//repro:gated SeqCapable ran in EnableSeq; seq mode is never entered for pointerful or oddly-sized T
+//repro:gated layoutOf ran in NewCore; only inline (pointer-free, word-tiling) fields are stored word by word
 func storeWords[T any](dst, src *T) {
 	d := unsafe.Pointer(dst)
 	s := unsafe.Pointer(src)
@@ -90,7 +66,7 @@ func storeWords[T any](dst, src *T) {
 //
 //repro:seqaccessor
 //repro:noalloc
-//repro:gated SeqCapable ran in EnableSeq; seq mode is never entered for pointerful or oddly-sized T
+//repro:gated layoutOf ran in NewCore; only inline (pointer-free, word-tiling) fields are loaded word by word
 func loadWords[T any](dst, src *T) {
 	d := unsafe.Pointer(dst)
 	s := unsafe.Pointer(src)
@@ -99,7 +75,7 @@ func loadWords[T any](dst, src *T) {
 	}
 }
 
-// setKey writes a bucket-slot key with the mode's store discipline.
+// setKey writes an inline key with the mode's store discipline.
 //
 //repro:noalloc
 func (c *Core[K, V]) setKey(dst *K, k K) {
@@ -110,8 +86,7 @@ func (c *Core[K, V]) setKey(dst *K, k K) {
 	}
 }
 
-// setVal writes a bucket-slot or stash value with the mode's store
-// discipline.
+// setVal writes an inline value with the mode's store discipline.
 //
 //repro:noalloc
 func (c *Core[K, V]) setVal(dst *V, v V) {
@@ -122,14 +97,47 @@ func (c *Core[K, V]) setVal(dst *V, v V) {
 	}
 }
 
-// setUsed writes a slot's occupancy flag with the mode's store discipline.
+// setRef writes a slot's ref — the word that publishes or clears it —
+// with the mode's store discipline.
 //
 //repro:noalloc
-func (c *Core[K, V]) setUsed(idx int, u uint32) {
+func (c *Core[K, V]) setRef(p *uint64, ref uint64) {
 	if c.seqMode {
-		atomic.StoreUint32(&c.used[idx], u)
+		atomic.StoreUint64(p, ref)
 	} else {
-		c.used[idx] = u
+		*p = ref
+	}
+}
+
+// putSlot writes e into slot i of s in publication order: the tag, which
+// seq readers never read, and inline fields, then the ref (or, for an
+// inline layout, the used flag).
+//
+//repro:noalloc
+func (c *Core[K, V]) putSlot(s *slots[K, V], i int, e *entry[K, V]) {
+	if c.lay&keyInArena == 0 {
+		c.setKey(&s.keys[i], e.key)
+	}
+	if c.lay&valInArena == 0 {
+		c.setVal(&s.vals[i], e.val)
+	}
+	s.tags[i] = e.tag
+	if c.lay.inArena() {
+		c.setRef(&s.refs[i], e.ref)
+	} else {
+		c.setUsed(&s.used[i], 1)
+	}
+}
+
+// setUsed writes an inline layout's occupancy flag with the mode's store
+// discipline.
+//
+//repro:noalloc
+func (c *Core[K, V]) setUsed(u *uint32, v uint32) {
+	if c.seqMode {
+		atomic.StoreUint32(u, v)
+	} else {
+		*u = v
 	}
 }
 
@@ -145,42 +153,37 @@ func (c *Core[K, V]) setCount(b int, v uint32) {
 	}
 }
 
-// setStashEntry writes a published stash entry with the mode's store
-// discipline. Seq readers never read tags (only probes under the shard
-// lock do), so they stay plain in both modes.
+// loadRef reads a slot's ref atomically.
 //
+//repro:seqaccessor
 //repro:noalloc
-func (c *Core[K, V]) setStashEntry(dst *stashEntry[K, V], e stashEntry[K, V]) {
-	if c.seqMode {
-		storeWords(&dst.key, &e.key)
-		storeWords(&dst.val, &e.val)
-		dst.tag = e.tag
-	} else {
-		*dst = e
-	}
-}
+func loadRef(p *uint64) uint64 { return atomic.LoadUint64(p) }
 
 // SeqView is the published read snapshot of one geometry: the bucket
-// count and the bucket-array slice headers, immutable once published
-// through Core.view. Readers fetch it with Core.View (one atomic load)
-// and probe it with SeqGet; because the headers never mutate and
-// candidate buckets are derived for a deriver whose N matches Buckets,
-// every probe into the view is in bounds no matter how torn the rest of
-// the read is.
+// count, the slot-array slice headers and the geometry's arena,
+// immutable once published through Core.view. Readers fetch it with
+// Core.View (one atomic load) and probe it with SeqGet; because the
+// headers never mutate and candidate buckets are derived for a deriver
+// whose N matches Buckets, every probe into the view is in bounds no
+// matter how torn the rest of the read is.
 //
 // The slice fields' elements are the reader-visible words of the seqlock
 // protocol: every element access must go through sync/atomic (the slice
-// headers themselves are immutable once published). buckets and slots
-// are immutable ints, read plainly.
+// headers themselves are immutable once published). The ints, the
+// layout and the arena pointer are immutable, read plainly.
 type SeqView[K comparable, V any] struct {
 	buckets int
 	slots   int
+	lay     layout
+	arena   *arena
+	//repro:seqguarded
+	refs []uint64
+	//repro:seqguarded
+	used []uint32
 	//repro:seqguarded
 	keys []K
 	//repro:seqguarded
 	vals []V
-	//repro:seqguarded
-	used []uint32
 	//repro:seqguarded
 	counts []uint32
 }
@@ -192,82 +195,151 @@ func (v *SeqView[K, V]) Buckets() int { return v.buckets }
 // Slots returns the view's slots per bucket.
 func (v *SeqView[K, V]) Slots() int { return v.slots }
 
+// ArenaBytes returns the bytes allocated in the geometry's arena chunks
+// (one atomic load).
+func (v *SeqView[K, V]) ArenaBytes() int64 { return v.arena.size.Load() }
+
 // View returns the current published read view (one atomic load). Only
 // NewCore and resize promotion publish a new one.
 func (c *Core[K, V]) View() *SeqView[K, V] { return c.view.Load() }
 
-// SeqGet probes v's buckets and then c's stash for key using only atomic
-// word reads — safe to run concurrently with a writer, with no lock
-// held. cands are key's candidate buckets for v's geometry. The result
-// is meaningful only if the caller's seqlock generation validation
-// succeeds after the call: mid-write, SeqGet can observe torn values and
-// report a wrong or missing pair, but it never faults.
+// SeqGet probes v's buckets and then c's stash for key, whose tag is tag,
+// using only atomic reads — safe to run concurrently with a writer, with
+// no lock held. cands are key's candidate buckets for v's geometry. It
+// reports the probe depth as GetDepth does. The result is meaningful
+// only if the caller's seqlock generation validation succeeds after the
+// call: mid-write, SeqGet can observe torn values and report a wrong or
+// missing pair, but it never faults.
 //
 //repro:noalloc
-func (c *Core[K, V]) SeqGet(v *SeqView[K, V], cands []uint32, key K) (V, bool) {
-	for _, b := range cands {
+func (c *Core[K, V]) SeqGet(v *SeqView[K, V], cands []uint32, key K, tag uint64) (V, int, bool) {
+	if v.lay.inArena() {
+		return c.seqGetArena(v, cands, key, tag)
+	}
+	for depth, b := range cands {
 		if int(b) >= v.buckets {
 			continue
 		}
-		base := int(b) * v.slots
-		for s := 0; s < v.slots; s++ {
-			idx := base + s
-			if atomic.LoadUint32(&v.used[idx]) == 0 {
+		for i := int(b) * v.slots; i < (int(b)+1)*v.slots; i++ {
+			if atomic.LoadUint32(&v.used[i]) == 0 {
 				continue
 			}
 			var k K
-			loadWords(&k, &v.keys[idx])
+			loadWords(&k, &v.keys[i])
 			if k == key {
 				var val V
-				loadWords(&val, &v.vals[idx])
-				return val, true
+				loadWords(&val, &v.vals[i])
+				return val, depth, true
 			}
 		}
 	}
 	blk := c.stash.Load()
-	n := int(blk.n.Load())
-	if n > len(blk.arr) {
-		n = len(blk.arr)
-	}
-	for i := 0; i < n; i++ {
-		e := &blk.arr[i]
+	for i := 0; i < min(int(blk.n.Load()), len(blk.used)); i++ {
 		var k K
-		loadWords(&k, &e.key)
+		loadWords(&k, &blk.keys[i])
 		if k == key {
 			var val V
-			loadWords(&val, &e.val)
-			return val, true
+			loadWords(&val, &blk.vals[i])
+			return val, len(cands), true
 		}
 	}
 	var zero V
-	return zero, false
+	return zero, -1, false
 }
 
-// Prefetch touches the first word of each candidate bucket's used, key
-// and value lines with atomic loads, so a batched lookup's random cache
-// misses overlap instead of serializing probe-by-probe. It returns a
-// checksum the caller should feed to keepAlive32 so the compiler cannot
-// consider the loads dead.
+// seqGetArena is SeqGet for a layout with arena fields: each slot's ref
+// is loaded once, and its tag bits compared before any record byte is
+// read.
 //
 //repro:noalloc
-//repro:gated first-word loads are issued only when the kw/vw alignment checks prove the element 4-aligned
+func (c *Core[K, V]) seqGetArena(v *SeqView[K, V], cands []uint32, key K, tag uint64) (V, int, bool) {
+	var kstr string
+	if v.lay&keyInArena != 0 {
+		kstr = keyString(&key)
+	}
+	t := v.arena.table.Load()
+	rt := refTag(tag)
+	for depth, b := range cands {
+		if int(b) >= v.buckets {
+			continue
+		}
+		for i := int(b) * v.slots; i < (int(b)+1)*v.slots; i++ {
+			if ref := loadRef(&v.refs[i]); ref&refTagMask == rt {
+				if val, ok := seqMatch(v.lay, t, ref, &v.keys, &v.vals, i, key, kstr); ok {
+					return val, depth, true
+				}
+			}
+		}
+	}
+	blk := c.stash.Load()
+	bt := blk.arena.table.Load()
+	for i := 0; i < min(int(blk.n.Load()), len(blk.refs)); i++ {
+		if ref := loadRef(&blk.refs[i]); ref&refTagMask == rt {
+			if val, ok := seqMatch(v.lay, bt, ref, &blk.keys, &blk.vals, i, key, kstr); ok {
+				return val, len(cands), true
+			}
+		}
+	}
+	var zero V
+	return zero, -1, false
+}
+
+// seqMatch finishes an arena-layout seq probe of slot i, whose ref (with
+// matching tag bits) is ref: it reports the slot's value if ref names a
+// record and the slot holds key. kstr is key as a string when K lives in
+// the arena, whose chunk table is t.
+//
+//repro:seqaccessor
+//repro:noalloc
+func seqMatch[K comparable, V any](lay layout, t *chunkTable, ref uint64, keys *[]K, vals *[]V, i int, key K, kstr string) (V, bool) {
+	var zero V
+	if ref == 0 {
+		return zero, false
+	}
+	if lay&keyInArena == 0 {
+		var k K
+		loadWords(&k, &(*keys)[i])
+		if k != key {
+			return zero, false
+		}
+	}
+	kb, vb, ok := t.fields(lay, ref)
+	if !ok || lay&keyInArena != 0 && viewString(kb) != kstr {
+		return zero, false
+	}
+	if lay&valInArena != 0 {
+		return valView[V](lay, vb), true
+	}
+	var val V
+	loadWords(&val, &(*vals)[i])
+	return val, true
+}
+
+// Prefetch touches the first word of each candidate bucket's control
+// line (its refs, or its used flags) and of its inline key and value
+// lines with atomic loads, so a batched lookup's random cache misses
+// overlap instead of serializing probe-by-probe. It returns a checksum
+// the caller should feed to keepAlive32 so the compiler cannot consider
+// the loads dead.
+//
+//repro:noalloc
+//repro:gated first-word loads touch only inline fields, which layoutOf proves 4-aligned and word-tiling
 func (v *SeqView[K, V]) Prefetch(cands []uint32) uint32 {
 	var zk K
 	var zv V
-	// First-word loads are only issued for element types whose slice
-	// elements are always 4-aligned (by size or by alignment) — true for
-	// every seq-capable type, and checked so single-threaded GetBatch can
-	// prefetch odd-shaped or pointerful K/V safely too (a load of half a
-	// pointer is still just a load of our own backing array).
-	kw := unsafe.Sizeof(zk) >= 4 && (unsafe.Sizeof(zk)%4 == 0 || unsafe.Alignof(zk)%4 == 0)
-	vw := unsafe.Sizeof(zv) >= 4 && (unsafe.Sizeof(zv)%4 == 0 || unsafe.Alignof(zv)%4 == 0)
+	kw := v.lay&keyInArena == 0 && unsafe.Sizeof(zk) > 0
+	vw := v.lay&valInArena == 0 && unsafe.Sizeof(zv) > 0
 	var sum uint32
 	for _, b := range cands {
 		if int(b) >= v.buckets {
 			continue
 		}
 		base := int(b) * v.slots
-		sum += atomic.LoadUint32(&v.used[base])
+		if v.lay.inArena() {
+			sum += uint32(loadRef(&v.refs[base]))
+		} else {
+			sum += atomic.LoadUint32(&v.used[base])
+		}
 		if kw {
 			sum += atomic.LoadUint32((*uint32)(unsafe.Pointer(&v.keys[base])))
 		}

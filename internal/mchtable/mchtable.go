@@ -202,6 +202,7 @@ func coreStats[K comparable, V any](c *Core[K, V]) container.Stats {
 		MaxShardLen: c.Len(),
 		Resizes:     c.Resizes(),
 		Migrating:   c.Pending(),
+		ArenaBytes:  c.ArenaBytes(),
 	}
 	if st.Capacity > 0 {
 		st.Occupancy = float64(st.Len) / float64(st.Capacity)

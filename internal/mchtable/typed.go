@@ -2,6 +2,7 @@ package mchtable
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/container"
 	"repro/internal/hashes"
@@ -83,7 +84,20 @@ func (m *Map[K, V]) candidates(digest uint64) []uint32 {
 // stash were full (the insertion is rejected, table unchanged).
 func (m *Map[K, V]) Put(key K, val V) bool {
 	d := m.digest(key)
-	return m.core.Put(m.candidates(d), key, val, d)
+	ok := m.core.Put(m.candidates(d), key, val, d)
+	m.compact()
+	return ok
+}
+
+// compact rebuilds the table in one pass once its arena holds more dead
+// bytes than live ones (Core.NeedsRebuild): every live pair is
+// re-appended into a fresh arena, and the old one is dropped.
+func (m *Map[K, V]) compact() {
+	if !m.core.NeedsRebuild() {
+		return
+	}
+	m.core.StartRebuild()
+	m.core.Migrate(math.MaxInt, m.candsOf) // same-size migrations never stall
 }
 
 // Get returns the value stored for key.
@@ -120,7 +134,9 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 func (m *Map[K, V]) Delete(key K) bool {
 	d := m.digest(key)
 	m.deriver.CandidateBins(d, m.delScratch)
-	return m.core.Delete(m.delScratch, key, d, m.candsOf)
+	ok := m.core.Delete(m.delScratch, key, d, m.candsOf)
+	m.compact()
+	return ok
 }
 
 // Len returns the number of stored pairs (including stashed ones).

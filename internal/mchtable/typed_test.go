@@ -62,3 +62,33 @@ func TestTableStatsSnapshot(t *testing.T) {
 		t.Fatalf("histogram covers %d buckets", st.BucketLoads.Total())
 	}
 }
+
+// TestTypedMapCompacts overwrites the same string → string pairs round
+// after round on the single-threaded table: Put and Delete rebuild it in
+// one pass whenever its arena holds more dead bytes than live ones, so
+// the arena stays under twice the live bytes plus one chunk, while every
+// pair keeps its latest value.
+func TestTypedMapCompacts(t *testing.T) {
+	const keys, rounds = 200, 100
+	m := NewMap[string, string](keyed.ForType[string](), Config{Buckets: 128, SlotsPerBucket: 4, D: 3, Seed: 5})
+	live := int64(0)
+	for r := 0; r < rounds; r++ {
+		live = 0
+		for k := 0; k < keys; k++ {
+			key, val := fmt.Sprintf("k%03d", k), fmt.Sprintf("round %03d of key %03d", r, k)
+			m.Put(key, val)
+			live += int64(recordLen(keyInArena|valInArena, len(key), len(val)))
+		}
+		if got := m.Stats().ArenaBytes; got > 2*live+maxChunk {
+			t.Fatalf("round %d: arena holds %d bytes for %d live", r, got, live)
+		}
+	}
+	if m.Stats().Resizes == 0 {
+		t.Fatal("no rebuild ran")
+	}
+	for k := 0; k < keys; k++ {
+		if v, ok := m.Get(fmt.Sprintf("k%03d", k)); !ok || v != fmt.Sprintf("round %03d of key %03d", rounds-1, k) {
+			t.Fatalf("key %d = (%q, %v)", k, v, ok)
+		}
+	}
+}

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/cmap"
 	"repro/internal/cuckoo"
-	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/mchtable"
 	"repro/internal/obs"
@@ -87,14 +86,16 @@ func SaveWith[K comparable, V any](w io.Writer, c Snapshotter[K, V], kc Codec[K]
 // must be the one the snapshot was written under (verified against the
 // first record). With growth enabled (the default) any content fits;
 // with WithMaxLoadFactor(0) a snapshot larger than the fixed geometry
-// fails the load.
+// fails the load. K and V follow NewMap's type rule; Load panics for any
+// other type.
 //
 // Options consumed: those of NewMap.
 func Load[K comparable, V any](r io.Reader, opts ...Option) (*Map[K, V], error) {
 	return LoadOf[K, V](r, HasherFor[K](), CodecFor[K](), CodecFor[V](), opts...)
 }
 
-// LoadOf is Load with an explicit hasher and codecs.
+// LoadOf is Load with an explicit hasher and codecs. K and V follow
+// NewMap's type rule; LoadOf panics for any other type.
 func LoadOf[K comparable, V any](r io.Reader, h Hasher[K], kc Codec[K], vc Codec[V], opts ...Option) (*Map[K, V], error) {
 	o := buildOptions(opts)
 	return cmap.LoadKeyed[K, V](r, h, kc, vc, cmap.Config{
@@ -111,7 +112,8 @@ func LoadOf[K comparable, V any](r io.Reader, h Hasher[K], kc Codec[K], vc Codec
 
 // LoadTable reads a Table snapshot into a fresh single-threaded table
 // at the options' geometry (any bucket count; see Load for the seed and
-// hasher rules).
+// hasher rules). K and V follow NewMap's type rule; LoadTable panics for
+// any other type.
 //
 // Options consumed: those of NewTable.
 func LoadTable[K comparable, V any](r io.Reader, opts ...Option) (*Table[K, V], error) {
@@ -211,7 +213,7 @@ type DurableMap[K comparable, V any] struct {
 	metrics *DurableMetrics // nil unless WithDurableMetrics was given
 	buf     sync.Pool       // *walScratch: per-append encode buffers
 	// stripes serialize the WAL-append + map-apply pair per key (striped
-	// by the encoded key's hash): without it, two racing writes to the
+	// by the key's map digest): without it, two racing writes to the
 	// same key could land in the WAL in one order and in the map in the
 	// other, and recovery would resurrect the superseded value. Writes
 	// to different keys almost always take different stripes and stay
@@ -224,13 +226,14 @@ const durableStripes = 256
 
 type walScratch struct{ k, v []byte }
 
-// stripe returns the ordering lock for an encoded key. It is the
-// annotated accessor for the stripe lock class: a local taken from it
-// carries the class to its Lock call.
+// stripe returns the ordering lock for a key, given its map digest —
+// the operation's one keyed hash, which the map's write then carries. It
+// is the annotated accessor for the stripe lock class: a local taken
+// from it carries the class to its Lock call.
 //
 //repro:lockclass durable-stripe 20
-func (s *DurableMap[K, V]) stripe(keyBytes []byte) *sync.Mutex {
-	return &s.stripes[hashes.FNV1a(keyBytes)&(durableStripes-1)]
+func (s *DurableMap[K, V]) stripe(digest uint64) *sync.Mutex {
+	return &s.stripes[digest&(durableStripes-1)]
 }
 
 // Open opens (or creates) the durable map stored in dir: it loads
@@ -239,14 +242,16 @@ func (s *DurableMap[K, V]) stripe(keyBytes []byte) *sync.Mutex {
 // geometry options describe the map *this* process wants — recovery
 // places the snapshot's records at the new shape, so a restart is also
 // the moment to resize. Growth must be enabled (it is by default):
-// replay must never hit a capacity rejection.
+// replay must never hit a capacity rejection. K and V follow NewMap's
+// type rule; Open panics for any other type.
 //
 // Options consumed: those of NewMap, plus WithWALSync.
 func Open[K comparable, V any](dir string, opts ...Option) (*DurableMap[K, V], error) {
 	return OpenOf[K, V](dir, HasherFor[K](), CodecFor[K](), CodecFor[V](), opts...)
 }
 
-// OpenOf is Open with an explicit hasher and codecs.
+// OpenOf is Open with an explicit hasher and codecs. K and V follow
+// NewMap's type rule; OpenOf panics for any other type.
 func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[V], opts ...Option) (*DurableMap[K, V], error) {
 	o := buildOptions(opts)
 	if o.maxLoad == 0 {
@@ -355,12 +360,13 @@ func (s *DurableMap[K, V]) Put(key K, val V) error {
 	sc := s.buf.Get().(*walScratch)
 	sc.k = s.kc.Append(sc.k[:0], key)
 	sc.v = s.vc.Append(sc.v[:0], val)
-	st := s.stripe(sc.k)
+	digest := cmap.Digest(s.m, key)
+	st := s.stripe(digest)
 	st.Lock()
 	err := s.wal.Append(persist.WALPut, sc.k, sc.v)
 	var applied bool
 	if err == nil {
-		applied = s.m.Put(key, val)
+		applied = cmap.PutDigest(s.m, digest, key, val)
 	}
 	st.Unlock()
 	s.buf.Put(sc)
@@ -385,12 +391,13 @@ func (s *DurableMap[K, V]) Delete(key K) (bool, error) {
 	defer s.mu.RUnlock()
 	sc := s.buf.Get().(*walScratch)
 	sc.k = s.kc.Append(sc.k[:0], key)
-	st := s.stripe(sc.k)
+	digest := cmap.Digest(s.m, key)
+	st := s.stripe(digest)
 	st.Lock()
 	err := s.wal.Append(persist.WALDelete, sc.k, nil)
 	var present bool
 	if err == nil {
-		present = s.m.Delete(key)
+		present = cmap.DeleteDigest(s.m, digest, key)
 	}
 	st.Unlock()
 	s.buf.Put(sc)

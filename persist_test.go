@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -92,6 +93,49 @@ func TestSaveLoadAllFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("OpenMap", om2)
+}
+
+// TestTableStringStringRoundTrip saves a Table[string, string] — keys
+// and values both in the arena of the Core it shares with Map — and
+// reloads it at another bucket count: every pair comes back byte for
+// byte, including ones overwritten before the save, whose dead records
+// must not resurface.
+func TestTableStringStringRoundTrip(t *testing.T) {
+	tb := repro.NewTable[string, string](repro.WithBuckets(64), repro.WithSeed(5))
+	want := make(map[string]string)
+	for i := 0; i < 150; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		want[k] = strings.Repeat("v", i%23) + k
+		if !tb.Put(k, "stale value of "+k) || !tb.Put(k, want[k]) {
+			t.Fatalf("Put(%q) rejected", k)
+		}
+	}
+	tb.Put("", "empty key")
+	want[""] = "empty key"
+	tb.Put("empty value", "")
+	want["empty value"] = ""
+	var buf bytes.Buffer
+	if err := repro.Save(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	tb2, err := repro.LoadTable[string, string](bytes.NewReader(buf.Bytes()), repro.WithBuckets(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb2.Len() != len(want) {
+		t.Fatalf("reloaded Len = %d, want %d", tb2.Len(), len(want))
+	}
+	for k, v := range want {
+		if got, ok := tb2.Get(k); !ok || got != v {
+			t.Fatalf("reloaded Get(%q) = (%q, %v), want (%q, true)", k, got, ok, v)
+		}
+	}
+	tb2.Range(func(k, v string) bool {
+		if want[k] != v {
+			t.Errorf("reloaded Range yields %q → %q, want %q", k, v, want[k])
+		}
+		return true
+	})
 }
 
 // TestDurableMapRecovery is the Open lifecycle: durable writes, a

@@ -224,6 +224,14 @@ func WithDurableMetrics(dm *DurableMetrics) Option {
 // effectively never rejects; pass WithMaxLoadFactor(0) for a fixed-
 // capacity map.
 //
+// The type rule: K and V must each be pointer-free with a size that is a
+// multiple of 4 bytes (stored inline in the slots), or a string kind, or
+// — V only — []byte (copied into the map's byte arena on Put; Get
+// returns views of it). Any other type panics here with the rule in the
+// message: bool, int8, uint16 or [3]byte fields, pointers, slices other
+// than a []byte value, maps, channels and interfaces — even for a key
+// type HasherFor supports.
+//
 // Options consumed: WithShards, WithBuckets, WithSlots, WithD, WithStash,
 // WithMaxLoadFactor, WithMigrateBatch, WithSeed.
 func NewMap[K comparable, V any](opts ...Option) *Map[K, V] {
@@ -231,7 +239,8 @@ func NewMap[K comparable, V any](opts ...Option) *Map[K, V] {
 }
 
 // NewMapOf is NewMap with an explicit Hasher — for key types without a
-// built-in hasher, or to override the encoding.
+// built-in hasher, or to override the encoding. K and V follow NewMap's
+// type rule; NewMapOf panics for any other type.
 func NewMapOf[K comparable, V any](h Hasher[K], opts ...Option) *Map[K, V] {
 	o := buildOptions(opts)
 	return cmap.NewKeyed[K, V](h, cmap.Config{
@@ -248,7 +257,9 @@ func NewMapOf[K comparable, V any](h Hasher[K], opts ...Option) *Map[K, V] {
 
 // NewTable returns an empty typed single-threaded multiple-choice table
 // keyed by K's built-in hasher. Table is fixed-capacity: Put rejects
-// when every candidate bucket and the stash are full.
+// when every candidate bucket and the stash are full. Table stores
+// pairs as Map does, so K and V follow NewMap's type rule, and NewTable
+// panics for any other type.
 //
 // Options consumed: WithBuckets (total), WithSlots, WithD, WithStash,
 // WithSeed.
@@ -256,7 +267,8 @@ func NewTable[K comparable, V any](opts ...Option) *Table[K, V] {
 	return NewTableOf[K, V](HasherFor[K](), opts...)
 }
 
-// NewTableOf is NewTable with an explicit Hasher.
+// NewTableOf is NewTable with an explicit Hasher. K and V follow
+// NewMap's type rule; NewTableOf panics for any other type.
 func NewTableOf[K comparable, V any](h Hasher[K], opts ...Option) *Table[K, V] {
 	o := buildOptions(opts)
 	return mchtable.NewMap[K, V](h, mchtable.Config{
