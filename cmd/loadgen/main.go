@@ -290,7 +290,7 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 	// The write-side container the workload drives: with -wal every
 	// Put/Delete is logged before it is applied.
 	var wal *persist.WAL
-	target := testutil.Container[K, uint64](m)
+	target := store[K](m)
 	if cfg.walPath != "" {
 		var err error
 		wal, err = persist.CreateWAL(cfg.walPath, persist.WALOptions{NoSync: true})
@@ -333,14 +333,6 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 		}()
 	}
 
-	// Batched-lookup surface: the raw map or the WAL interposer, both of
-	// which forward GetBatch to cmap's pipelined tier.
-	getBatcher, hasBatch := any(target).(interface {
-		GetBatch(keys []K, vals []uint64, found []bool) int
-	})
-	if cfg.mget > 0 && !hasBatch {
-		fatalf("-mget: target container has no GetBatch")
-	}
 	// One histogram shared by every worker (Record is a single atomic
 	// add): every op is recorded, memory is fixed, and the percentiles
 	// come straight out of the bucket counts — no sample array, no sort,
@@ -387,7 +379,6 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 				rejected: &rejectedCount, ops: perWorker,
 			}
 			if cfg.mget > 0 {
-				ws.getBatch = getBatcher.GetBatch
 				ws.batch = make([]K, 0, cfg.mget)
 				ws.bvals = make([]uint64, cfg.mget)
 				ws.bfound = make([]bool, cfg.mget)
@@ -478,8 +469,7 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 // histogram.
 type workerState[K comparable] struct {
 	cfg      config
-	target   testutil.Container[K, uint64]
-	getBatch func(keys []K, vals []uint64, found []bool) int
+	target   store[K]
 	keyOf    func(uint64) K
 	src      rng.Source
 	rejected *atomic.Int64
@@ -551,7 +541,7 @@ func (ws *workerState[K]) flush() {
 	if ws.cfg.latency {
 		t0 = time.Now()
 	}
-	ws.getBatch(ws.batch, ws.bvals[:len(ws.batch)], ws.bfound[:len(ws.batch)])
+	ws.target.GetBatch(ws.batch, ws.bvals[:len(ws.batch)], ws.bfound[:len(ws.batch)])
 	if ws.cfg.latency {
 		ws.lat.Record(time.Since(t0).Nanoseconds() / int64(len(ws.batch)))
 	}
@@ -675,6 +665,13 @@ func diffMaps[K comparable](a, b *cmap.Map[K, uint64]) int {
 		}
 	}
 	return diff
+}
+
+// store is the container the workload drives: the map itself, or walMap
+// in front of it. Both forward GetBatch to cmap's pipelined tier.
+type store[K comparable] interface {
+	testutil.Container[K, uint64]
+	GetBatch(keys []K, vals []uint64, found []bool) int
 }
 
 // walMap interposes the write-ahead log between the workload and the

@@ -99,10 +99,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/container"
 	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/mchtable"
+	"repro/internal/stats"
 )
 
 // maxD bounds the candidate count so per-call candidate sets fit in a
@@ -684,12 +684,36 @@ func (m *Map[K, V]) seqShardLen(sh *shard[K, V]) (int, bool) {
 	return 0, false
 }
 
-// Stats is the common occupancy/overflow snapshot aggregated across
-// shards — the monitoring view: overall fill, stash pressure, shard skew,
-// resize progress, and the bucket-load histogram the paper's tables
-// predict. It is an alias of the shared container.Stats, so every
-// container family in the library reports through one type.
-type Stats = container.Stats
+// Stats is the occupancy/overflow snapshot aggregated across shards —
+// the monitoring view: overall fill, stash pressure, shard skew, resize
+// progress, and the bucket-load histogram the paper's tables predict.
+type Stats struct {
+	Shards      int        // shard count
+	Len         int        // stored pairs, stash included
+	Capacity    int        // total slot capacity (both geometries mid-resize)
+	Stashed     int        // overflow-stashed pairs
+	Occupancy   float64    // Len / Capacity
+	MinShardLen int        // least-loaded shard's pair count
+	MaxShardLen int        // most-loaded shard's pair count
+	Resizes     int        // completed online resizes, including same-size rebuilds
+	Migrating   int        // entries still awaiting migration in resizing shards
+	BucketLoads stats.Hist // occupied-slots-per-bucket histogram
+
+	// Seqlock read-path health: cumulative torn/overlapped optimistic
+	// read attempts that were retried, and reads that exhausted their
+	// spin budget (or snapshotted mid-mutation in a batch) and fell back
+	// to the shard lock. A nonzero fallback rate under a read-mostly
+	// workload means writers are starving the lock-free path.
+	SeqRetries   int64
+	SeqFallbacks int64
+
+	// ArenaBytes is the bytes allocated in the byte arenas that hold
+	// string-kind keys and values and []byte values out of line (both
+	// geometries mid-resize; zero when K and V are stored inline). The
+	// map's memory is about its slot bytes times Capacity, plus
+	// ArenaBytes.
+	ArenaBytes int64
+}
 
 // Stats gathers the snapshot. Each shard's figures — length, capacity,
 // stash depth, resize progress and its bucket-load histogram — are
@@ -779,10 +803,10 @@ func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
 	snap.resizes = sh.core.Resizes()
 	snap.migrating = sh.core.Pending()
 	snap.arena = sh.core.ArenaBytes()
-	var h container.Stats
-	sh.core.AddBucketLoads(&h.BucketLoads)
-	for load := 0; load <= h.BucketLoads.MaxValue() && load < len(snap.loads); load++ {
-		snap.loads[load] += h.BucketLoads.Count(load)
+	var h stats.Hist
+	sh.core.AddBucketLoads(&h)
+	for load := 0; load <= h.MaxValue() && load < len(snap.loads); load++ {
+		snap.loads[load] += h.Count(load)
 	}
 	sh.mu.RUnlock()
 }

@@ -10,7 +10,6 @@ package cuckoo
 import (
 	"fmt"
 
-	"repro/internal/container"
 	"repro/internal/engine"
 	"repro/internal/hashes"
 	"repro/internal/rng"
@@ -44,11 +43,9 @@ func (m Mode) String() string {
 // "first free candidate" rule is literally the engine's least-loaded
 // selection with ties to the first.
 //
-// Each slot also carries an opaque uint64 value that travels with its key
-// through every eviction and unwind, which is what lets the typed Map
-// wrapper layer real (K, V) pairs over this uint64 core: the set API
-// (Insert/Contains/Fill) and the map API (Put/Get/Delete) share the
-// placement machinery.
+// Each slot also carries a uint64 value that travels with its key
+// through every eviction and unwind: the set API (Insert/Contains/Fill)
+// and the map API (Put/Get/Delete/Range) share the placement machinery.
 type Table struct {
 	keys     []uint64
 	vals     []uint64
@@ -182,12 +179,6 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) with per-key probes
-// (see Map.GetBatch).
-func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
-	return container.GetBatchSerial(t.Get, keys, vals, found)
-}
-
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key uint64) bool {
 	s := t.find(key)
@@ -196,6 +187,16 @@ func (t *Table) Delete(key uint64) bool {
 	}
 	t.clearSlot(s)
 	return true
+}
+
+// Range calls fn for every stored pair until fn returns false, in slot
+// order. fn must not mutate the table.
+func (t *Table) Range(fn func(key, val uint64) bool) {
+	for s, occ := range t.occupied {
+		if occ != 0 && !fn(t.keys[s], t.vals[s]) {
+			return
+		}
+	}
 }
 
 // clearSlot frees slot s, zeroing the stored pair.

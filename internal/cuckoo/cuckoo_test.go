@@ -1,10 +1,8 @@
 package cuckoo
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/keyed"
 	"repro/internal/rng"
 	"repro/internal/testutil"
 )
@@ -228,23 +226,6 @@ func TestDeleteFreesSlots(t *testing.T) {
 	}
 }
 
-func TestTypedMapDifferential(t *testing.T) {
-	// The typed wrapper over the uint64 core: string keys, tracked
-	// values, deletions — against the same shadow-map oracle.
-	m := NewMap[string, uint64](keyed.ForType[string](), 512, 3, 45)
-	m.SetMaxKicks(30)
-	ops := testutil.MapOps(testutil.RandomOps(8000, 1024, 0.5, 0.2, 46),
-		func(k uint64) string { return fmt.Sprintf("flow-%05x", k) },
-		func(v uint64) uint64 { return v },
-	)
-	if err := testutil.Run(m, ops, testutil.Options{TrackValues: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Len != m.Len() || st.Capacity != 512 {
-		t.Fatalf("stats snapshot: %+v", st)
-	}
-}
-
 func TestNoMembershipLossPastThreshold(t *testing.T) {
 	// Regression: the pre-fix Insert dropped the final displaced resident
 	// on kick-budget exhaustion, so a key whose Insert had returned true
@@ -308,4 +289,41 @@ func TestFailedInsertUnwindIsExact(t *testing.T) {
 		return
 	}
 	t.Skip("no insertion failed; raise the load")
+}
+
+// TestTableRange: the raw uint64 table's Range visits exactly the
+// stored pairs.
+func TestTableRange(t *testing.T) {
+	tb := New(256, 3, DoubleHashed, 3, rng.NewXoshiro256(0xF00))
+	want := make(map[uint64]uint64)
+	for i := uint64(1); i <= 100; i++ {
+		if !tb.Put(i, i*5) {
+			t.Fatalf("Put(%d) failed", i)
+		}
+		want[i] = i * 5
+	}
+	tb.Delete(7)
+	delete(want, 7)
+	got := make(map[uint64]uint64)
+	tb.Range(func(k, v uint64) bool {
+		if _, dup := got[k]; dup {
+			t.Fatalf("Range visited %d twice", k)
+		}
+		got[k] = v
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("Range saw %d pairs, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("key %d = %d, want %d", k, got[k], v)
+		}
+	}
+	// Early stop is honored.
+	n := 0
+	tb.Range(func(k, v uint64) bool { n++; return n < 10 })
+	if n != 10 {
+		t.Fatalf("Range continued after fn returned false: %d visits", n)
+	}
 }

@@ -94,8 +94,8 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // candidate buckets, and an overflow stash drained back into buckets as
 // deletes free slots. It is hashing-agnostic — callers derive each key's
 // candidate buckets themselves — and generic over the stored key and
-// value types, so the single-threaded Table, the typed Map and the
-// shards of internal/cmap all share one placement implementation.
+// value types, so the single-threaded uint64 Table and the shards of
+// internal/cmap share one placement implementation.
 //
 // Every stored pair carries an opaque 64-bit tag from which the caller can
 // re-derive the pair's candidate buckets without touching the key again:
@@ -118,7 +118,7 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // to the record (see arena.go and slots). Any other type panics in
 // NewCore. Every slot is therefore pointer-free: the collector never
 // scans the slot arrays, and lock-free readers can load every slot word
-// atomically. Get, GetBatch and Range return arena fields as views
+// atomically. Get and Range return arena fields as views
 // of their records, valid for as long as the caller holds them; a
 // returned []byte must not be written. Put copies string and []byte
 // arguments into the arena.
@@ -545,36 +545,6 @@ func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K, tag uint64
 	}
 	var zero V
 	return zero, -1, false
-}
-
-// GetBatch resolves keys[i] → (vals[i], found[i]) against the current
-// geometry, given each key's candidate buckets in cands[i*d:(i+1)*d] and
-// its tag in tags[i]: a prefetch pass touches every candidate bucket's
-// cache lines first, so the batch's random memory accesses overlap
-// instead of serializing probe-by-probe; then each key resolves with the
-// ordinary probe (buckets, then stash). It returns the number found. Like Get, GetBatch addresses the current
-// geometry only; the resize-aware concurrent batch loop lives in
-// internal/cmap.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, tags []uint64, vals []V, found []bool) int {
-	if d <= 0 || len(cands) < len(keys)*d || len(tags) < len(keys) || len(vals) < len(keys) || len(found) < len(keys) {
-		panic("mchtable: GetBatch slice shapes do not cover the key batch")
-	}
-	v := c.view.Load()
-	var sum uint32
-	for i := range keys {
-		sum += v.Prefetch(cands[i*d : (i+1)*d])
-	}
-	keepAlive32(sum)
-	n := 0
-	for i := range keys {
-		vals[i], found[i] = c.Get(cands[i*d:(i+1)*d], keys[i], tags[i])
-		if found[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // Delete removes key (whose tag is tag), reporting whether it was

@@ -319,8 +319,8 @@ func seqMatch[K comparable, V any](lay layout, t *chunkTable, ref uint64, keys *
 // line (its refs, or its used flags) and of its inline key and value
 // lines with atomic loads, so a batched lookup's random cache misses
 // overlap instead of serializing probe-by-probe. It returns a checksum
-// the caller should feed to keepAlive32 so the compiler cannot consider
-// the loads dead.
+// the caller must feed to a non-inlined sink (cmap's keepAlive) so the
+// compiler cannot consider the loads dead.
 //
 //repro:noalloc
 //repro:gated first-word loads touch only inline fields, which layoutOf proves 4-aligned and word-tiling
@@ -366,9 +366,3 @@ func (v *SeqView[K, V]) AddLoads(dst []int64) {
 		}
 	}
 }
-
-// keepAlive32 anchors a prefetch checksum so the loads that produced it
-// are not eliminated.
-//
-//go:noinline
-func keepAlive32(uint32) {}

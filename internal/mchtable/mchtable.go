@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/container"
 	"repro/internal/hashes"
 	"repro/internal/stats"
 )
@@ -72,9 +71,6 @@ type Table struct {
 	// Core.Delete's stash-drain callback recomputes candidates of *stashed*
 	// keys into scratch — the two sets must not alias.
 	delScratch []uint32
-	// batchScratch holds a whole GetBatch's candidate buckets, key-major;
-	// it grows to the largest batch seen and is reused across calls.
-	batchScratch []uint32
 }
 
 // New returns an empty table. It panics on invalid configuration.
@@ -137,23 +133,6 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	return t.core.Get(t.candidates(key), key, key)
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:
-// every key's candidate buckets are derived up front and their cache
-// lines prefetched before the first probe, overlapping the random memory
-// accesses that dominate lookup cost. It returns the number found. vals
-// and found must each hold at least len(keys) entries.
-func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
-	d := t.cfg.D
-	if cap(t.batchScratch) < len(keys)*d {
-		t.batchScratch = make([]uint32, len(keys)*d)
-	}
-	cands := t.batchScratch[:len(keys)*d]
-	for i, k := range keys {
-		copy(cands[i*d:(i+1)*d], t.candidates(k))
-	}
-	return t.core.GetBatch(cands, d, keys, keys, vals, found) // each key is its own tag
-}
-
 // Delete removes key, reporting whether it was present. Freeing a bucket
 // slot triggers a stash drain: any stashed key with that bucket among its
 // candidates moves back into the table, so transient overflow does not
@@ -185,28 +164,4 @@ func (t *Table) BucketLoadHist() *stats.Hist {
 	var h stats.Hist
 	t.core.AddBucketLoads(&h)
 	return &h
-}
-
-// Stats takes the common container snapshot, so Table satisfies the
-// shared Container[uint64, uint64] contract alongside the typed Map.
-func (t *Table) Stats() container.Stats { return coreStats(t.core) }
-
-// coreStats builds the common snapshot for a single (unsharded) core.
-func coreStats[K comparable, V any](c *Core[K, V]) container.Stats {
-	st := container.Stats{
-		Shards:      1,
-		Len:         c.Len(),
-		Capacity:    c.Capacity(),
-		Stashed:     c.StashLen(),
-		MinShardLen: c.Len(),
-		MaxShardLen: c.Len(),
-		Resizes:     c.Resizes(),
-		Migrating:   c.Pending(),
-		ArenaBytes:  c.ArenaBytes(),
-	}
-	if st.Capacity > 0 {
-		st.Occupancy = float64(st.Len) / float64(st.Capacity)
-	}
-	c.AddBucketLoads(&st.BucketLoads)
-	return st
 }

@@ -217,3 +217,42 @@ func TestConfigValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestCoreRangeCoversMigration: Range mid-resize must visit entries in
+// both geometries exactly once.
+func TestCoreRangeCoversMigration(t *testing.T) {
+	tb := New(Config{Buckets: 32, SlotsPerBucket: 2, D: 3, Mode: DoubleHashing, Seed: 2, StashSize: 16})
+	for i := uint64(1); i <= 50; i++ {
+		if !tb.Put(i, i*3) {
+			t.Fatalf("fill rejected %d", i)
+		}
+	}
+	tb.core.StartResize(64)
+	moved := tb.core.Migrate(20, func(tag uint64) []uint32 {
+		// Tags are keys for Table; re-derive at the doubled geometry.
+		cands := make([]uint32, 3)
+		for i := range cands {
+			cands[i] = uint32((tag*31 + uint64(i)*17) % 64)
+		}
+		return cands
+	})
+	if moved == 0 || !tb.core.Resizing() {
+		t.Fatalf("migration setup: moved %d, resizing %v", moved, tb.core.Resizing())
+	}
+	seen := make(map[uint64]uint64)
+	tb.Range(func(k, v uint64) bool {
+		if _, dup := seen[k]; dup {
+			t.Fatalf("Range visited %d twice mid-migration", k)
+		}
+		seen[k] = v
+		return true
+	})
+	if len(seen) != 50 {
+		t.Fatalf("Range mid-migration saw %d keys, want 50", len(seen))
+	}
+	for i := uint64(1); i <= 50; i++ {
+		if seen[i] != i*3 {
+			t.Fatalf("key %d = %d, want %d", i, seen[i], i*3)
+		}
+	}
+}

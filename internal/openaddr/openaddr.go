@@ -13,7 +13,6 @@ package openaddr
 import (
 	"fmt"
 
-	"repro/internal/container"
 	"repro/internal/hashes"
 	"repro/internal/rng"
 )
@@ -56,14 +55,13 @@ const (
 	slotDead
 )
 
-// Table is an open-addressed hash table of uint64 keys, each carrying an
-// opaque uint64 value (which is what lets the typed Map wrapper layer
-// real (K, V) pairs over this core). Deletion uses tombstones, the
-// classical open-addressing scheme; a long-lived table under heavy
-// delete/insert churn accumulates tombstones and its probe costs drift
-// toward the full-table worst case until rebuilt (this package is the
-// probe-cost reproduction vehicle, so it keeps the textbook behaviour
-// rather than hiding it behind automatic rebuilds).
+// Table is an open-addressed hash table of uint64 keys, each carrying a
+// uint64 value. Deletion uses tombstones, the classical open-addressing
+// scheme; a long-lived table under heavy delete/insert churn accumulates
+// tombstones and its probe costs drift toward the full-table worst case
+// until rebuilt (this package is the probe-cost reproduction vehicle, so
+// it keeps the textbook behaviour rather than hiding it behind automatic
+// rebuilds).
 type Table struct {
 	keys    []uint64
 	vals    []uint64
@@ -278,12 +276,6 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) with per-key probes
-// (see Map.GetBatch).
-func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
-	return container.GetBatchSerial(t.Get, keys, vals, found)
-}
-
 // Delete removes key, reporting whether it was present. The freed slot
 // becomes a tombstone (see the Table comment).
 func (t *Table) Delete(key uint64) bool {
@@ -293,6 +285,16 @@ func (t *Table) Delete(key uint64) bool {
 	}
 	t.deleteAt(slot)
 	return true
+}
+
+// Range calls fn for every stored pair until fn returns false, in slot
+// order (tombstones skipped). fn must not mutate the table.
+func (t *Table) Range(fn func(key, val uint64) bool) {
+	for s, st := range t.state {
+		if st == slotFull && !fn(t.keys[s], t.vals[s]) {
+			return
+		}
+	}
 }
 
 // Lookup reports whether key is present and how many probes the search

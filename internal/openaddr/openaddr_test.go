@@ -1,11 +1,9 @@
 package openaddr
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
-	"repro/internal/keyed"
 	"repro/internal/rng"
 	"repro/internal/testutil"
 )
@@ -228,22 +226,6 @@ func TestTombstoneReuseAndAccounting(t *testing.T) {
 	}
 }
 
-func TestTypedMapDifferential(t *testing.T) {
-	// The typed wrapper over the uint64 core: string keys, tracked
-	// values, tombstone deletions — against the same shadow-map oracle,
-	// saturating a small table.
-	for _, probe := range []Probe{DoubleHash, Uniform, Linear} {
-		m := NewMap[string, uint64](keyed.ForType[string](), 64, probe, 7+uint64(probe))
-		ops := testutil.MapOps(testutil.RandomOps(8000, 128, 0.5, 0.2, 8+uint64(probe)),
-			func(k uint64) string { return fmt.Sprintf("fp-%04x", k) },
-			func(v uint64) uint64 { return v },
-		)
-		if err := testutil.Run(m, ops, testutil.Options{TrackValues: true}); err != nil {
-			t.Errorf("%v: %v", probe, err)
-		}
-	}
-}
-
 func TestValidationPanics(t *testing.T) {
 	tb := New(97, DoubleHash, 0)
 	for i, fn := range []func(){
@@ -306,6 +288,31 @@ func TestFullTableMembershipAllProbes(t *testing.T) {
 			if _, ok := tb.Insert(inserted[0]); !ok {
 				t.Errorf("%v cap=%d: insert of resident key on full table reported false", probe, capacity)
 			}
+		}
+	}
+}
+
+// TestTableRangeSkipsTombstones: the raw table's Range visits live keys
+// only.
+func TestTableRangeSkipsTombstones(t *testing.T) {
+	tb := New(128, DoubleHash, 5)
+	for i := uint64(1); i <= 60; i++ {
+		tb.Put(i, i*2)
+	}
+	for i := uint64(1); i <= 60; i += 2 {
+		tb.Delete(i)
+	}
+	got := make(map[uint64]uint64)
+	tb.Range(func(k, v uint64) bool {
+		got[k] = v
+		return true
+	})
+	if len(got) != 30 {
+		t.Fatalf("Range saw %d pairs, want 30", len(got))
+	}
+	for k, v := range got {
+		if k%2 != 0 || v != k*2 {
+			t.Fatalf("Range visited (%d, %d)", k, v)
 		}
 	}
 }

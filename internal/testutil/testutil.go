@@ -1,16 +1,16 @@
 // Package testutil is the shared differential-testing harness for this
-// repository's key-value containers (cmap, mchtable, cuckoo, openaddr):
-// it drives a container with an operation sequence — randomly generated,
-// decoded from fuzz input, or hand-written — against a shadow map oracle
-// and reports the first diverging operation.
+// repository's key-value stores — cmap's Map, the durable map behind
+// the wire protocol, and the uint64 experiment tables (mchtable, cuckoo,
+// openaddr): it drives a store with an operation sequence — randomly
+// generated, decoded from fuzz input, or hand-written — against a shadow
+// map oracle and reports the first diverging operation.
 //
-// The harness is container-agnostic on purpose: it depends only on the
-// generic Container interface (the method set of the library-wide
-// container.Container, minus Stats), so the oracle runs over the real
-// public typed containers — Map[string, uint64] as readily as the uint64
-// simulator tables — and no import cycle forms between the harness and
-// the packages under test. It is a regular (non _test) package so
-// `go test` fuzz targets in those packages can import it.
+// The harness is store-agnostic on purpose: it depends only on its own
+// structural Container interface, so the oracle runs over the real
+// typed map — Map[string, uint64] as readily as the uint64 experiment
+// tables — and no import cycle forms between the harness and the
+// packages under test. It is a regular (non _test) package so `go test`
+// fuzz targets in those packages can import it.
 package testutil
 
 import (
@@ -23,7 +23,8 @@ import (
 // reports whether the pair was stored (false = capacity rejection with
 // the container unchanged; a resident key must always be updatable in
 // place). Delete reports whether the key was present. Len counts stored
-// pairs. Every container.Container satisfies it structurally.
+// pairs. cmap's Map and the uint64 experiment tables satisfy it
+// structurally.
 type Container[K comparable, V any] interface {
 	Put(key K, val V) bool
 	Get(key K) (V, bool)
@@ -33,10 +34,10 @@ type Container[K comparable, V any] interface {
 }
 
 // batchContainer is the optional batched-lookup surface OpGetBatch
-// exercises when the container under test provides it (as every
-// container.Container now does). Kept structural and optional so the
-// harness still drives batch ops — degraded to per-key Gets — against
-// containers without one.
+// exercises when the container under test provides it (cmap's Map
+// does). Kept structural and optional so the harness still drives batch
+// ops — degraded to per-key Gets — against containers without one (the
+// uint64 experiment tables).
 type batchContainer[K comparable, V any] interface {
 	GetBatch(keys []K, vals []V, found []bool) int
 }

@@ -1,8 +1,8 @@
 package repro
 
-// This file is the durability facade: snapshot Save/Load for every
-// container family, and Open — the crash-recoverable map (latest
-// snapshot + write-ahead log replay + fresh WAL appends).
+// This file is the durability facade: snapshot Save/Load for Map, and
+// Open — the crash-recoverable map (latest snapshot + write-ahead log
+// replay + fresh WAL appends).
 //
 // A snapshot is (key bytes, value bytes, 64-bit digest) records. The
 // digest is the same single keyed hash evaluation every live operation
@@ -24,11 +24,8 @@ import (
 	"time"
 
 	"repro/internal/cmap"
-	"repro/internal/cuckoo"
 	"repro/internal/keyed"
-	"repro/internal/mchtable"
 	"repro/internal/obs"
-	"repro/internal/openaddr"
 	"repro/internal/persist"
 )
 
@@ -49,33 +46,17 @@ type Codec[T any] = keyed.Codec[T]
 // ...); supply a custom Codec for those.
 func CodecFor[T any]() Codec[T] { return keyed.CodecFor[T]() }
 
-// Snapshotter is any container that can stream itself into the
-// library's snapshot format — all four typed families satisfy it.
-type Snapshotter[K comparable, V any] interface {
-	Snapshot(w io.Writer, kc Codec[K], vc Codec[V]) error
-}
-
-// Compile-time proof that every typed family is persist-capable.
-var (
-	_ Snapshotter[uint64, uint64] = (*Map[uint64, uint64])(nil)
-	_ Snapshotter[string, uint64] = (*Table[string, uint64])(nil)
-	_ Snapshotter[uint64, uint64] = (*CuckooMap[uint64, uint64])(nil)
-	_ Snapshotter[string, uint64] = (*OpenMap[string, uint64])(nil)
-)
-
-// Save writes a snapshot of c to w using K's and V's built-in codecs
-// (panics for types without one — use SaveWith to supply codecs). For
-// the concurrent Map the snapshot is per-shard consistent and holds
-// each shard's read lock only while that shard's section is encoded;
-// the other families are single-threaded and snapshot their exact
-// state.
-func Save[K comparable, V any](w io.Writer, c Snapshotter[K, V]) error {
-	return SaveWith(w, c, CodecFor[K](), CodecFor[V]())
+// Save writes a snapshot of m to w using K's and V's built-in codecs
+// (panics for types without one — use SaveWith to supply codecs). The
+// snapshot is per-shard consistent and holds each shard's read lock only
+// while that shard's section is encoded.
+func Save[K comparable, V any](w io.Writer, m *Map[K, V]) error {
+	return SaveWith(w, m, CodecFor[K](), CodecFor[V]())
 }
 
 // SaveWith is Save with explicit codecs.
-func SaveWith[K comparable, V any](w io.Writer, c Snapshotter[K, V], kc Codec[K], vc Codec[V]) error {
-	return c.Snapshot(w, kc, vc)
+func SaveWith[K comparable, V any](w io.Writer, m *Map[K, V], kc Codec[K], vc Codec[V]) error {
+	return m.Snapshot(w, kc, vc)
 }
 
 // Load reads a Map snapshot from r into a fresh map at whatever
@@ -108,51 +89,6 @@ func LoadOf[K comparable, V any](r io.Reader, h Hasher[K], kc Codec[K], vc Codec
 		MaxLoadFactor:   o.maxLoad,
 		MigrateBatch:    o.migrateBatch,
 	})
-}
-
-// LoadTable reads a Table snapshot into a fresh single-threaded table
-// at the options' geometry (any bucket count; see Load for the seed and
-// hasher rules). K and V follow NewMap's type rule; LoadTable panics for
-// any other type.
-//
-// Options consumed: those of NewTable.
-func LoadTable[K comparable, V any](r io.Reader, opts ...Option) (*Table[K, V], error) {
-	o := buildOptions(opts)
-	return mchtable.LoadMap[K, V](r, HasherFor[K](), CodecFor[K](), CodecFor[V](), mchtable.Config{
-		Buckets:        o.buckets,
-		SlotsPerBucket: o.slots,
-		D:              o.d,
-		Seed:           o.seed, // overridden by the snapshot header
-		StashSize:      o.stash,
-	})
-}
-
-// LoadCuckooMap reads a CuckooMap snapshot into a fresh map at the
-// options' capacity (see Load for the seed and hasher rules). A
-// snapshot beyond the new capacity's load threshold fails like the
-// equivalent insertions would.
-//
-// Options consumed: those of NewCuckooMap.
-func LoadCuckooMap[K comparable, V any](r io.Reader, opts ...Option) (*CuckooMap[K, V], error) {
-	o := buildOptions(opts)
-	m, err := cuckoo.Load[K, V](r, HasherFor[K](), CodecFor[K](), CodecFor[V](), o.capacity, o.d)
-	if err != nil {
-		return nil, err
-	}
-	if o.maxKicks > 0 {
-		m.SetMaxKicks(o.maxKicks)
-	}
-	return m, nil
-}
-
-// LoadOpenMap reads an OpenMap snapshot into a fresh map at the
-// options' capacity and probe discipline (see Load for the seed and
-// hasher rules).
-//
-// Options consumed: those of NewOpenMap.
-func LoadOpenMap[K comparable, V any](r io.Reader, opts ...Option) (*OpenMap[K, V], error) {
-	o := buildOptions(opts)
-	return openaddr.Load[K, V](r, HasherFor[K](), CodecFor[K](), CodecFor[V](), o.capacity, o.probe)
 }
 
 // DurableMetrics is the durable map's observability hook, attached at

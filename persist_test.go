@@ -12,43 +12,24 @@ import (
 	"repro"
 )
 
-// TestSaveLoadAllFamilies: every typed family snapshots through the one
-// Save entry point and reloads with its content intact — at a different
-// geometry where the family supports one.
-func TestSaveLoadAllFamilies(t *testing.T) {
+// TestSaveLoadMap snapshots a Map through Save and reloads it with Load
+// at another shard and bucket count, content intact.
+func TestSaveLoadMap(t *testing.T) {
 	type loc struct {
 		Block  uint32
 		Offset uint32
 	}
 	content := make(map[string]loc)
-	fill := func(c interface {
-		Put(k string, v loc) bool
-	}) {
-		for i := 0; i < 300; i++ {
-			k := fmt.Sprintf("sha256:%032x", i)
-			v := loc{Block: uint32(i / 7), Offset: uint32(i % 7)}
-			if !c.Put(k, v) {
-				t.Fatalf("fill rejected %q", k)
-			}
-			content[k] = v
-		}
-	}
-	check := func(name string, c repro.Container[string, loc]) {
-		t.Helper()
-		if c.Len() != len(content) {
-			t.Fatalf("%s: Len %d, want %d", name, c.Len(), len(content))
-		}
-		for k, v := range content {
-			if gv, ok := c.Get(k); !ok || gv != v {
-				t.Fatalf("%s: %q = (%v, %v), want (%v, true)", name, k, gv, ok, v)
-			}
-		}
-	}
-
-	var buf bytes.Buffer
-
 	m := repro.NewMap[string, loc](repro.WithShards(4), repro.WithBuckets(64), repro.WithSeed(3))
-	fill(m)
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("sha256:%032x", i)
+		v := loc{Block: uint32(i / 7), Offset: uint32(i % 7)}
+		if !m.Put(k, v) {
+			t.Fatalf("fill rejected %q", k)
+		}
+		content[k] = v
+	}
+	var buf bytes.Buffer
 	if err := repro.Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
@@ -56,86 +37,60 @@ func TestSaveLoadAllFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("Map", m2)
-
-	buf.Reset()
-	tb := repro.NewTable[string, loc](repro.WithBuckets(128), repro.WithSeed(3))
-	fill(tb)
-	if err := repro.Save(&buf, tb); err != nil {
-		t.Fatal(err)
+	if m2.Len() != len(content) {
+		t.Fatalf("Len %d, want %d", m2.Len(), len(content))
 	}
-	tb2, err := repro.LoadTable[string, loc](bytes.NewReader(buf.Bytes()), repro.WithBuckets(512))
-	if err != nil {
-		t.Fatal(err)
+	for k, v := range content {
+		if gv, ok := m2.Get(k); !ok || gv != v {
+			t.Fatalf("%q = (%v, %v), want (%v, true)", k, gv, ok, v)
+		}
 	}
-	check("Table", tb2)
-
-	buf.Reset()
-	cm := repro.NewCuckooMap[string, loc](repro.WithCapacity(1024), repro.WithSeed(3))
-	fill(cm)
-	if err := repro.Save(&buf, cm); err != nil {
-		t.Fatal(err)
-	}
-	cm2, err := repro.LoadCuckooMap[string, loc](bytes.NewReader(buf.Bytes()), repro.WithCapacity(2048))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("CuckooMap", cm2)
-
-	buf.Reset()
-	om := repro.NewOpenMap[string, loc](repro.WithCapacity(1024), repro.WithSeed(3))
-	fill(om)
-	if err := repro.Save(&buf, om); err != nil {
-		t.Fatal(err)
-	}
-	om2, err := repro.LoadOpenMap[string, loc](bytes.NewReader(buf.Bytes()), repro.WithCapacity(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("OpenMap", om2)
 }
 
-// TestTableStringStringRoundTrip saves a Table[string, string] — keys
-// and values both in the arena of the Core it shares with Map — and
-// reloads it at another bucket count: every pair comes back byte for
-// byte, including ones overwritten before the save, whose dead records
-// must not resurface.
-func TestTableStringStringRoundTrip(t *testing.T) {
-	tb := repro.NewTable[string, string](repro.WithBuckets(64), repro.WithSeed(5))
+// TestMapStringStringRoundTrip saves a Map[string, string] — keys and
+// values both in the byte arena — and reloads it at other shard and
+// bucket counts: every pair comes back byte for byte, the empty key and
+// the empty value included, and pairs overwritten before the save come
+// back with their latest value (their dead records must not resurface).
+func TestMapStringStringRoundTrip(t *testing.T) {
+	m := repro.NewMap[string, string](repro.WithShards(2), repro.WithBuckets(16), repro.WithSeed(5))
 	want := make(map[string]string)
 	for i := 0; i < 150; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		want[k] = strings.Repeat("v", i%23) + k
-		if !tb.Put(k, "stale value of "+k) || !tb.Put(k, want[k]) {
+		if !m.Put(k, "stale value of "+k) || !m.Put(k, want[k]) {
 			t.Fatalf("Put(%q) rejected", k)
 		}
 	}
-	tb.Put("", "empty key")
+	m.Put("", "empty key")
 	want[""] = "empty key"
-	tb.Put("empty value", "")
+	m.Put("empty value", "")
 	want["empty value"] = ""
 	var buf bytes.Buffer
-	if err := repro.Save(&buf, tb); err != nil {
+	if err := repro.Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	tb2, err := repro.LoadTable[string, string](bytes.NewReader(buf.Bytes()), repro.WithBuckets(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb2.Len() != len(want) {
-		t.Fatalf("reloaded Len = %d, want %d", tb2.Len(), len(want))
-	}
-	for k, v := range want {
-		if got, ok := tb2.Get(k); !ok || got != v {
-			t.Fatalf("reloaded Get(%q) = (%q, %v), want (%q, true)", k, got, ok, v)
+	for _, geo := range []struct{ shards, buckets int }{{1, 256}, {8, 4}} {
+		m2, err := repro.Load[string, string](bytes.NewReader(buf.Bytes()),
+			repro.WithShards(geo.shards), repro.WithBuckets(geo.buckets))
+		if err != nil {
+			t.Fatalf("%+v: %v", geo, err)
 		}
-	}
-	tb2.Range(func(k, v string) bool {
-		if want[k] != v {
-			t.Errorf("reloaded Range yields %q → %q, want %q", k, v, want[k])
+		if m2.Len() != len(want) {
+			t.Fatalf("%+v: reloaded Len = %d, want %d", geo, m2.Len(), len(want))
 		}
-		return true
-	})
+		for k, v := range want {
+			if got, ok := m2.Get(k); !ok || got != v {
+				t.Fatalf("%+v: reloaded Get(%q) = (%q, %v), want (%q, true)", geo, k, got, ok, v)
+			}
+		}
+		m2.Range(func(k, v string) bool {
+			if want[k] != v {
+				t.Errorf("%+v: reloaded Range yields %q → %q, want %q", geo, k, v, want[k])
+			}
+			return true
+		})
+	}
 }
 
 // TestDurableMapRecovery is the Open lifecycle: durable writes, a

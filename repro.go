@@ -17,13 +17,12 @@
 //   - extensions the paper points at: Bloom filters, open-addressed
 //     double hashing, and cuckoo hashing (subpackage re-exports below).
 //
-// Beyond the simulators, the library ships a generic typed container
-// family (see typed.go): Map[K, V] (concurrent, sharded, online resize),
-// Table[K, V], CuckooMap[K, V] and OpenMap[K, V], all satisfying the
-// common Container[K, V] interface and all driven by a pluggable
-// Hasher[K] — one SipHash-2-4 evaluation per operation, from which the
-// shard route and all d candidate buckets derive. The paper's one-hash
-// discipline is the API contract, not an implementation detail:
+// Beyond the simulators, the library ships one generic key-value
+// container (see typed.go): Map[K, V] — concurrent, sharded, growing
+// online — made durable by DurableMap (see persist.go) and driven by a
+// pluggable Hasher[K]: one SipHash-2-4 evaluation per operation, from
+// which the shard route and all d candidate buckets derive. The paper's
+// one-hash discipline is the API contract, not an implementation detail:
 //
 //	flows := repro.NewMap[string, uint64](repro.WithShards(32))
 //	flows.Put("flow:10.0.0.1:443", 1) // one hash: shard + d candidates
@@ -49,7 +48,6 @@ import (
 	"repro/internal/ancestry"
 	"repro/internal/bloom"
 	"repro/internal/choice"
-	"repro/internal/cmap"
 	"repro/internal/core"
 	"repro/internal/cuckoo"
 	"repro/internal/fluid"
@@ -199,19 +197,16 @@ type (
 	BloomFilter = bloom.Filter
 	// BloomMode selects the Bloom filter's hashing discipline.
 	BloomMode = bloom.Mode
-	// OpenTable is an open-addressed hash table of uint64 keys.
-	//
-	// Deprecated: use the typed OpenMap / NewOpenMap for key-value
-	// workloads. OpenTable remains the probe-cost reproduction vehicle
-	// (Lookup probe accounting, FillTo, UnsuccessfulSearchCost).
+	// OpenTable is an open-addressed hash table of uint64 keys. It
+	// reproduces probe costs (Lookup probe accounting, FillTo,
+	// UnsuccessfulSearchCost) under double hashing, uniform and linear
+	// probing.
 	OpenTable = openaddr.Table
 	// ProbeKind selects the open-addressing probe sequence.
 	ProbeKind = openaddr.Probe
-	// CuckooTable is a d-ary cuckoo hash table of uint64 keys.
-	//
-	// Deprecated: use the typed CuckooMap / NewCuckooMap for key-value
-	// workloads. CuckooTable remains the threshold/kick-count
-	// reproduction vehicle (Insert kick counts, Fill).
+	// CuckooTable is a d-ary cuckoo hash table of uint64 keys. It
+	// reproduces load thresholds and kick counts (Insert, Fill) under
+	// independent and double-hashed candidates.
 	CuckooTable = cuckoo.Table
 	// CuckooMode selects the cuckoo table's hashing discipline.
 	CuckooMode = cuckoo.Mode
@@ -255,19 +250,11 @@ func MeasureBloomFPR(f *BloomFilter, n int64, probes int) float64 {
 
 // NewOpenTable returns an open-addressed table with the given capacity
 // and probe discipline.
-//
-// Deprecated: use NewOpenMap[uint64, uint64](WithCapacity(...),
-// WithProbe(...)) for key-value workloads; NewOpenTable remains for the
-// probe-cost experiments.
 func NewOpenTable(capacity int, probe ProbeKind, seed uint64) *OpenTable {
 	return openaddr.New(capacity, probe, seed)
 }
 
 // NewCuckooTable returns a d-ary cuckoo table seeded deterministically.
-//
-// Deprecated: use NewCuckooMap[uint64, uint64](WithCapacity(...),
-// WithD(...)) for key-value workloads; NewCuckooTable remains for the
-// hashing-discipline comparison experiments.
 func NewCuckooTable(capacity, d int, mode CuckooMode, seed uint64) *CuckooTable {
 	return cuckoo.New(capacity, d, mode, seed, rng.NewXoshiro256(rng.Mix64(seed)))
 }
@@ -281,16 +268,12 @@ func NewRandomSource(seed uint64) rng.Source { return rng.NewXoshiro256(seed) }
 // paper's introduction motivates).
 type (
 	// MCHTable is a bucketed multiple-choice hash table of uint64 keys.
-	//
-	// Deprecated: use the typed Table / NewTable. MCHTable remains the
-	// vehicle for comparing hashing disciplines (MCHIndependent vs
-	// MCHDoubleHashing) — the typed API is one-hash by construction and
-	// cannot express d independent evaluations.
+	// It reproduces bucket loads and stash overflow under d independent
+	// hash evaluations (MCHIndependent) and under double hashing from
+	// one (MCHDoubleHashing); Map is one-hash by construction and cannot
+	// express the former.
 	MCHTable = mchtable.Table
 	// MCHConfig declares an MCHTable.
-	//
-	// Deprecated: the typed constructors take functional options
-	// (WithBuckets, WithSlots, WithD, ...) instead of a config struct.
 	MCHConfig = mchtable.Config
 	// MCHHashMode selects the table's hashing discipline.
 	MCHHashMode = mchtable.HashMode
@@ -303,54 +286,7 @@ const (
 )
 
 // NewMCHTable returns an empty multiple-choice hash table.
-//
-// Deprecated: use NewTable[uint64, uint64](WithBuckets(...), ...) — see
-// the migration table in the README.
 func NewMCHTable(cfg MCHConfig) *MCHTable { return mchtable.New(cfg) }
-
-// Concurrent sharded multiple-choice map API, uint64 shim layer. The
-// implementation is the generic Map[K, V] (see typed.go); these aliases
-// keep the original uint64 surface compiling unchanged. Map is the only
-// type in this library that is safe for concurrent use by multiple
-// goroutines: one keyed hash digest per key routes to a shard (high
-// bits) and derives the d double-hashed candidate buckets inside it
-// (remaining bits), so the whole map keeps the paper's one-hash
-// discipline while writers on different shards never contend.
-//
-// With CMapConfig.MaxLoadFactor set, shards crossing the occupancy
-// watermark resize online: the bucket count doubles and entries migrate
-// incrementally (MigrateBatch per Put/Delete, or driven by
-// CMap.MigrateStep), re-deriving candidates from each entry's stored
-// digest — the same single hash evaluation — so growth never re-hashes a
-// key and reads never block on migration. CMapStats reports Resizes and
-// Migrating for monitoring growth.
-type (
-	// CMap is a concurrency-safe sharded multiple-choice hash map of
-	// uint64 keys and values.
-	//
-	// Deprecated: CMap is now just Map[uint64, uint64] — use the generic
-	// Map / NewMap, which accepts any comparable key type through a
-	// Hasher and defaults to online growth.
-	CMap = cmap.Map[uint64, uint64]
-	// CMapConfig declares a CMap, including its online-resize policy.
-	//
-	// Deprecated: the typed constructors take functional options
-	// (WithShards, WithBuckets, WithMaxLoadFactor, ...) instead of a
-	// config struct.
-	CMapConfig = cmap.Config
-	// CMapStats is an occupancy/overflow/resize snapshot aggregated
-	// across shards. It is the same type as ContainerStats, the common
-	// snapshot every typed container reports.
-	CMapStats = cmap.Stats
-)
-
-// NewCMap returns an empty concurrency-safe sharded multiple-choice map.
-//
-// Deprecated: use NewMap[uint64, uint64](...) — note NewMap enables
-// online growth by default where CMapConfig's zero MaxLoadFactor left it
-// off; pass WithMaxLoadFactor(0) for the fixed-capacity behaviour. See
-// the migration table in the README.
-func NewCMap(cfg CMapConfig) *CMap { return cmap.New(cfg) }
 
 // Keyed-hashing API for mapping real byte-string items to candidate bins.
 type (

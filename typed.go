@@ -1,23 +1,14 @@
 package repro
 
-// This file is the typed container API: the generic Map/Table/CuckooMap/
-// OpenMap families over any comparable key type, the pluggable Hasher[K]
-// that keeps every operation at exactly one keyed hash evaluation (the
-// paper's one-hash discipline as an API contract), the functional-options
-// constructor set shared by all four families, and the common
-// Container[K, V] interface they satisfy.
-//
-// The older uint64-keyed aliases (CMap, MCHTable, CuckooTable, OpenTable
-// and their constructors, at the bottom of repro.go) remain as thin
-// deprecated shims over the same implementations.
+// This file is the typed container API: the generic Map over any
+// comparable key type, the pluggable Hasher[K] that keeps every
+// operation at exactly one keyed hash evaluation (the paper's one-hash
+// discipline as an API contract), and the functional options NewMap,
+// Load and Open read.
 
 import (
 	"repro/internal/cmap"
-	"repro/internal/container"
-	"repro/internal/cuckoo"
 	"repro/internal/keyed"
-	"repro/internal/mchtable"
-	"repro/internal/openaddr"
 )
 
 // Typed container API.
@@ -30,51 +21,18 @@ type (
 	Hasher[K comparable] = keyed.Hasher[K]
 
 	// Map is the concurrency-safe sharded multiple-choice hash map — the
-	// production container, and the only concurrency-safe one. One keyed
+	// library's one key-value container (DurableMap wraps it). One keyed
 	// hash evaluation routes a key to a shard (digest high bits) and
 	// derives its d candidate buckets inside the shard (remaining bits);
 	// with a max load factor set (the NewMap default), shards crossing
 	// the watermark double their bucket count and migrate online without
 	// ever re-hashing a key.
 	Map[K comparable, V any] = cmap.Map[K, V]
-
-	// Table is the typed single-threaded multiple-choice hash table:
-	// the same buckets + stash + least-loaded placement as Map's shards,
-	// without locks or sharding.
-	Table[K comparable, V any] = mchtable.Map[K, V]
-
-	// CuckooMap is the typed d-ary cuckoo hash map (one pair per slot,
-	// random-walk eviction, double-hashed candidates from one digest).
-	// Not safe for concurrent use.
-	CuckooMap[K comparable, V any] = cuckoo.Map[K, V]
-
-	// OpenMap is the typed open-addressed hash map (double-hashed probe
-	// sequence by default, tombstone deletion). Not safe for concurrent
-	// use.
-	OpenMap[K comparable, V any] = openaddr.Map[K, V]
-
-	// Container is the contract all four typed families satisfy:
-	// Put/Get/Delete/Len plus the common Stats snapshot. Code written
-	// against Container swaps table families without touching call
-	// sites.
-	Container[K comparable, V any] = container.Container[K, V]
 )
 
-// ContainerStats is the common occupancy/overflow snapshot every
-// container's Stats method reports (fields that do not apply to a family
-// are zero).
-type ContainerStats = container.Stats
-
-// Compile-time proof that every typed family satisfies Container.
-var (
-	_ Container[uint64, uint64]   = (*Map[uint64, uint64])(nil)
-	_ Container[string, []byte]   = (*Map[string, []byte])(nil)
-	_ Container[string, string]   = (*Table[string, string])(nil)
-	_ Container[uint64, uint64]   = (*CuckooMap[uint64, uint64])(nil)
-	_ Container[[2]uint64, int]   = (*OpenMap[[2]uint64, int])(nil)
-	_ Container[uint64, uint64]   = (*MCHTable)(nil)
-	_ Container[uint64, struct{}] = (*Map[uint64, struct{}])(nil)
-)
+// ContainerStats is Map's occupancy/overflow snapshot, aggregated across
+// shards.
+type ContainerStats = cmap.Stats
 
 // Built-in hashers. Every one is a pure function of (seed material, key)
 // with zero allocations per call.
@@ -98,13 +56,11 @@ func StringHasher[K ~string]() Hasher[K] { return keyed.StringOf[K]() }
 func BytesHasher[K comparable]() Hasher[K] { return keyed.BytesOf[K]() }
 
 // Uint64Hasher hashes a uint64 key as its 8-byte little-endian encoding —
-// byte-identical to the digests the deprecated uint64 APIs have always
-// computed, so typed and legacy containers with the same seed agree on
-// every digest.
+// the same digest HasherFor[uint64] computes.
 var Uint64Hasher Hasher[uint64] = keyed.Uint64
 
 // HashBytes digests a raw byte slice under key. []byte is not comparable
-// and so cannot key a container; HashBytes serves callers that digest
+// and so cannot key a Map; HashBytes serves callers that digest
 // content (chunks, payloads) before keying by something comparable, and
 // equals HashString of the same bytes.
 func HashBytes(key SipKey, b []byte) uint64 { return keyed.Bytes(key, b) }
@@ -112,10 +68,9 @@ func HashBytes(key SipKey, b []byte) uint64 { return keyed.Bytes(key, b) }
 // HashString digests a string's bytes under key, without allocating.
 func HashString(key SipKey, s string) uint64 { return keyed.String(key, s) }
 
-// Functional options shared by the typed constructors. Each constructor
-// documents the options it consumes; options that do not apply to a
-// family are ignored (WithProbe configures only OpenMap, WithMaxKicks
-// only CuckooMap, and so on).
+// Functional options read by NewMap, Load and Open. Each documents the
+// options it consumes; Open alone reads WithWALSync and
+// WithDurableMetrics.
 type options struct {
 	shards         int
 	buckets        int
@@ -125,14 +80,11 @@ type options struct {
 	maxLoad        float64
 	migrateBatch   int
 	seed           uint64
-	capacity       int
-	maxKicks       int
-	probe          openaddr.Probe
 	walNoSync      bool
 	durableMetrics *DurableMetrics
 }
 
-// Option configures a typed container constructor.
+// Option configures NewMap, Load or Open.
 type Option func(*options)
 
 func buildOptions(opts []Option) options {
@@ -145,9 +97,6 @@ func buildOptions(opts []Option) options {
 		maxLoad:      0.85,
 		migrateBatch: 32,
 		seed:         1,
-		capacity:     1 << 16,
-		maxKicks:     500,
-		probe:        openaddr.DoubleHash,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -159,15 +108,15 @@ func buildOptions(opts []Option) options {
 // default 16). More shards mean less write contention.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
-// WithBuckets sets the bucket count (default 1024): per shard for Map —
-// the *initial* count when growth is enabled — and total for Table.
+// WithBuckets sets Map's buckets per shard (default 1024) — the
+// *initial* count when growth is enabled.
 func WithBuckets(n int) Option { return func(o *options) { o.buckets = n } }
 
-// WithSlots sets the slots per bucket for Map and Table (default 4).
+// WithSlots sets Map's slots per bucket (default 4).
 func WithSlots(n int) Option { return func(o *options) { o.slots = n } }
 
-// WithD sets the number of candidate buckets/slots per key for Map,
-// Table and CuckooMap (default 3) — the paper's d.
+// WithD sets the number of candidate buckets per key (default 3) — the
+// paper's d.
 func WithD(d int) Option { return func(o *options) { o.d = d } }
 
 // WithMaxLoadFactor sets Map's online-resize watermark (default 0.85): a
@@ -181,24 +130,12 @@ func WithMaxLoadFactor(f float64) Option { return func(o *options) { o.maxLoad =
 // migration speed against write tail latency.
 func WithMigrateBatch(n int) Option { return func(o *options) { o.migrateBatch = n } }
 
-// WithSeed sets the hash seed material (default 1). Two containers with
-// the same seed and hasher digest every key identically.
+// WithSeed sets the hash seed material (default 1). Two maps with the
+// same seed and hasher digest every key identically.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithStash sets the overflow stash capacity for Map (per shard) and
-// Table (default 32).
+// WithStash sets Map's overflow stash capacity per shard (default 32).
 func WithStash(n int) Option { return func(o *options) { o.stash = n } }
-
-// WithCapacity sets the total slot capacity for CuckooMap and OpenMap
-// (default 65536, one pair per slot).
-func WithCapacity(n int) Option { return func(o *options) { o.capacity = n } }
-
-// WithMaxKicks sets CuckooMap's eviction budget per insertion (default
-// 500).
-func WithMaxKicks(n int) Option { return func(o *options) { o.maxKicks = n } }
-
-// WithProbe sets OpenMap's probe discipline (default ProbeDoubleHash).
-func WithProbe(p ProbeKind) Option { return func(o *options) { o.probe = p } }
 
 // WithWALSync sets whether Open's write-ahead log fsyncs before
 // acknowledging a write (default true: an acknowledged write survives
@@ -253,61 +190,4 @@ func NewMapOf[K comparable, V any](h Hasher[K], opts ...Option) *Map[K, V] {
 		MaxLoadFactor:   o.maxLoad,
 		MigrateBatch:    o.migrateBatch,
 	})
-}
-
-// NewTable returns an empty typed single-threaded multiple-choice table
-// keyed by K's built-in hasher. Table is fixed-capacity: Put rejects
-// when every candidate bucket and the stash are full. Table stores
-// pairs as Map does, so K and V follow NewMap's type rule, and NewTable
-// panics for any other type.
-//
-// Options consumed: WithBuckets (total), WithSlots, WithD, WithStash,
-// WithSeed.
-func NewTable[K comparable, V any](opts ...Option) *Table[K, V] {
-	return NewTableOf[K, V](HasherFor[K](), opts...)
-}
-
-// NewTableOf is NewTable with an explicit Hasher. K and V follow
-// NewMap's type rule; NewTableOf panics for any other type.
-func NewTableOf[K comparable, V any](h Hasher[K], opts ...Option) *Table[K, V] {
-	o := buildOptions(opts)
-	return mchtable.NewMap[K, V](h, mchtable.Config{
-		Buckets:        o.buckets,
-		SlotsPerBucket: o.slots,
-		D:              o.d,
-		Seed:           o.seed,
-		StashSize:      o.stash,
-	})
-}
-
-// NewCuckooMap returns an empty typed cuckoo map keyed by K's built-in
-// hasher.
-//
-// Options consumed: WithCapacity, WithD, WithMaxKicks, WithSeed.
-func NewCuckooMap[K comparable, V any](opts ...Option) *CuckooMap[K, V] {
-	return NewCuckooMapOf[K, V](HasherFor[K](), opts...)
-}
-
-// NewCuckooMapOf is NewCuckooMap with an explicit Hasher.
-func NewCuckooMapOf[K comparable, V any](h Hasher[K], opts ...Option) *CuckooMap[K, V] {
-	o := buildOptions(opts)
-	m := cuckoo.NewMap[K, V](h, o.capacity, o.d, o.seed)
-	if o.maxKicks > 0 {
-		m.SetMaxKicks(o.maxKicks)
-	}
-	return m
-}
-
-// NewOpenMap returns an empty typed open-addressed map keyed by K's
-// built-in hasher.
-//
-// Options consumed: WithCapacity, WithProbe, WithSeed.
-func NewOpenMap[K comparable, V any](opts ...Option) *OpenMap[K, V] {
-	return NewOpenMapOf[K, V](HasherFor[K](), opts...)
-}
-
-// NewOpenMapOf is NewOpenMap with an explicit Hasher.
-func NewOpenMapOf[K comparable, V any](h Hasher[K], opts ...Option) *OpenMap[K, V] {
-	o := buildOptions(opts)
-	return openaddr.NewMap[K, V](h, o.capacity, o.probe, o.seed)
 }

@@ -8,74 +8,36 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestContainerOracleAllFamilies is the api_redesign acceptance test: all
-// four public typed container families satisfy Container[K, V] and pass
-// the shared differential oracle through that interface, with string keys
-// and tracked values. The containers are built through the public
-// functional-options constructors — the oracle runs over the real public
-// types, not internal shims.
+// TestContainerOracleAllFamilies drives the public Map — the one
+// container family — built through the functional options, against the
+// shared differential oracle with string keys, tracked values and online
+// growth.
 func TestContainerOracleAllFamilies(t *testing.T) {
-	families := []struct {
-		name string
-		c    repro.Container[string, uint64]
-		fin  func()
-	}{}
-
-	m := repro.NewMap[string, uint64](
-		repro.WithShards(2), repro.WithBuckets(8), repro.WithSlots(2),
-		repro.WithD(3), repro.WithStash(4),
-		repro.WithMaxLoadFactor(0.75), repro.WithMigrateBatch(2), repro.WithSeed(31),
-	)
-	families = append(families, struct {
-		name string
-		c    repro.Container[string, uint64]
-		fin  func()
-	}{"Map", m, func() {
-		for m.MigrateStep(64) > 0 {
+	t.Run("Map", func(t *testing.T) {
+		m := repro.NewMap[string, uint64](
+			repro.WithShards(2), repro.WithBuckets(8), repro.WithSlots(2),
+			repro.WithD(3), repro.WithStash(4),
+			repro.WithMaxLoadFactor(0.75), repro.WithMigrateBatch(2), repro.WithSeed(31),
+		)
+		ops := testutil.MapOps(testutil.RandomOps(12000, 192, 0.5, 0.2, 39),
+			func(k uint64) string { return fmt.Sprintf("key-%03x", k) },
+			func(v uint64) uint64 { return v },
+		)
+		fin := func() {
+			for m.MigrateStep(64) > 0 {
+			}
 		}
-	}})
-
-	families = append(families, struct {
-		name string
-		c    repro.Container[string, uint64]
-		fin  func()
-	}{"Table", repro.NewTable[string, uint64](
-		repro.WithBuckets(64), repro.WithSlots(2), repro.WithD(3),
-		repro.WithStash(8), repro.WithSeed(33)), nil})
-
-	cm := repro.NewCuckooMap[string, uint64](
-		repro.WithCapacity(256), repro.WithD(3), repro.WithMaxKicks(40), repro.WithSeed(35))
-	families = append(families, struct {
-		name string
-		c    repro.Container[string, uint64]
-		fin  func()
-	}{"CuckooMap", cm, nil})
-
-	families = append(families, struct {
-		name string
-		c    repro.Container[string, uint64]
-		fin  func()
-	}{"OpenMap", repro.NewOpenMap[string, uint64](
-		repro.WithCapacity(256), repro.WithProbe(repro.ProbeDoubleHash), repro.WithSeed(37)), nil})
-
-	for _, f := range families {
-		t.Run(f.name, func(t *testing.T) {
-			ops := testutil.MapOps(testutil.RandomOps(12000, 192, 0.5, 0.2, 39),
-				func(k uint64) string { return fmt.Sprintf("key-%03x", k) },
-				func(v uint64) uint64 { return v },
-			)
-			if err := testutil.Run(f.c, ops, testutil.Options{TrackValues: true, Finalize: f.fin}); err != nil {
-				t.Fatal(err)
-			}
-			st := f.c.Stats()
-			if st.Len != f.c.Len() {
-				t.Fatalf("Stats.Len %d != Len %d", st.Len, f.c.Len())
-			}
-			if st.Capacity <= 0 || st.Occupancy < 0 || st.Occupancy > 1 {
-				t.Fatalf("implausible stats: %+v", st)
-			}
-		})
-	}
+		if err := testutil.Run(m, ops, testutil.Options{TrackValues: true, Finalize: fin}); err != nil {
+			t.Fatal(err)
+		}
+		var st repro.ContainerStats = m.Stats()
+		if st.Len != m.Len() {
+			t.Fatalf("Stats.Len %d != Len %d", st.Len, m.Len())
+		}
+		if st.Capacity <= 0 || st.Occupancy < 0 || st.Occupancy > 1 {
+			t.Fatalf("implausible stats: %+v", st)
+		}
+	})
 }
 
 // TestTypedQuickstart is the README's typed-API quickstart, kept
@@ -108,29 +70,6 @@ func TestTypedQuickstart(t *testing.T) {
 	if v, ok := idx.Get("sha256:abcd"); !ok || v != 99 {
 		t.Fatalf("string Get = %d, %v", v, ok)
 	}
-}
-
-// TestUint64ShimsStillCompile pins that the deprecated uint64 aliases
-// keep working unchanged (the shim layer of the redesign).
-func TestUint64ShimsStillCompile(t *testing.T) {
-	cm := repro.NewCMap(repro.CMapConfig{
-		Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 2, Seed: 1,
-	})
-	if !cm.Put(1, 2) {
-		t.Fatal("CMap put rejected")
-	}
-	var st repro.CMapStats = cm.Stats()
-	if st.Len != 1 {
-		t.Fatalf("CMapStats.Len = %d", st.Len)
-	}
-	// CMap and Map[uint64, uint64] are one type: the shim is an alias,
-	// not a wrapper.
-	var asTyped *repro.Map[uint64, uint64] = cm
-	if v, ok := asTyped.Get(1); !ok || v != 2 {
-		t.Fatalf("typed view of CMap: %d, %v", v, ok)
-	}
-	// And the common snapshot type backs both stats names.
-	var _ repro.ContainerStats = st
 }
 
 // TestMapGrowsByDefault pins NewMap's default growth policy: a map
