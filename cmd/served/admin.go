@@ -29,13 +29,13 @@ type servedMap = repro.DurableMap[string, []byte]
 func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, cs *wire.Counters) *obs.Registry {
 	reg := obs.NewRegistry()
 
-	// Map layer: sampled op latencies, the paper's which-choice-held
+	// Map layer: sampled Put latency, GetBatch call latency (every
+	// served read is a GetBatch), the paper's which-choice-held
 	// probe-depth distribution, and occupancy/resize/seqlock health
 	// pulled from Stats().
-	reg.Histogram("repro_map_get_seconds", "sampled map Get latency (1-in-64 digest-keyed sample)", mapMx.GetNanos, 1e-9)
 	reg.Histogram("repro_map_put_seconds", "sampled map Put latency (1-in-64 digest-keyed sample)", mapMx.PutNanos, 1e-9)
 	reg.Histogram("repro_map_getbatch_seconds", "map GetBatch whole-call latency (every call)", mapMx.BatchNanos, 1e-9)
-	reg.Histogram("repro_map_probe_depth", "candidate index resolving sampled Get hits (0..d-1 buckets, d stash)", mapMx.ProbeDepth, 1)
+	reg.Histogram("repro_map_probe_depth", "candidate index resolving sampled Get and GetBatch hits (0..d-1 buckets, d stash)", mapMx.ProbeDepth, 1)
 	stat := func(f func(repro.ContainerStats) float64) func() float64 {
 		return func() float64 { return f(m.Stats()) }
 	}

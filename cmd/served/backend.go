@@ -39,11 +39,6 @@ type backend struct {
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 //repro:noalloc
-func (b *backend) Get(key []byte) ([]byte, bool) {
-	return b.m.Get(view(key))
-}
-
-//repro:noalloc
 func (b *backend) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {
 	skp, _ := b.keyScratch.Get().(*[]string)
 	if skp == nil {

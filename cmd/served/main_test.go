@@ -68,9 +68,9 @@ func TestPublishAddrWriteFailureRemovesTmp(t *testing.T) {
 	}
 }
 
-// TestBackendReadsAllocFree pins the read path's allocation budget:
-// Get and a 16-key GetBatch pass frame views to the map and return views
-// of its arena, so neither allocates once warm.
+// TestBackendReadsAllocFree pins the read path's allocation budget: a
+// 16-key GetBatch passes frame views to the map and returns views of its
+// arena, so it does not allocate once warm.
 func TestBackendReadsAllocFree(t *testing.T) {
 	m, err := repro.OpenOf[string, []byte](t.TempDir(),
 		repro.HasherFor[string](), repro.CodecFor[string](), bytesCodec,
@@ -102,9 +102,6 @@ func TestBackendReadsAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { b.GetBatch(keys, vals, found) }); a != 0 && !raceEnabled {
 		t.Errorf("GetBatch of %d keys: %v allocs/op, want 0", len(keys), a)
 	}
-	if a := testing.AllocsPerRun(200, func() { b.Get(keys[3]) }); a != 0 {
-		t.Errorf("Get: %v allocs/op, want 0", a)
-	}
 }
 
 // TestBackendSetCopies checks that a stored key and value survive the
@@ -124,7 +121,8 @@ func TestBackendSetCopies(t *testing.T) {
 	}
 	copy(key, "XXXXXXXXX")
 	copy(val, "YYYYYYYYYYY")
-	if got, ok := b.Get([]byte("frame-key")); !ok || string(got) != "frame-value" {
-		t.Fatalf("Get after the frame was reused = (%q, %v)", got, ok)
+	got, found := make([][]byte, 1), make([]bool, 1)
+	if b.GetBatch([][]byte{[]byte("frame-key")}, got, found); !found[0] || string(got[0]) != "frame-value" {
+		t.Fatalf("GetBatch after the frame was reused = (%q, %v)", got[0], found[0])
 	}
 }

@@ -34,11 +34,12 @@
 // result only if the counter is still the same even value — anything
 // else means a writer overlapped the probe and the value may be torn, so
 // the reader retries, falling back to the read lock after a few spins so
-// readers never starve under write churn. Readers therefore wait on no
-// lock, block no writer, and cost writers two uncontended atomic
-// increments; see internal/mchtable's seq-mode notes for why both sides
-// use atomics (Go's memory model, unlike a C seqlock's, does not forgive
-// torn plain reads even when discarded).
+// readers never starve under write churn. The fallback runs the same
+// probe, with writers excluded. Readers therefore wait on no lock, block
+// no writer, and cost writers two uncontended atomic increments; see
+// internal/mchtable's core_seq.go for why both sides use atomics (Go's
+// memory model, unlike a C seqlock's, does not forgive torn plain reads
+// even when discarded).
 //
 // The probe loads each slot's ref, which carries 16 bits of the pair's
 // tag, compares those bits before anything else, and reads a key's arena
@@ -258,7 +259,6 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.core = mchtable.NewCore[K, V](cfg.BucketsPerShard, cfg.SlotsPerBucket, cfg.StashPerShard)
-		sh.core.EnableSeq()
 		sh.deriver.Store(deriver)
 		sh.scratch = make([]uint32, cfg.D)
 		sh.newScratch = make([]uint32, cfg.D)
@@ -489,8 +489,7 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 }
 
 // getRouted is Get after routing: the seqlock probe, then the locked
-// fallback if it spins out. It reports the probe depth as
-// mchtable.Core.GetDepth does.
+// fallback if it spins out. It reports the probe depth as probe does.
 //
 //repro:digestcarried
 //repro:noalloc
@@ -504,45 +503,18 @@ func (m *Map[K, V]) getRouted(sh *shard[K, V], tag uint64, key K) (V, int, bool)
 
 // seqGet is the optimistic lock-free read: snapshot the generation,
 // probe wait-free, accept only if the generation never moved. done=false
-// after seqSpins torn attempts sends the caller to the mutex fallback.
-// Depths past the old geometry's probe sequence are offset as in
-// mchtable.Core.GetDualDepth.
+// after seqSpins torn attempts sends the caller to the locked fallback.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, depth int, ok, done bool) {
-	var buf, nbuf [maxD]uint32
 	for spin := 0; spin < seqSpins; spin++ {
 		s := sh.seq.Load()
 		if s&1 != 0 {
 			continue // a mutation is in flight right now
 		}
-		core := sh.core
-		v := core.View()
-		der := sh.deriver.Load()
-		if der.N() != v.Buckets() {
-			continue // deriver and view from different geometries: retry
-		}
-		cands := buf[:m.d]
-		der.CandidateBins(tag, cands)
-		val, depth, ok = core.SeqGet(v, cands, key, tag)
-		if !ok {
-			// Old geometry missed; mid-resize the pair may already have
-			// migrated, so chase the next core exactly like GetDual.
-			if next := core.Next(); next != nil {
-				nder := sh.nextDeriver.Load()
-				nv := next.View()
-				if nder == nil || nder.N() != nv.Buckets() {
-					continue
-				}
-				ncands := nbuf[:m.d]
-				nder.CandidateBins(tag, ncands)
-				if val, depth, ok = next.SeqGet(nv, ncands, key, tag); ok {
-					depth += m.d + 1
-				}
-			}
-		}
-		if sh.seq.Load() == s {
+		val, depth, ok, done = m.probe(sh, tag, key)
+		if done && sh.seq.Load() == s {
 			if spin > 0 {
 				sh.seqRetries.Add(uint64(spin))
 			}
@@ -554,30 +526,57 @@ func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, depth int
 	return zero, -1, false, false
 }
 
-// lockedGet is the read-locked probe: the fallback when seqGet keeps
-// colliding with writers. It reports the probe depth like getRouted.
+// lockedGet is the read-locked probe: the fallback when the lock-free
+// read keeps colliding with writers. It reports the probe depth like
+// getRouted.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
-	var oldBuf, newBuf [maxD]uint32
-	oldCands := oldBuf[:m.d]
 	sh.mu.RLock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
-	var (
-		v     V
-		depth int
-		ok    bool
-	)
-	if sh.core.Resizing() {
-		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key, tag)
-	} else {
-		v, depth, ok = sh.core.GetDepth(oldCands, key, tag)
-	}
+	v, depth, ok, _ := m.probe(sh, tag, key) // writers excluded: the geometries agree
 	sh.mu.RUnlock()
 	return v, depth, ok
+}
+
+// probe is the lookup's one body, run lock-free under the generation
+// check and read-locked in the fallback: derive key's candidates for the
+// shard's published view, SeqGet it, and on a miss mid-resize chase the
+// next core, whose depths are offset past the old probe sequence (d+1)
+// so the depth histogram reflects the total buckets examined. It reports
+// the probe depth as mchtable.Core.SeqGet does. consistent=false means a
+// deriver and the view it must match came from different geometries,
+// which only an overlapping writer can cause: the caller retries.
+//
+//repro:digestcarried
+//repro:noalloc
+func (m *Map[K, V]) probe(sh *shard[K, V], tag uint64, key K) (val V, depth int, ok, consistent bool) {
+	var buf [maxD]uint32
+	cands := buf[:m.d]
+	core := sh.core
+	v := core.View()
+	der := sh.deriver.Load()
+	if der.N() != v.Buckets() {
+		return val, -1, false, false
+	}
+	der.CandidateBins(tag, cands)
+	if val, depth, ok = core.SeqGet(v, cands, key, tag); ok {
+		return val, depth, true, true
+	}
+	next := core.Next()
+	if next == nil {
+		return val, depth, false, true
+	}
+	nder := sh.nextDeriver.Load()
+	nv := next.View()
+	if nder == nil || nder.N() != nv.Buckets() {
+		return val, -1, false, false
+	}
+	nder.CandidateBins(tag, cands)
+	if val, depth, ok = next.SeqGet(nv, cands, key, tag); ok {
+		depth += m.d + 1
+	}
+	return val, depth, ok, true
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -649,39 +648,42 @@ func (m *Map[K, V]) Shards() int { return len(m.shards) }
 func (m *Map[K, V]) D() int { return m.d }
 
 // Len returns the number of stored pairs (including stashed ones). Each
-// shard's count is captured under the seqlock protocol (a validated
-// lock-free read, falling back to the read lock under write churn), so
-// per-shard counts are exact while the cross-shard
-// total remains per-shard-consistent: concurrent writers may move the
-// total while it accumulates.
+// shard's count is captured under the seqlock protocol (see readStable),
+// so per-shard counts are exact while the cross-shard total remains
+// per-shard-consistent: concurrent writers may move the total while it
+// accumulates.
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
-		if n, ok := m.seqShardLen(sh); ok {
-			total += n
-			continue
-		}
-		sh.mu.RLock()
-		total += sh.core.Len()
-		sh.mu.RUnlock()
+		var n int
+		sh.readStable(func() { n = sh.core.Len() }) // atomic size loads across both geometries
+		total += n
 	}
 	return total
 }
 
-// seqShardLen reads one shard's pair count under seqlock validation.
-func (m *Map[K, V]) seqShardLen(sh *shard[K, V]) (int, bool) {
+// readStable runs body, which reads sh's state through atomic loads only,
+// until one run lies inside a single even generation: a validated
+// lock-free read. After seqSpins torn attempts it runs body once more
+// under the read lock, so readers never starve under write churn. body
+// may run several times, so it must overwrite what it computes, never
+// accumulate it. Unlike a Get, these reads count no retries or
+// fallbacks.
+func (sh *shard[K, V]) readStable(body func()) {
 	for spin := 0; spin < seqSpins; spin++ {
 		s := sh.seq.Load()
 		if s&1 != 0 {
 			continue
 		}
-		n := sh.core.Len() // atomic size loads across both geometries
+		body()
 		if sh.seq.Load() == s {
-			return n, true
+			return
 		}
 	}
-	return 0, false
+	sh.mu.RLock()
+	body()
+	sh.mu.RUnlock()
 }
 
 // Stats is the occupancy/overflow snapshot aggregated across shards —
@@ -717,15 +719,11 @@ type Stats struct {
 
 // Stats gathers the snapshot. Each shard's figures — length, capacity,
 // stash depth, resize progress and its bucket-load histogram — are
-// captured under the seqlock protocol: a validated lock-free read of
-// that shard at one instant, even mid-migration (the read-lock fallback
-// covers write churn, and is every bit as consistent). The aggregate is therefore per-shard-consistent: each
-// shard's numbers are internally coherent, while shards are snapshotted
-// one after another, so concurrent writers may shift the cross-shard
-// totals as they accumulate — the inherent limit of a lock-per-shard
-// design, now with torn *within-shard* views (the old sequential-RLock
-// reader could see one geometry's buckets but not yet its stash)
-// engineered away.
+// captured by one body under the seqlock protocol (see readStable): the
+// shard at one instant, even mid-migration. The aggregate is therefore
+// per-shard-consistent: shards are snapshotted one after another, so
+// concurrent writers may shift the cross-shard totals as they accumulate
+// — the inherent limit of a lock-per-shard design.
 func (m *Map[K, V]) Stats() Stats {
 	st := Stats{Shards: len(m.shards)}
 	var snap shardSnap
@@ -767,14 +765,9 @@ type shardSnap struct {
 	loads                                      []int64
 }
 
-// shardStats captures one shard's snapshot into snap, preferring the
-// validated seqlock read and falling back to the read lock.
+// shardStats captures one shard's snapshot into snap.
 func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
-	for spin := 0; spin < seqSpins; spin++ {
-		s := sh.seq.Load()
-		if s&1 != 0 {
-			continue
-		}
+	sh.readStable(func() {
 		core := sh.core
 		v := core.View()
 		snap.reset(v.Slots())
@@ -791,24 +784,7 @@ func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
 			snap.arena += nv.ArenaBytes()
 			nv.AddLoads(snap.loads)
 		}
-		if sh.seq.Load() == s {
-			return
-		}
-	}
-	sh.mu.RLock()
-	snap.reset(sh.core.SlotsPerBucket())
-	snap.len = sh.core.Len()
-	snap.capacity = sh.core.Capacity()
-	snap.stashed = sh.core.StashLen()
-	snap.resizes = sh.core.Resizes()
-	snap.migrating = sh.core.Pending()
-	snap.arena = sh.core.ArenaBytes()
-	var h stats.Hist
-	sh.core.AddBucketLoads(&h)
-	for load := 0; load <= h.MaxValue() && load < len(snap.loads); load++ {
-		snap.loads[load] += h.Count(load)
-	}
-	sh.mu.RUnlock()
+	})
 }
 
 // reset clears the snapshot for a geometry with the given slots per

@@ -6,7 +6,8 @@ package cmap
 // and Put time a 1-in-64 sample of operations — two clock reads cost
 // ~50ns, which full timing would put on every ~90ns Get, blowing the
 // 5% overhead budget the benchmarks pin — while GetBatch times every
-// call (two clock reads amortize over the whole batch).
+// call (two clock reads amortize over the whole batch). Get and GetBatch
+// record the probe depth of each hit in that sample.
 //
 // The sample is selected by the operation's own SipHash digest
 // (digest & sampleMask == 0): unbiased across keys, deterministic per
@@ -34,14 +35,15 @@ func nowNanos() int64 { return time.Since(baseTime).Nanoseconds() }
 // Metrics is the map's optional observability hook. Every field must
 // be non-nil when attached (use NewMetrics); the histograms record
 // nanoseconds except ProbeDepth, which records the candidate index
-// that resolved a sampled hit — the paper's which-choice-held
-// distribution: 0..d-1 for bucket hits, d for a stash hit, and
-// offsets past d for hits probed through a resize's new geometry.
+// that resolved a sampled Get or GetBatch hit — the paper's
+// which-choice-held distribution: 0..d-1 for bucket hits, d for a stash
+// hit, and offsets past d for hits probed through a resize's new
+// geometry.
 type Metrics struct {
 	GetNanos   *obs.Histogram // sampled Get wall latency
 	PutNanos   *obs.Histogram // sampled Put wall latency
 	BatchNanos *obs.Histogram // whole-call GetBatch wall latency
-	ProbeDepth *obs.Histogram // candidate index resolving sampled Get hits
+	ProbeDepth *obs.Histogram // candidate index resolving sampled Get and GetBatch hits
 }
 
 // NewMetrics returns a Metrics with every instrument allocated.

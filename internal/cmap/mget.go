@@ -153,18 +153,23 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 	}
 	keepAlive(sum)
 	// Phase 3: probe and validate; anything torn or unsnapshotted takes
-	// the per-key locked path.
+	// the per-key locked path. Hits on the digest-keyed sample record
+	// their probe depth, as Get's do.
+	mx := m.metrics
 	hits := 0
 	for i, key := range keys {
 		sh := sc.shards[i]
 		v := sc.views[i]
 		var val V
+		var depth int
 		var ok bool
 		if v != nil {
-			val, _, ok = sh.core.SeqGet(v, sc.cands[i*m.d:(i+1)*m.d], key, tags[i])
+			val, depth, ok = sh.core.SeqGet(v, sc.cands[i*m.d:(i+1)*m.d], key, tags[i])
 			if !ok {
 				if nv := sc.nextViews[i]; nv != nil {
-					val, _, ok = sc.nexts[i].SeqGet(nv, sc.nextCands[i*m.d:(i+1)*m.d], key, tags[i])
+					if val, depth, ok = sc.nexts[i].SeqGet(nv, sc.nextCands[i*m.d:(i+1)*m.d], key, tags[i]); ok {
+						depth += m.d + 1
+					}
 				}
 			}
 			if sh.seq.Load() != sc.seqs[i] {
@@ -176,11 +181,14 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 			// key's probe is a seqlock fallback, same health signal as a
 			// spun-out Get.
 			sh.seqFallbacks.Add(1)
-			val, _, ok = m.lockedGet(sh, tags[i], key)
+			val, depth, ok = m.lockedGet(sh, tags[i], key)
 		}
 		vals[i], found[i] = val, ok
 		if ok {
 			hits++
+			if mx != nil && tags[i]&sampleMask == 0 {
+				mx.ProbeDepth.Record(int64(depth))
+			}
 		}
 	}
 	return hits

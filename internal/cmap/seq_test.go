@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/hashes"
 	"repro/internal/keyed"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -371,30 +373,34 @@ func TestSeqCountersCountFallbacks(t *testing.T) {
 // TestGetBatchMidMigration pins batched lookups against a map whose
 // every shard has a nearly untouched resize backlog: each key must
 // resolve whether it still lives in the old geometry or has already
-// migrated to the new one.
+// migrated to the new one. With Metrics attached, each hit on the
+// digest-keyed sample must record the depth the lock-free probe resolves
+// it at, new-geometry hits offset past d, and misses nothing: served
+// reads only through GetBatch, so this is its live choice distribution.
 func TestGetBatchMidMigration(t *testing.T) {
 	const n = 4096
 	m := New(Config{
 		Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 9,
 		StashPerShard: 32, MaxLoadFactor: 0.7, MigrateBatch: 1,
 	})
-	for k := uint64(1); k <= n; k++ {
-		for !m.Put(k, ^k) { // MigrateBatch 1: drain a little and retry
-			if m.MigrateStep(64) == 0 {
-				t.Fatalf("fill rejected key %d with nothing to migrate", k)
-			}
+	keys := fillMidDoubling(t, m, n, func(k uint64) uint64 { return k }, func(k uint64) uint64 { return ^k })
+	sampledMisses := 0
+	for k := uint64(n + 1); k <= n+1024; k++ {
+		keys = append(keys, k) // absent keys mixed in
+		if _, tag := m.route(k); tag&sampleMask == 0 {
+			sampledMisses++
 		}
 	}
-	if st := m.Stats(); st.Migrating == 0 {
-		t.Fatal("no migration in flight; the test would only probe one geometry")
+	wantDepths, sampled := wantProbeDepths(t, m, keys)
+	var beyond uint64
+	for _, c := range wantDepths[m.d+1:] {
+		beyond += c
 	}
-	keys := make([]uint64, 0, n+64)
-	for k := uint64(1); k <= n; k++ {
-		keys = append(keys, k)
+	if beyond == 0 || sampledMisses == 0 {
+		t.Fatalf("%d sampled new-geometry hits, %d sampled misses; want both", beyond, sampledMisses)
 	}
-	for k := uint64(n + 1); k <= n+64; k++ {
-		keys = append(keys, k) // absent keys mixed in
-	}
+	mx := NewMetrics()
+	m.SetMetrics(mx)
 	vals := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
 	if hits := m.GetBatch(keys, vals, found); hits != n {
@@ -408,6 +414,7 @@ func TestGetBatchMidMigration(t *testing.T) {
 			t.Fatalf("absent key %d reported present", k)
 		}
 	}
+	checkProbeDepths(t, mx.ProbeDepth, wantDepths, sampled)
 	// Drain and re-probe: the same batch against the settled geometry.
 	for m.MigrateStep(256) > 0 {
 	}
@@ -536,4 +543,211 @@ func TestStatsSeqConsistency(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestLockedFallbackMatchesProbe parks every shard's generation odd, as
+// a stalled writer would leave it, so each read spins out its lock-free
+// budget and runs the read-locked fallback — mid-doubling and
+// mid-rebuild, where the fallback's probe must chase both geometries.
+// Len and Stats under the parked generations must equal their lock-free
+// values, and every key's Get, GetBatch and lockedGet must return the
+// value and probe depth the lock-free probe returns once the generations
+// are released.
+func TestLockedFallbackMatchesProbe(t *testing.T) {
+	doubling := Config{
+		Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 9,
+		StashPerShard: 32, MaxLoadFactor: 0.7, MigrateBatch: 1,
+	}
+	t.Run("uint64/doubling", func(t *testing.T) {
+		m := New(doubling)
+		keys := fillMidDoubling(t, m, 4096, func(k uint64) uint64 { return k }, func(k uint64) uint64 { return ^k })
+		lockedReadsMatchProbe(t, m, keys, eqComparable[uint64])
+	})
+	t.Run("string-bytes/doubling", func(t *testing.T) {
+		m := NewKeyed[string, []byte](keyed.ForType[string](), doubling)
+		keys := fillMidDoubling(t, m, 4096, func(k uint64) string { return fmt.Sprintf("key-%06d", k) }, varValue)
+		lockedReadsMatchProbe(t, m, keys, bytes.Equal)
+	})
+	t.Run("string-bytes/rebuild", func(t *testing.T) {
+		m := NewKeyed[string, []byte](keyed.ForType[string](), Config{
+			Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 4, D: 3, Seed: 5,
+			StashPerShard: 4, MigrateBatch: 1,
+		})
+		var keys []string
+		for k := uint64(0); k < 48; k++ {
+			keys = append(keys, fmt.Sprintf("key-%04d", k))
+			if !m.Put(keys[k], varValue(k)) {
+				t.Fatalf("fill rejected %s", keys[k])
+			}
+		}
+		// Overwrite round after round until some shard is part-way
+		// through a same-size rebuild, with pairs in both geometries.
+		midRebuild := func() bool {
+			for i := range m.shards {
+				c := m.shards[i].core
+				if next := c.Next(); next != nil && next.Buckets() == c.Buckets() && next.Len() >= 4 && c.Pending() >= 4 {
+					return true
+				}
+			}
+			return false
+		}
+		for i := uint64(0); !midRebuild(); i++ {
+			if i == 1<<16 {
+				t.Fatal("overwrites never left a shard mid-rebuild")
+			}
+			k := i % uint64(len(keys))
+			if !m.Put(keys[k], varValue(k+i)) {
+				t.Fatalf("overwrite of %s rejected", keys[k])
+			}
+		}
+		lockedReadsMatchProbe(t, m, keys, bytes.Equal)
+	})
+}
+
+// fillMidDoubling Puts keys 1..n into m, whose MigrateBatch is 1, and
+// requires the fill to leave a doubling in flight. It returns the keys.
+func fillMidDoubling[K comparable, V any](t *testing.T, m *Map[K, V], n uint64, key func(uint64) K, val func(uint64) V) []K {
+	t.Helper()
+	keys := make([]K, 0, n)
+	for k := uint64(1); k <= n; k++ {
+		for !m.Put(key(k), val(k)) { // drain a little and retry
+			if m.MigrateStep(64) == 0 {
+				t.Fatalf("fill rejected key %d with nothing to migrate", k)
+			}
+		}
+		keys = append(keys, key(k))
+	}
+	if st := m.Stats(); st.Migrating == 0 {
+		t.Fatal("no doubling in flight; the reads would probe one geometry")
+	}
+	return keys
+}
+
+// lockedReadsMatchProbe runs the parked-generation reads on m, which no
+// other goroutine touches, against the lock-free reference.
+func lockedReadsMatchProbe[K comparable, V any](t *testing.T, m *Map[K, V], keys []K, eq func(V, V) bool) {
+	t.Helper()
+	flip := func() { // odd parks every shard's generation; odd again releases it
+		for i := range m.shards {
+			m.shards[i].seq.Add(1)
+		}
+	}
+
+	flip()
+	lockedLen, lockedStats := m.Len(), m.Stats()
+	flip()
+	if n := m.Len(); lockedLen != n {
+		t.Errorf("Len under parked generations = %d, lock-free %d", lockedLen, n)
+	}
+	free := m.Stats()
+	if !reflect.DeepEqual(lockedStats, free) {
+		t.Errorf("Stats under parked generations = %+v\nlock-free %+v", lockedStats, free)
+	}
+
+	type result struct {
+		val   V
+		depth int
+		ok    bool
+	}
+	want := make([]result, len(keys))
+	oldGeom, newGeom := 0, 0
+	for i, k := range keys {
+		sh, tag := m.route(k)
+		v, depth, ok, done := m.seqGet(sh, tag, k)
+		if !done || !ok {
+			t.Fatalf("lock-free probe of resident key %v = (%v, %v), done %v", k, ok, depth, done)
+		}
+		want[i] = result{v, depth, ok}
+		if depth > m.d {
+			newGeom++
+		} else {
+			oldGeom++
+		}
+	}
+	if oldGeom == 0 || newGeom == 0 {
+		t.Fatalf("keys resolve %d in the old geometry, %d in the new; want both", oldGeom, newGeom)
+	}
+	wantDepths, sampled := wantProbeDepths(t, m, keys)
+
+	check := func(how string, k K, w result, v V, depth int, ok bool) {
+		t.Helper()
+		if ok != w.ok || !eq(v, w.val) || depth != w.depth {
+			t.Fatalf("%s(%v) = (%v, depth %d, %v), lock-free (%v, depth %d, %v)", how, k, v, depth, ok, w.val, w.depth, w.ok)
+		}
+	}
+	mx := NewMetrics()
+	vals, found := make([]V, len(keys)), make([]bool, len(keys))
+	flip()
+	for i, k := range keys {
+		sh, tag := m.route(k)
+		v, ok := m.Get(k)
+		check("Get", k, want[i], v, want[i].depth, ok)
+		v, depth, ok := m.getRouted(sh, tag, k)
+		check("Get's routed read", k, want[i], v, depth, ok)
+		v, depth, ok = m.lockedGet(sh, tag, k)
+		check("lockedGet", k, want[i], v, depth, ok)
+	}
+	m.SetMetrics(mx) // GetBatch reports depths only through the sample
+	m.GetBatch(keys, vals, found)
+	m.SetMetrics(nil)
+	flip()
+	for i, k := range keys {
+		check("GetBatch", k, want[i], vals[i], want[i].depth, found[i])
+	}
+	checkProbeDepths(t, mx.ProbeDepth, wantDepths, sampled)
+
+	// Each Get and routed read spun out and fell back, as did every
+	// GetBatch key; lockedGet, Len and Stats count neither.
+	st := m.Stats()
+	n := int64(len(keys))
+	if got := st.SeqFallbacks - free.SeqFallbacks; got != 3*n {
+		t.Errorf("parked reads counted %d fallbacks, want %d", got, 3*n)
+	}
+	if got := st.SeqRetries - free.SeqRetries; got != 2*seqSpins*n {
+		t.Errorf("parked reads counted %d retries, want %d", got, 2*seqSpins*n)
+	}
+}
+
+// wantProbeDepths returns the probe-depth histogram one read of each of
+// keys should record — the lock-free probe's depth of every hit whose
+// in-shard tag is on the 1-in-64 sample, by depth 0..2d+1 — and the
+// number of such hits.
+func wantProbeDepths[K comparable, V any](t *testing.T, m *Map[K, V], keys []K) ([]uint64, uint64) {
+	t.Helper()
+	want := make([]uint64, 2*m.d+2)
+	var sampled uint64
+	for _, k := range keys {
+		sh, tag := m.route(k)
+		_, depth, ok, done := m.seqGet(sh, tag, k)
+		if !done {
+			t.Fatalf("lock-free probe of %v spun out with no writer running", k)
+		}
+		if ok && tag&sampleMask == 0 {
+			want[depth]++
+			sampled++
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("no key on the sample; the histogram goes untested")
+	}
+	return want, sampled
+}
+
+// checkProbeDepths requires h to hold exactly the sampled depths want,
+// every one of them at most 2d+1.
+func checkProbeDepths(t *testing.T, h *obs.Histogram, want []uint64, sampled uint64) {
+	t.Helper()
+	var s obs.HistSnapshot
+	h.Snapshot(&s)
+	if s.Count != sampled {
+		t.Fatalf("ProbeDepth recorded %d depths, want one per sampled hit (%d)", s.Count, sampled)
+	}
+	if le := s.CountLE(uint64(len(want) - 1)); le != s.Count {
+		t.Fatalf("%d recorded depths exceed 2d+1 = %d", s.Count-le, len(want)-1)
+	}
+	for depth, c := range want {
+		if s.Buckets[depth] != c {
+			t.Errorf("depth %d recorded %d times, want %d", depth, s.Buckets[depth], c)
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"repro/internal/engine"
-	"repro/internal/stats"
 )
 
 // inlineRef is the ref an entry carries when K and V are both inline:
@@ -78,7 +77,7 @@ type entry[K comparable, V any] struct {
 // atomic live count, and the arena its refs name. The arrays are
 // immutable once the block is published through Core.stash — growth
 // builds a bigger block off to the side and swaps the pointer — so
-// seq-mode readers can walk the first n slots without a header tear, and
+// lock-free readers can walk the first n slots without a header tear, and
 // n never exceeds the block's length.
 type stashBlock[K comparable, V any] struct {
 	n     atomic.Int32
@@ -118,34 +117,36 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // to the record (see arena.go and slots). Any other type panics in
 // NewCore. Every slot is therefore pointer-free: the collector never
 // scans the slot arrays, and lock-free readers can load every slot word
-// atomically. Get and Range return arena fields as views
+// atomically. SeqGet and Range return arena fields as views
 // of their records, valid for as long as the caller holds them; a
 // returned []byte must not be written. Put copies string and []byte
 // arguments into the arena.
 //
 // The publication invariant: a record's bytes are written before the ref
-// that names them is stored (one atomic 64-bit store in seq mode), and
-// never written after. Inline fields are stored before the ref (or, with
-// no arena fields, the used flag) that publishes the slot.
+// that names them is stored (one atomic 64-bit store), and never written
+// after. Inline fields are stored before the ref (or, with no arena
+// fields, the used flag) that publishes the slot.
 //
 // A Core optionally resizes online: StartResize allocates a second Core
 // with a different bucket count, and StartRebuild one with the same count,
 // which compacts the arena (see NeedsRebuild); Migrate moves entries
-// across in small batches, and the *Dual operations keep every key
-// reachable mid-migration by consulting the old geometry first and the
-// new one second. When the old side empties, the new Core is promoted in
-// place — the *Core pointer held by callers keeps working across the
-// hand-off.
+// across in small batches, PutDual and DeleteDual write through both
+// geometries, and a lookup keeps every key reachable mid-migration by
+// probing the old geometry first and Next's second. When the old side
+// empties, the new Core is promoted in place — the *Core pointer held by
+// callers keeps working across the hand-off.
 //
 // The stash is insertion-ordered so that drain and migration order — and
 // therefore placement — is fully deterministic for a fixed op sequence.
 //
 // Mutating a Core requires external exclusion (internal/cmap wraps each
-// shard's core in a lock). With EnableSeq, every reader-visible word is
-// written with sync/atomic stores, a SeqView of the bucket arrays is
-// published through an atomic pointer, and SeqGet can probe concurrently
-// with a writer — no lock, no fault — as long as the caller validates a
-// seqlock generation counter around the probe (see internal/cmap).
+// shard's core in a lock). Every reader-visible word is written with
+// sync/atomic stores and a SeqView of the bucket arrays is published
+// through an atomic pointer, so SeqGet, the Core's one lookup, can probe
+// concurrently with a writer — no lock, no fault — as long as the caller
+// validates a seqlock generation counter around the probe (see
+// internal/cmap). A caller that excludes writers, as the single-threaded
+// Table does, needs no validation.
 type Core[K comparable, V any] struct {
 	buckets        int
 	slotsPerBucket int
@@ -157,10 +158,6 @@ type Core[K comparable, V any] struct {
 	stash          atomic.Pointer[stashBlock[K, V]]
 	size           atomic.Int64
 
-	// seqMode routes every mutation of reader-visible words (slot
-	// control words, inline fields, counts) through sync/atomic stores
-	// so lock-free seqlock readers are data-race-free.
-	seqMode bool
 	// view is the published read snapshot of this geometry's bucket
 	// arrays. Its slice headers are immutable once stored; only NewCore
 	// and promotion publish a new one.
@@ -212,12 +209,6 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 	return c
 }
 
-// EnableSeq switches the core into seq mode: every subsequent mutation of
-// reader-visible words goes through sync/atomic stores, making SeqGet
-// safe to run with no lock held. It must be called before the first
-// concurrent reader exists (internal/cmap calls it at construction).
-func (c *Core[K, V]) EnableSeq() { c.seqMode = true }
-
 // Buckets returns the number of buckets in the current (old) geometry.
 func (c *Core[K, V]) Buckets() int { return c.buckets }
 
@@ -233,8 +224,7 @@ func (c *Core[K, V]) slot(b, s int) int { return b*c.slotsPerBucket + s }
 // holds reports whether slot i of s stores key, whose ref tag bits are
 // rt (refTag of its tag). With arena fields the tag bits are compared
 // first, so a key kept in the arena is read only in a slot whose tag
-// bits match. Writer-side: plain reads under the writer's exclusion (or
-// a reader's lock).
+// bits match. Writer-side: plain reads under the writer's exclusion.
 //
 //repro:noalloc
 func (c *Core[K, V]) holds(s *slots[K, V], i int, key K, rt uint64) bool {
@@ -297,17 +287,6 @@ func (c *Core[K, V]) pair(e *entry[K, V]) (K, V) {
 	return k, v
 }
 
-// value returns the value slot i of s stores (writer-side).
-//
-//repro:noalloc
-func (c *Core[K, V]) value(s *slots[K, V], i int) V {
-	if c.lay&valInArena == 0 {
-		return s.vals[i]
-	}
-	_, vb, _ := c.arena.table.Load().fields(c.lay, s.refs[i])
-	return valView[V](c.lay, vb)
-}
-
 // encode returns the entry that stores key → val under tag, appending
 // the pair's arena fields, if it has any, as a new record.
 //
@@ -339,12 +318,12 @@ func (c *Core[K, V]) encode(key K, val V, tag uint64) entry[K, V] {
 //repro:noalloc
 func (c *Core[K, V]) setValue(s *slots[K, V], i int, key K, val V, tag uint64) {
 	if c.lay&valInArena == 0 {
-		c.setVal(&s.vals[i], val)
+		storeWords(&s.vals[i], &val)
 		return
 	}
 	old := s.refs[i] // V is in the arena, so the slot has a ref
 	e := c.encode(key, val, tag)
-	c.setRef(&s.refs[i], e.ref)
+	atomic.StoreUint64(&s.refs[i], e.ref)
 	c.arena.release(c.lay, old)
 }
 
@@ -435,7 +414,7 @@ func (c *Core[K, V]) storeInBucket(b int, e *entry[K, V]) {
 	for s := 0; s < c.slotsPerBucket; s++ {
 		if idx := c.slot(b, s); !c.occupied(&c.slots, idx) {
 			c.putSlot(&c.slots, idx, e)
-			c.setCount(b, c.counts[b]+1)
+			atomic.StoreUint32(&c.counts[b], c.counts[b]+1)
 			return
 		}
 	}
@@ -499,54 +478,6 @@ func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool
 	return false
 }
 
-// Get returns the value stored for key, given key's candidate buckets in
-// the current geometry and its tag. While a resize is in flight use
-// GetDual.
-//
-//repro:noalloc
-func (c *Core[K, V]) Get(cands []uint32, key K, tag uint64) (V, bool) {
-	v, _, ok := c.GetDepth(cands, key, tag)
-	return v, ok
-}
-
-// GetDepth is Get that also reports the probe depth at which key
-// resolved: the index into cands of the bucket holding it, len(cands)
-// for a stash hit, -1 on a miss — the paper's which-choice-held
-// distribution, which internal/cmap's probe-depth histogram records.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetDepth(cands []uint32, key K, tag uint64) (V, int, bool) {
-	for depth, b := range cands {
-		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			return c.value(&c.slots, idx), depth, true
-		}
-	}
-	if i := c.stashFind(key, tag); i >= 0 {
-		return c.value(&c.stash.Load().slots, i), len(cands), true
-	}
-	var zero V
-	return zero, -1, false
-}
-
-// GetDualDepth is GetDepth while a resize is in flight: old geometry
-// first, then the new one, with new-geometry depths offset past the
-// old probe sequence (len(oldCands)+1) so the histogram reflects the
-// total buckets examined.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K, tag uint64) (V, int, bool) {
-	if v, depth, ok := c.GetDepth(oldCands, key, tag); ok {
-		return v, depth, true
-	}
-	if next := c.next.Load(); next != nil {
-		if v, depth, ok := next.GetDepth(newCands, key, tag); ok {
-			return v, len(oldCands) + 1 + depth, true
-		}
-	}
-	var zero V
-	return zero, -1, false
-}
-
 // Delete removes key (whose tag is tag), reporting whether it was
 // present. Freeing a bucket slot triggers a stash drain: any stashed
 // entry with that bucket among its candidates (re-derived from its stored
@@ -589,11 +520,11 @@ func (c *Core[K, V]) dropStash(i int) {
 func (c *Core[K, V]) clearSlot(idx, b int) {
 	c.release(&c.slots, idx)
 	if c.lay.inArena() {
-		c.setRef(&c.refs[idx], 0)
+		atomic.StoreUint64(&c.refs[idx], 0)
 	} else {
-		c.setUsed(&c.used[idx], 0)
+		atomic.StoreUint32(&c.used[idx], 0)
 	}
-	c.setCount(b, c.counts[b]-1)
+	atomic.StoreUint32(&c.counts[b], c.counts[b]-1)
 	c.size.Add(-1)
 }
 
@@ -642,21 +573,12 @@ func (c *Core[K, V]) NeedsRebuild() bool {
 	return a.dead() > a.live && a.dead() > min(c.slots.bytes(), maxChunk)
 }
 
-// ArenaBytes returns the bytes allocated in arena chunks, both
-// geometries mid-resize. Like Len it reads only atomic words.
-func (c *Core[K, V]) ArenaBytes() int64 {
-	n := c.View().ArenaBytes()
-	if next := c.next.Load(); next != nil {
-		n += next.View().ArenaBytes()
-	}
-	return n
-}
-
 // StartResize begins an online resize to newBuckets buckets (same slots
 // per bucket and stash capacity): it allocates the new-geometry Core that
 // Migrate drains entries into. It panics if a resize is already in flight
-// or the shape is invalid. Until the resize completes, all operations must
-// go through the *Dual variants with candidates for both geometries.
+// or the shape is invalid. Until the resize completes, writes must go
+// through the *Dual variants with candidates for both geometries, and a
+// lookup that misses the old geometry probes Next's.
 func (c *Core[K, V]) StartResize(newBuckets int) {
 	if newBuckets <= 0 || newBuckets == c.buckets {
 		panic(fmt.Sprintf("mchtable: resize %d -> %d buckets", c.buckets, newBuckets))
@@ -676,7 +598,6 @@ func (c *Core[K, V]) startMigration(newBuckets int) {
 		panic("mchtable: StartResize during an in-flight resize")
 	}
 	next := NewCore[K, V](newBuckets, c.slotsPerBucket, c.stashCap)
-	next.seqMode = c.seqMode
 	c.cursor = 0
 	c.next.Store(next)
 }
@@ -798,16 +719,6 @@ func (c *Core[K, V]) promote() {
 	c.view.Store(next.view.Load())
 	c.resizes.Add(1)
 	c.next.Store(nil)
-}
-
-// GetDual is Get while a resize is in flight: the old geometry (oldCands)
-// is consulted first, then the new one (newCands), so no key is ever
-// unreachable mid-migration. With no resize in flight it is plain Get.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetDual(oldCands, newCands []uint32, key K, tag uint64) (V, bool) {
-	v, _, ok := c.GetDualDepth(oldCands, newCands, key, tag)
-	return v, ok
 }
 
 // PutDual is Put while a resize is in flight. A key still resident in the
@@ -940,17 +851,4 @@ func (c *Core[K, V]) Range(fn func(key K, val V, tag uint64) bool) bool {
 		return next.Range(fn)
 	}
 	return true
-}
-
-// AddBucketLoads folds the per-bucket occupancy counts into h — the
-// quantity the paper's load tables predict. internal/cmap aggregates its
-// shards' histograms through this. Mid-resize, both geometries' buckets
-// contribute. Like Range, it reads plainly under the caller's exclusion.
-func (c *Core[K, V]) AddBucketLoads(h *stats.Hist) {
-	for _, n := range c.counts {
-		h.Add(int(n))
-	}
-	if next := c.next.Load(); next != nil {
-		next.AddBucketLoads(h)
-	}
 }

@@ -20,6 +20,19 @@ func geom(buckets, d int) func(tag uint64) []uint32 {
 	}
 }
 
+// get is a reader's lookup with no writer to validate against: SeqGet on
+// c's current geometry and, for a miss mid-resize, on Next's with
+// newCands, whose depths count past the old probe sequence.
+func get[K comparable, V any](c *Core[K, V], oldCands, newCands []uint32, key K, tag uint64) (V, int, bool) {
+	v, depth, ok := c.SeqGet(c.View(), oldCands, key, tag)
+	if next := c.Next(); !ok && next != nil {
+		if v, depth, ok = next.SeqGet(next.View(), newCands, key, tag); ok {
+			depth += len(oldCands) + 1
+		}
+	}
+	return v, depth, ok
+}
+
 func TestCoreResizeMigratesEverything(t *testing.T) {
 	const (
 		oldBuckets = 32
@@ -65,9 +78,9 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 			var v uint64
 			var ok bool
 			if c.Resizing() {
-				v, ok = c.GetDual(oldOp(k), newOp(k), k, k)
+				v, _, ok = get(c, oldOp(k), newOp(k), k, k)
 			} else {
-				v, ok = c.Get(newOp(k), k, k)
+				v, _, ok = get(c, newOp(k), nil, k, k)
 			}
 			if !ok || v != k*10 {
 				t.Fatalf("step %d: key %d unreachable mid-migration (v=%d ok=%v)", steps, k, v, ok)
@@ -88,7 +101,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 	}
 	// The promoted core serves plain ops with new-geometry candidates.
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k, k); !ok || v != k*10 {
+		if v, _, ok := get(c, newOp(k), nil, k, k); !ok || v != k*10 {
 			t.Fatalf("key %d lost after promotion", k)
 		}
 		if !c.Delete(newOp(k), k, k, newDrain) {
@@ -125,7 +138,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending {
 		t.Fatalf("fresh insert changed the backlog: %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(100), newOp(100), 100, 100); !ok || v != 100 {
+	if v, _, ok := get(c, oldOp(100), newOp(100), 100, 100); !ok || v != 100 {
 		t.Fatal("fresh key unreachable mid-resize")
 	}
 
@@ -136,7 +149,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending-1 {
 		t.Fatalf("update of an old resident did not migrate it: backlog %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(1), newOp(1), 1, 1); !ok || v != 111 {
+	if v, _, ok := get(c, oldOp(1), newOp(1), 1, 1); !ok || v != 111 {
 		t.Fatalf("moved key: v=%d ok=%v", v, ok)
 	}
 
@@ -150,7 +163,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.DeleteDual(oldOp(2), newOp(2), 2, 2, newDrain) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := c.GetDual(oldOp(2), newOp(2), 2, 2); ok {
+	if _, _, ok := get(c, oldOp(2), newOp(2), 2, 2); ok {
 		t.Fatal("deleted key still reachable")
 	}
 
@@ -167,7 +180,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Len() != 19 {
 		t.Fatalf("Len = %d after promotion", c.Len())
 	}
-	if v, ok := c.Get(newOp(1), 1, 1); !ok || v != 111 {
+	if v, _, ok := get(c, newOp(1), nil, 1, 1); !ok || v != 111 {
 		t.Fatal("moved key lost its updated value across promotion")
 	}
 }
@@ -244,7 +257,7 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 		t.Fatalf("stash %d within cap %d; the test never forced overflow", c.StashLen(), c.StashCap())
 	}
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k, k); !ok || v != k {
+		if v, _, ok := get(c, newOp(k), nil, k, k); !ok || v != k {
 			t.Fatalf("key %d lost completing a saturated growth migration", k)
 		}
 	}
@@ -286,7 +299,7 @@ func TestCoreShrinkStallsInsteadOfLosing(t *testing.T) {
 		t.Fatal("impossible shrink completed")
 	}
 	for _, k := range stored {
-		if v, ok := c.GetDual(oldOp(k), newOp(k), k, k); !ok || v != k {
+		if v, _, ok := get(c, oldOp(k), newOp(k), k, k); !ok || v != k {
 			t.Fatalf("key %d lost in a stalled shrink", k)
 		}
 	}

@@ -1,4 +1,4 @@
-// Seq-mode primitives: the atomic storage protocol that lets
+// The atomic storage protocol every Core keeps, which lets
 // internal/cmap's seqlock readers probe a Core with no lock held.
 //
 // The scheme is a classic seqlock with one twist imposed by the Go
@@ -6,15 +6,17 @@
 // discard it after the generation check, but in Go a plain load racing a
 // plain store is a data race regardless of whether the value is used —
 // the race detector (and the compiler) may assume it never happens. So
-// in seq mode *both* sides go through sync/atomic: a slot's ref is a
-// 64-bit atomic word (its used flag a 32-bit one, when K and V are both
-// inline), and inline keys and values are stored and loaded as 32-bit
-// atomic words. Readers never load a slot's full tag: the ref carries
-// the 16 tag bits a probe filters on. Word-by-word assembly means a
-// reader can still observe half of one write and half of another — that
-// is exactly the tear the caller's generation validation rejects — but
-// every individual access is race-free and every probe stays in bounds,
-// so a torn read can produce a wrong value, never a fault.
+// *both* sides go through sync/atomic: a slot's ref is a 64-bit atomic
+// word (its used flag a 32-bit one, when K and V are both inline), and
+// inline keys and values are stored and loaded as 32-bit atomic words.
+// The writer's own plain loads (findInBucket, holds, stashFind) race with
+// nothing: it is the only mutator. Readers never load a slot's full tag:
+// the ref carries the 16 tag bits a probe filters on. Word-by-word
+// assembly means a reader can still observe half of one write and half
+// of another — that is exactly the tear the caller's generation
+// validation rejects — but every individual access is race-free and
+// every probe stays in bounds, so a torn read can produce a wrong value,
+// never a fault.
 //
 // The type rule (layoutOf, applied by NewCore) makes this sound for
 // every Core:
@@ -75,81 +77,23 @@ func loadWords[T any](dst, src *T) {
 	}
 }
 
-// setKey writes an inline key with the mode's store discipline.
-//
-//repro:noalloc
-func (c *Core[K, V]) setKey(dst *K, k K) {
-	if c.seqMode {
-		storeWords(dst, &k)
-	} else {
-		*dst = k
-	}
-}
-
-// setVal writes an inline value with the mode's store discipline.
-//
-//repro:noalloc
-func (c *Core[K, V]) setVal(dst *V, v V) {
-	if c.seqMode {
-		storeWords(dst, &v)
-	} else {
-		*dst = v
-	}
-}
-
-// setRef writes a slot's ref — the word that publishes or clears it —
-// with the mode's store discipline.
-//
-//repro:noalloc
-func (c *Core[K, V]) setRef(p *uint64, ref uint64) {
-	if c.seqMode {
-		atomic.StoreUint64(p, ref)
-	} else {
-		*p = ref
-	}
-}
-
 // putSlot writes e into slot i of s in publication order: the tag, which
-// seq readers never read, and inline fields, then the ref (or, for an
-// inline layout, the used flag).
+// readers never read, and inline fields word by word, then the ref (or,
+// for an inline layout, the used flag) with one atomic store.
 //
 //repro:noalloc
 func (c *Core[K, V]) putSlot(s *slots[K, V], i int, e *entry[K, V]) {
 	if c.lay&keyInArena == 0 {
-		c.setKey(&s.keys[i], e.key)
+		storeWords(&s.keys[i], &e.key)
 	}
 	if c.lay&valInArena == 0 {
-		c.setVal(&s.vals[i], e.val)
+		storeWords(&s.vals[i], &e.val)
 	}
 	s.tags[i] = e.tag
 	if c.lay.inArena() {
-		c.setRef(&s.refs[i], e.ref)
+		atomic.StoreUint64(&s.refs[i], e.ref)
 	} else {
-		c.setUsed(&s.used[i], 1)
-	}
-}
-
-// setUsed writes an inline layout's occupancy flag with the mode's store
-// discipline.
-//
-//repro:noalloc
-func (c *Core[K, V]) setUsed(u *uint32, v uint32) {
-	if c.seqMode {
-		atomic.StoreUint32(u, v)
-	} else {
-		*u = v
-	}
-}
-
-// setCount writes a bucket's occupancy counter with the mode's store
-// discipline (the writer computes the new value under its exclusion).
-//
-//repro:noalloc
-func (c *Core[K, V]) setCount(b int, v uint32) {
-	if c.seqMode {
-		atomic.StoreUint32(&c.counts[b], v)
-	} else {
-		c.counts[b] = v
+		atomic.StoreUint32(&s.used[i], 1)
 	}
 }
 
@@ -203,13 +147,17 @@ func (v *SeqView[K, V]) ArenaBytes() int64 { return v.arena.size.Load() }
 // NewCore and resize promotion publish a new one.
 func (c *Core[K, V]) View() *SeqView[K, V] { return c.view.Load() }
 
-// SeqGet probes v's buckets and then c's stash for key, whose tag is tag,
-// using only atomic reads — safe to run concurrently with a writer, with
-// no lock held. cands are key's candidate buckets for v's geometry. It
-// reports the probe depth as GetDepth does. The result is meaningful
-// only if the caller's seqlock generation validation succeeds after the
-// call: mid-write, SeqGet can observe torn values and report a wrong or
-// missing pair, but it never faults.
+// SeqGet is the Core's lookup: it probes v's buckets and then c's stash
+// for key, whose tag is tag, using only atomic reads — safe to run
+// concurrently with a writer, with no lock held. cands are key's
+// candidate buckets for v's geometry. It also reports the probe depth at
+// which key resolved: the index into cands of the bucket holding it,
+// len(cands) for a stash hit, -1 on a miss — the paper's
+// which-choice-held distribution. Under the caller's exclusion of writers
+// the result is exact; otherwise it is meaningful only if the caller's
+// seqlock generation validation succeeds after the call: mid-write,
+// SeqGet can observe torn values and report a wrong or missing pair, but
+// it never faults.
 //
 //repro:noalloc
 func (c *Core[K, V]) SeqGet(v *SeqView[K, V], cands []uint32, key K, tag uint64) (V, int, bool) {

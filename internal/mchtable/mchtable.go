@@ -130,7 +130,8 @@ func (t *Table) Put(key, val uint64) bool {
 
 // Get returns the value stored for key.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	return t.core.Get(t.candidates(key), key, key)
+	v, _, ok := t.core.SeqGet(t.core.View(), t.candidates(key), key, key)
+	return v, ok
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -161,7 +162,14 @@ func (t *Table) Occupancy() float64 { return t.core.Occupancy() }
 // BucketLoadHist returns the histogram of occupied slots per bucket — the
 // quantity the paper's load tables predict.
 func (t *Table) BucketLoadHist() *stats.Hist {
+	v := t.core.View()
+	loads := make([]int64, v.Slots()+1)
+	v.AddLoads(loads)
 	var h stats.Hist
-	t.core.AddBucketLoads(&h)
+	for load, n := range loads {
+		if n > 0 {
+			h.AddN(load, n)
+		}
+	}
 	return &h
 }

@@ -13,7 +13,7 @@ func TestCoreTagCollision(t *testing.T) {
 	candsOf := func(uint64) []uint32 { return []uint32{0} }
 	want := func(t *testing.T, c *Core[string, int], key string, tag uint64, v int, ok bool) {
 		t.Helper()
-		if gv, gok := c.Get(cands, key, tag); gv != v || gok != ok {
+		if gv, _, gok := get(c, cands, nil, key, tag); gv != v || gok != ok {
 			t.Fatalf("Get(%q) = (%d, %v), want (%d, %v)", key, gv, gok, v, ok)
 		}
 	}
@@ -74,10 +74,10 @@ func TestCoreTagCollision(t *testing.T) {
 		}
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 20, true)
-		if v, depth, ok := c.GetDepth(cands, "a", shared); !ok || v != 1 || depth != 0 {
+		if v, depth, ok := get(c, cands, nil, "a", shared); !ok || v != 1 || depth != 0 {
 			t.Fatalf("a after the drain: (%d, depth %d, %v), want (1, bucket 0, true)", v, depth, ok)
 		}
-		if _, depth, _ := c.GetDepth(cands, "b", shared); depth != len(cands) {
+		if _, depth, _ := get(c, cands, nil, "b", shared); depth != len(cands) {
 			t.Fatalf("b resolved at depth %d, want the stash (%d)", depth, len(cands))
 		}
 

@@ -196,8 +196,6 @@ type durableBackend struct {
 	sk []string
 }
 
-func (b *durableBackend) Get(key []byte) ([]byte, bool) { return b.m.Get(string(key)) }
-
 func (b *durableBackend) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {
 	b.sk = b.sk[:0]
 	for _, k := range keys {
@@ -221,13 +219,6 @@ type memStore struct {
 }
 
 func newMemStore() *memStore { return &memStore{m: make(map[string][]byte)} }
-
-func (b *memStore) Get(key []byte) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[string(key)]
-	return v, ok
-}
 
 func (b *memStore) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {
 	b.mu.Lock()

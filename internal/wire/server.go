@@ -31,7 +31,6 @@ import (
 // per key and returns the hit count; returned values need only stay
 // valid until the next Backend call on the same connection.
 type Backend interface {
-	Get(key []byte) (val []byte, ok bool)
 	GetBatch(keys [][]byte, vals [][]byte, found []bool) int
 	Set(key, val []byte) error
 	Delete(key []byte) (bool, error)

@@ -30,13 +30,6 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: make(map[string][]byte)} }
 
-func (b *memBackend) Get(key []byte) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[string(key)]
-	return v, ok
-}
-
 func (b *memBackend) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

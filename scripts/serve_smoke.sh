@@ -142,17 +142,22 @@ awk -v g="$GET_OPS" -v m="$MGET_OPS" 'BEGIN { exit !(m >= 1.2 * g) }' \
     || fail "MGET throughput $MGET_OPS not >= 1.2x per-key GET $GET_OPS"
 
 # Second scrape: the read runs above must have moved the read-side
-# counters strictly forward (monotonicity across scrapes), and the
-# MGET run must have produced multi-key server-side batches.
+# counters strictly forward (monotonicity across scrapes), the MGET run
+# must have produced multi-key server-side batches, and the map must
+# have recorded the live choice distribution: every served GET and MGET
+# reads through GetBatch, which samples probe depths.
 fetch "http://$ADMIN/metrics" >"$DIR/metrics2" || fail "second /metrics scrape failed"
 GETS2=$(metric repro_server_gets_total "$DIR/metrics2")
 MGETS2=$(metric repro_server_mgets_total "$DIR/metrics2")
 BATCHES2=$(metric repro_server_batch_size_count "$DIR/metrics2")
+DEPTHS2=$(metric repro_map_probe_depth_count "$DIR/metrics2")
 awk -v a="$GETS1" -v b="$GETS2" 'BEGIN { exit !(b > a) }' \
     || fail "repro_server_gets_total not monotone across scrapes ($GETS1 -> $GETS2)"
 awk -v m="$MGETS2" -v n="$BATCHES2" 'BEGIN { exit !(m > 0 && n > 0) }' \
     || fail "MGET run left no trace: mgets=$MGETS2 batch_count=$BATCHES2"
-echo "serve-smoke: telemetry live and monotone (gets $GETS1 -> $GETS2, map_len $MAP_LEN)"
+awk -v d="$DEPTHS2" 'BEGIN { exit !(d > 0) }' \
+    || fail "repro_map_probe_depth_count $DEPTHS2 after the GET and MGET runs"
+echo "serve-smoke: telemetry live and monotone (gets $GETS1 -> $GETS2, map_len $MAP_LEN, probe depths $DEPTHS2)"
 
 echo "serve-smoke: graceful shutdown + restart recovery"
 stop_served
