@@ -21,11 +21,21 @@
 // runtime sees it on the machine benchjson runs on — run it in the same
 // pipeline as the benchmarks). Unrecognized lines are ignored, so the
 // tool is safe to feed a whole `make bench` transcript.
+//
+// With -base it compares two converted documents instead:
+//
+//	go run ./cmd/benchjson -base old.json new.json
+//
+// lists the entries both documents hold whose medians differ by more
+// than the min–max spread of either side, and counts the entries only
+// one side holds. It is a report: it exits 0 whatever moved, and
+// nonzero only when a document cannot be read.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -69,17 +79,30 @@ type run struct {
 }
 
 func main() {
-	doc, err := convert(os.Stdin, runtime.NumCPU())
+	base := flag.String("base", "", "compare the document named by the argument against this one instead of converting stdin")
+	flag.Parse()
+	var err error
+	if *base != "" {
+		err = compareFiles(os.Stdout, *base, flag.Arg(0))
+	} else {
+		err = convertStdin()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// convertStdin converts the benchfmt transcript on stdin to JSON on
+// stdout.
+func convertStdin() error {
+	doc, err := convert(os.Stdin, runtime.NumCPU())
+	if err != nil {
+		return err
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return enc.Encode(doc)
 }
 
 // convert reads a benchfmt transcript and folds it into a Doc for a
@@ -200,4 +223,82 @@ func splitProcs(name string) (string, int) {
 		return name, 1
 	}
 	return name[:i], n
+}
+
+// compareFiles reads two converted documents and writes the report of
+// what moved between them to w.
+func compareFiles(w io.Writer, basePath, newPath string) error {
+	if newPath == "" {
+		return fmt.Errorf("-base needs the new document as an argument")
+	}
+	base, err := readDoc(basePath)
+	if err != nil {
+		return err
+	}
+	cur, err := readDoc(newPath)
+	if err != nil {
+		return err
+	}
+	report(w, base, cur)
+	return nil
+}
+
+// readDoc reads a converted document.
+func readDoc(path string) (Doc, error) {
+	var doc Doc
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return doc, err
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return doc, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// moved is an entry whose median differs between the base and the new
+// document by more than either side's min–max spread.
+type moved struct{ base, cur Result }
+
+// compare matches the documents' entries by package, name and procs and
+// returns those that moved, in the new document's order, with the
+// counts of entries only one side holds.
+func compare(base, cur Doc) (out []moved, onlyBase, onlyCur int) {
+	key := func(r Result) string { return fmt.Sprintf("%s\x00%s\x00%d", r.Pkg, r.Name, r.Procs) }
+	old := make(map[string]Result, len(base.Benchmarks))
+	for _, r := range base.Benchmarks {
+		old[key(r)] = r
+	}
+	for _, r := range cur.Benchmarks {
+		b, ok := old[key(r)]
+		if !ok {
+			onlyCur++
+			continue
+		}
+		delete(old, key(r))
+		spread := max(b.NsPerOpMax-b.NsPerOpMin, r.NsPerOpMax-r.NsPerOpMin)
+		if diff := r.NsPerOp - b.NsPerOp; diff > spread || -diff > spread {
+			out = append(out, moved{b, r})
+		}
+	}
+	return out, len(old), onlyCur
+}
+
+// report writes one line per moved entry — median [min–max] before and
+// after, and the relative change — then the unmatched counts.
+func report(w io.Writer, base, cur Doc) {
+	ms, onlyBase, onlyCur := compare(base, cur)
+	fmt.Fprintf(w, "base: %d CPUs, %s; new: %d CPUs, %s\n", base.NProc, base.CPU, cur.NProc, cur.CPU)
+	fmt.Fprintf(w, "%d of %d shared entries moved beyond both min–max spreads\n",
+		len(ms), len(cur.Benchmarks)-onlyCur)
+	for _, m := range ms {
+		fmt.Fprintf(w, "%s %s -cpu %d: %.1f [%.1f–%.1f] → %.1f [%.1f–%.1f] ns/op (%+.1f%%)\n",
+			m.cur.Pkg, m.cur.Name, m.cur.Procs,
+			m.base.NsPerOp, m.base.NsPerOpMin, m.base.NsPerOpMax,
+			m.cur.NsPerOp, m.cur.NsPerOpMin, m.cur.NsPerOpMax,
+			100*(m.cur.NsPerOp/m.base.NsPerOp-1))
+	}
+	if onlyBase > 0 || onlyCur > 0 {
+		fmt.Fprintf(w, "%d entries only in the base, %d only in the new document\n", onlyBase, onlyCur)
+	}
 }

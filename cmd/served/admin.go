@@ -42,6 +42,7 @@ func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, 
 	reg.Gauge("repro_map_len", "stored pairs", stat(func(s repro.ContainerStats) float64 { return float64(s.Len) }))
 	reg.Gauge("repro_map_occupancy", "stored pairs over total slot capacity", stat(func(s repro.ContainerStats) float64 { return s.Occupancy }))
 	reg.Gauge("repro_map_resizes_total", "completed online shard resizes", stat(func(s repro.ContainerStats) float64 { return float64(s.Resizes) }))
+	reg.Gauge("repro_map_backstop_resizes_total", "shard resizes started by stash pressure or a rejected Put before the fluid-limit watermark (any nonzero means a shard left the prediction)", stat(func(s repro.ContainerStats) float64 { return float64(s.BackstopResizes) }))
 	reg.Gauge("repro_map_migrating", "entries awaiting migration in resizing shards", stat(func(s repro.ContainerStats) float64 { return float64(s.Migrating) }))
 	reg.Gauge("repro_map_seq_retries_total", "seqlock optimistic-read retries", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqRetries) }))
 	reg.Gauge("repro_map_seq_fallbacks_total", "seqlock reads that fell back to the shard lock", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqFallbacks) }))

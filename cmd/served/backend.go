@@ -1,4 +1,4 @@
-//repro:unsafeview string views of wire frame bytes, handed to the map for the length of one call; the map copies whatever it keeps into its arena
+//repro:unsafeview string views of wire frame and recovery record bytes, handed to the map for the length of one call; the map copies whatever it keeps into its arena
 
 package main
 
@@ -9,12 +9,27 @@ import (
 	"repro"
 )
 
-// bytesCodec encodes []byte values verbatim. Decode returns a view of
-// the loader's buffer without copying: the map copies []byte values into
-// its arena before the loader reuses the buffer.
-var bytesCodec = repro.Codec[[]byte]{
-	Append: func(dst []byte, v []byte) []byte { return append(dst, v...) },
-	Decode: func(b []byte) ([]byte, error) { return b, nil },
+// keyCodec and bytesCodec encode keys and values verbatim. Decode
+// returns a view of the loader's buffer without copying, so recovery
+// allocates nothing per record: the snapshot load and the WAL replay
+// pass a decoded key and value only to the map's Put and Delete (and
+// the load's one-time hasher check), and the map copies what it keeps
+// into its arena before the loader reuses the buffer.
+var (
+	keyCodec = repro.Codec[string]{
+		Append: func(dst []byte, k string) []byte { return append(dst, k...) },
+		Decode: func(b []byte) (string, error) { return view(b), nil },
+	}
+	bytesCodec = repro.Codec[[]byte]{
+		Append: func(dst []byte, v []byte) []byte { return append(dst, v...) },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
+	}
+)
+
+// openStore opens (or recovers) served's durable map in dir with the
+// codecs above.
+func openStore(dir string, opts ...repro.Option) (*servedMap, error) {
+	return repro.OpenOf[string, []byte](dir, repro.HasherFor[string](), keyCodec, bytesCodec, opts...)
 }
 
 // backend adapts the durable map to the wire server's Backend. Keys and
@@ -31,11 +46,11 @@ type backend struct {
 }
 
 // view returns b's bytes as a string without copying. The string is
-// valid only while the frame buffer is: for the length of one backend
-// call.
+// valid only while the buffer is: for the length of one backend call,
+// or of one recovered record.
 //
 //repro:noalloc
-//repro:gated a byte slice has no pointer fields to hide; the view is used only while the frame is live
+//repro:gated a byte slice has no pointer fields to hide; the view is used only while its buffer is live
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 //repro:noalloc

@@ -57,7 +57,7 @@ func main() {
 		buckets  = flag.Int("buckets", 1<<12, "initial buckets per shard")
 		slots    = flag.Int("slots", 4, "slots per bucket")
 		d        = flag.Int("d", 3, "candidate buckets per key")
-		grow     = flag.Float64("grow", 0.90, "max load factor before a shard doubles online")
+		grow     = flag.Float64("grow", 0.90, "max load factor: a shard doubles online past the lower of this and its fluid-limit watermark")
 		seed     = flag.Uint64("seed", 0, "hash seed (0 = random)")
 		maxFrame = flag.Int("max-frame", wire.DefaultMaxFrame, "largest accepted request frame in bytes")
 		maxPipe  = flag.Int("max-pipeline", wire.DefaultMaxPipeline, "most requests coalesced per read burst")
@@ -77,8 +77,7 @@ func main() {
 	logger := log.New(os.Stderr, "served: ", log.LstdFlags)
 
 	dm := repro.NewDurableMetrics()
-	m, err := repro.OpenOf[string, []byte](*dir,
-		repro.HasherFor[string](), repro.CodecFor[string](), bytesCodec,
+	m, err := openStore(*dir,
 		repro.WithShards(*shards), repro.WithBuckets(*buckets), repro.WithSlots(*slots),
 		repro.WithD(*d), repro.WithMaxLoadFactor(*grow), repro.WithSeed(*seed),
 		repro.WithWALSync(*walSync), repro.WithDurableMetrics(dm))

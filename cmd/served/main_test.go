@@ -72,8 +72,7 @@ func TestPublishAddrWriteFailureRemovesTmp(t *testing.T) {
 // 16-key GetBatch passes frame views to the map and returns views of its
 // arena, so it does not allocate once warm.
 func TestBackendReadsAllocFree(t *testing.T) {
-	m, err := repro.OpenOf[string, []byte](t.TempDir(),
-		repro.HasherFor[string](), repro.CodecFor[string](), bytesCodec,
+	m, err := openStore(t.TempDir(),
 		repro.WithShards(4), repro.WithBuckets(64), repro.WithWALSync(false))
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +106,7 @@ func TestBackendReadsAllocFree(t *testing.T) {
 // TestBackendSetCopies checks that a stored key and value survive the
 // caller reusing the frame buffers they arrived in.
 func TestBackendSetCopies(t *testing.T) {
-	m, err := repro.OpenOf[string, []byte](t.TempDir(),
-		repro.HasherFor[string](), repro.CodecFor[string](), bytesCodec,
+	m, err := openStore(t.TempDir(),
 		repro.WithShards(2), repro.WithBuckets(16), repro.WithWALSync(false))
 	if err != nil {
 		t.Fatal(err)
@@ -124,5 +122,82 @@ func TestBackendSetCopies(t *testing.T) {
 	got, found := make([][]byte, 1), make([]bool, 1)
 	if b.GetBatch([][]byte{[]byte("frame-key")}, got, found); !found[0] || string(got[0]) != "frame-value" {
 		t.Fatalf("GetBatch after the frame was reused = (%q, %v)", got[0], found[0])
+	}
+}
+
+// TestRecoveryDecodesKeyViews recovers a snapshot plus a WAL through
+// openStore, whose codecs decode keys and values as views of the
+// loader's reused buffers, and reads every pair back through the
+// backend's GetBatch. A map that kept a decoded view instead of copying
+// it would read back a later record's bytes.
+func TestRecoveryDecodesKeyViews(t *testing.T) {
+	const n = 4000
+	dir := t.TempDir()
+	opts := []repro.Option{repro.WithShards(4), repro.WithBuckets(64), repro.WithWALSync(false)}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
+	val := func(i, round int) []byte { return []byte(fmt.Sprintf("value-%d-%d", i, round)) }
+	want := make(map[string]string)
+	set := func(b *backend, i, round int) {
+		t.Helper()
+		if err := b.Set(key(i), val(i, round)); err != nil {
+			t.Fatal(err)
+		}
+		want[string(key(i))] = string(val(i, round))
+	}
+
+	m, err := openStore(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &backend{m: m}
+	for i := 0; i < n; i++ {
+		set(b, i, 0)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The WAL: overwrite half the snapshot, delete a tenth, add new keys.
+	for i := 0; i < n/2; i++ {
+		set(b, i, 1)
+	}
+	for i := 0; i < n; i += 10 {
+		if _, err := b.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, string(key(i)))
+	}
+	for i := n; i < n+n/2; i++ {
+		set(b, i, 0)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := openStore(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if m2.Len() != len(want) {
+		t.Fatalf("recovered %d pairs, want %d", m2.Len(), len(want))
+	}
+	b2 := &backend{m: m2}
+	keys := make([][]byte, 0, 64)
+	vals, found := make([][]byte, 64), make([]bool, 64)
+	for lo := 0; lo < n+n/2; lo += 64 {
+		keys = keys[:0]
+		for i := lo; i < min(lo+64, n+n/2); i++ {
+			keys = append(keys, key(i))
+		}
+		b2.GetBatch(keys, vals, found)
+		for j, k := range keys {
+			w, ok := want[string(k)]
+			if found[j] != ok || string(vals[j]) != w {
+				t.Fatalf("GetBatch(%s) = (%q, %v), want (%q, %v)", k, vals[j], found[j], w, ok)
+			}
+		}
+	}
+	if st := m2.Stats(); st.BackstopResizes != 0 {
+		t.Errorf("recovery started %d backstop resizes, want 0", st.BackstopResizes)
 	}
 }

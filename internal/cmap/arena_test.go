@@ -31,7 +31,7 @@ func TestArenaViewsStable(t *testing.T) {
 	if !ok {
 		t.Fatal("Get missed")
 	}
-	vals, found := m.MGet([]string{key})
+	vals, found := getBatch(m, []string{key})
 	if !found[0] {
 		t.Fatal("GetBatch missed")
 	}

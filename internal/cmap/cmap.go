@@ -67,23 +67,28 @@
 //
 // # Online incremental resize
 //
-// With MaxLoadFactor set, a shard whose occupancy crosses the watermark
-// (or whose stash comes under pressure) allocates a doubled-bucket-count
-// core and migrates entries over in MigrateBatch-sized steps piggybacked
-// on subsequent Put and Delete calls (or driven externally through
-// MigrateStep). Each entry's in-shard digest is stored alongside it, so
-// migration re-derives candidates for the doubled geometry from the same
-// single hash evaluation — resize is a pure re-placement, no key is
-// ever re-hashed, and the one-hash discipline survives every doubling
-// (double hashing behaves fully-random at any table shape, per the
-// follow-up analysis). Mid-migration, reads consult the old geometry
-// first and the new one second, so no key is ever unreachable; writes land
-// in the new geometry, moving a still-old-resident key across as a free
-// migration step. Shards resize independently: one shard's migration
-// never blocks another shard's traffic, and a Get never performs
-// migration work — a seqlock Get proceeds in parallel with an in-flight
-// batch step and retries only if the step overlaps its probe, while a
-// fallback (locked) read can wait behind one, bounded by MigrateBatch.
+// With MaxLoadFactor set, a shard of N buckets whose occupancy crosses
+// its watermark, min(MaxLoadFactor, W(N)) — the load at which the capped
+// fluid limit predicts a quarter of the stash-pressure trigger (see
+// growth.go) — allocates a core of twice the buckets (for a power of
+// two; otherwise the smallest prime at least 2N) and migrates entries
+// over in MigrateBatch-sized steps piggybacked on subsequent Put and
+// Delete calls (or driven externally through MigrateStep). Stash
+// pressure and a rejected Put grow a shard too, as counted backstops
+// (Stats.BackstopResizes). Each entry's in-shard digest is stored
+// alongside it, so migration re-derives candidates for the grown
+// geometry from the same single hash evaluation — resize is a pure
+// re-placement, no key is ever re-hashed, and the one-hash discipline
+// survives every doubling (double hashing behaves fully-random at any
+// table shape, per the follow-up analysis). Mid-migration, reads consult
+// the old geometry first and the new one second, so no key is ever
+// unreachable; writes land in the new geometry, moving a
+// still-old-resident key across as a free migration step. Shards resize
+// independently: one shard's migration never blocks another shard's
+// traffic, and a Get never performs migration work — a seqlock Get
+// proceeds in parallel with an in-flight batch step and retries only if
+// the step overlaps its probe, while a fallback (locked) read can wait
+// behind one, bounded by MigrateBatch.
 //
 // The keyed hash evaluation always happens outside the shard lock. The
 // cheap geometry-dependent candidate expansion happens under the lock on
@@ -95,7 +100,6 @@ package cmap
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -109,6 +113,10 @@ import (
 // maxD bounds the candidate count so per-call candidate sets fit in a
 // stack array (no allocation, no shared scratch).
 const maxD = 16
+
+// defaultStash is the per-shard stash capacity a zero
+// Config.StashPerShard means.
+const defaultStash = 32
 
 // seqSpins is how many torn-read retries an optimistic reader attempts
 // before falling back to the shard's read lock. Retries are only caused
@@ -126,12 +134,17 @@ type Config struct {
 	Seed            uint64 // hash key material
 	StashPerShard   int    // per-shard overflow stash capacity; 0 means 32
 
-	// MaxLoadFactor enables online resize: a shard whose occupancy
-	// (stored pairs, stash included, over slot capacity) exceeds this
-	// watermark doubles its bucket count and migrates incrementally. 0
-	// disables resize (the map is fixed-capacity and rejects overflow,
-	// the pre-resize behaviour; same-size arena rebuilds still run, see
-	// the package doc); otherwise it must lie in (0, 1].
+	// MaxLoadFactor enables online resize and caps its watermark: a
+	// shard of N buckets whose occupancy (stored pairs, stash included,
+	// over slot capacity) exceeds min(MaxLoadFactor, W(N)) doubles its
+	// bucket count and migrates incrementally. W(N) is the highest load
+	// at which the capped fluid limit predicts the shard stashes a
+	// quarter of its stash-pressure trigger (see growth.go); it falls as
+	// N grows, because the stash holds a fixed count while overflow grows
+	// with capacity. 0 disables resize (the map is fixed-capacity and
+	// rejects overflow, the pre-resize behaviour; same-size arena
+	// rebuilds still run, see the package doc); otherwise it must lie in
+	// (0, 1].
 	MaxLoadFactor float64
 	// MigrateBatch is the number of entries each Put or Delete migrates
 	// as a piggybacked resize or rebuild step; 0 means 32.
@@ -157,6 +170,7 @@ type shard[K comparable, V any] struct {
 	newCandsOf  func(tag uint64) []uint32 // new-geometry drain/migrate derivation
 	scratch     []uint32                  // candsOf target; guarded by mu (write side)
 	newScratch  []uint32                  // newCandsOf target; guarded by mu (write side)
+	limit       int                       // pairs the settled geometry holds before it grows; guarded by mu
 
 	// Seqlock read-path health, surfaced through Stats: torn or
 	// overlapped optimistic attempts that retried, and reads that gave
@@ -166,6 +180,10 @@ type shard[K comparable, V any] struct {
 	// nothing.
 	seqRetries   atomic.Uint64
 	seqFallbacks atomic.Uint64
+	// backstops counts doublings that stash pressure or a rejected Put
+	// started before the shard reached its watermark: each one means the
+	// shard left the fluid limit's prediction.
+	backstops atomic.Uint64
 
 	_ [64]byte
 }
@@ -197,7 +215,7 @@ type Map[K comparable, V any] struct {
 	sipKey       hashes.SipKey
 	seed         uint64 // sipKey's seed material, recorded in snapshot headers
 	hash         keyed.Hasher[K]
-	maxLoad      float64
+	growth       *growthRule // nil when resize is disabled (MaxLoadFactor 0)
 	migrateBatch int
 	metrics      *Metrics // optional latency/probe instrumentation; nil = uninstrumented
 	shards       []shard[K, V]
@@ -234,7 +252,7 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 		panic(fmt.Sprintf("cmap: D = %d with %d buckets per shard", cfg.D, cfg.BucketsPerShard))
 	}
 	if cfg.StashPerShard == 0 {
-		cfg.StashPerShard = 32
+		cfg.StashPerShard = defaultStash
 	}
 	if cfg.MaxLoadFactor < 0 || cfg.MaxLoadFactor > 1 {
 		panic(fmt.Sprintf("cmap: MaxLoadFactor = %v outside [0, 1]", cfg.MaxLoadFactor))
@@ -251,15 +269,18 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 		sipKey:       hashes.SipKeyFromSeed(cfg.Seed),
 		seed:         cfg.Seed,
 		hash:         h,
-		maxLoad:      cfg.MaxLoadFactor,
 		migrateBatch: cfg.MigrateBatch,
 		shards:       make([]shard[K, V], shards),
+	}
+	if cfg.MaxLoadFactor > 0 {
+		m.growth = newGrowthRule(cfg)
 	}
 	deriver := hashes.NewDeriver(cfg.BucketsPerShard) // shared until a shard resizes
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.core = mchtable.NewCore[K, V](cfg.BucketsPerShard, cfg.SlotsPerBucket, cfg.StashPerShard)
 		sh.deriver.Store(deriver)
+		m.setLimit(sh)
 		sh.scratch = make([]uint32, cfg.D)
 		sh.newScratch = make([]uint32, cfg.D)
 		sh.candsOf = func(tag uint64) []uint32 {
@@ -325,13 +346,25 @@ func (m *Map[K, V]) startResizeLocked(sh *shard[K, V], newBuckets int) {
 	sh.core.StartResize(newBuckets)
 }
 
+// setLimit sets sh's growth limit for its current geometry: the pair
+// count past which the shard doubles, so the per-write check is one
+// integer compare. Caller holds sh.mu or owns sh exclusively.
+func (m *Map[K, V]) setLimit(sh *shard[K, V]) {
+	if m.growth != nil {
+		sh.limit = m.growth.limit(sh.core.Buckets())
+	}
+}
+
 // resizeTargetLocked returns the bucket count sh should migrate to after
 // a write on a settled geometry, or 0 to stay. With growth enabled, a
-// rejected insertion, occupancy past MaxLoadFactor or an overflow stash
-// three-quarters full (stash pressure precedes rejections well below the
-// watermark on unlucky shards) doubles the shard. Otherwise an arena
-// holding more dead bytes than live ones rebuilds it at the same size.
-// Caller holds sh.mu.
+// shard that holds more pairs than its geometry's limit, ⌊W(N)·N·slots⌋
+// (see growthRule), grows; it also grows when its stash reaches the
+// stash-pressure trigger or a Put is rejected. Those two are backstops:
+// at the watermark the fluid limit predicts a quarter of the trigger, so
+// each firing is counted as a shard that left the prediction (a bad seed
+// or an adversarial key set). Otherwise an arena holding more dead bytes
+// than live ones rebuilds the shard at the same size. Caller holds
+// sh.mu.
 //
 //repro:requires-lock
 func (m *Map[K, V]) resizeTargetLocked(sh *shard[K, V], rejected bool) int {
@@ -339,39 +372,15 @@ func (m *Map[K, V]) resizeTargetLocked(sh *shard[K, V], rejected bool) int {
 	switch {
 	case c.Resizing():
 		return 0
-	case m.maxLoad > 0 && (rejected || overWatermark(c.Len(), c.Capacity(), m.maxLoad) || 4*c.StashLen() >= 3*c.StashCap()):
-		return 2 * c.Buckets()
+	case m.growth != nil && c.Len() > sh.limit:
+		return grownBuckets(c.Buckets())
+	case m.growth != nil && (rejected || c.StashLen() >= stashTrigger(c.StashCap())):
+		sh.backstops.Add(1)
+		return grownBuckets(c.Buckets())
 	case c.NeedsRebuild():
 		return c.Buckets()
 	}
 	return 0
-}
-
-// overWatermark is the growth rule: a shard holding n pairs in capacity
-// slots doubles once their ratio exceeds maxLoad.
-func overWatermark(n, capacity int, maxLoad float64) bool {
-	return float64(n)/float64(capacity) > maxLoad
-}
-
-// BucketsFor returns the buckets per shard that organic growth reaches
-// once a map built from cfg holds pairs entries spread evenly over its
-// shards: cfg.BucketsPerShard doubled until pairs/shards fits under
-// MaxLoadFactor. A loader that knows its record count up front starts at
-// this geometry and places every record once, instead of re-placing the
-// table at each doubling. Stash pressure can still double a shard below
-// the watermark; a load that meets it grows online, as it would without
-// presizing. With growth disabled it is cfg.BucketsPerShard.
-func BucketsFor(cfg Config, pairs int) int {
-	b := cfg.BucketsPerShard
-	if cfg.MaxLoadFactor <= 0 || b <= 0 || cfg.SlotsPerBucket <= 0 || cfg.Shards < 0 {
-		return b
-	}
-	shards := shardCount(cfg.Shards)
-	perShard := (pairs + shards - 1) / shards
-	for b <= math.MaxUint32/2 && overWatermark(perShard, b*cfg.SlotsPerBucket, cfg.MaxLoadFactor) {
-		b *= 2
-	}
-	return b
 }
 
 // migrateLocked advances sh's in-flight resize by up to n units of
@@ -389,6 +398,7 @@ func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 	if !sh.core.Resizing() { // promoted: the doubled geometry is current
 		sh.deriver.Store(sh.nextDeriver.Load())
 		sh.nextDeriver.Store(nil)
+		m.setLimit(sh)
 	}
 	return moved
 }
@@ -701,6 +711,12 @@ type Stats struct {
 	Migrating   int        // entries still awaiting migration in resizing shards
 	BucketLoads stats.Hist // occupied-slots-per-bucket histogram
 
+	// BackstopResizes counts the resizes that stash pressure or a
+	// rejected Put started before a shard reached its watermark (see
+	// Config.MaxLoadFactor): nonzero means a shard left the fluid
+	// limit's prediction, under a bad seed or adversarial keys.
+	BackstopResizes int
+
 	// Seqlock read-path health: cumulative torn/overlapped optimistic
 	// read attempts that were retried, and reads that exhausted their
 	// spin budget (or snapshotted mid-mutation in a batch) and fell back
@@ -733,6 +749,7 @@ func (m *Map[K, V]) Stats() Stats {
 		// the shard's seqlock-protected geometry snapshot.
 		st.SeqRetries += int64(sh.seqRetries.Load())
 		st.SeqFallbacks += int64(sh.seqFallbacks.Load())
+		st.BackstopResizes += int(sh.backstops.Load())
 		m.shardStats(sh, &snap)
 		st.Len += snap.len
 		st.Capacity += snap.capacity

@@ -88,15 +88,6 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	return hits
 }
 
-// MGet is the allocating convenience form of GetBatch: it returns fresh
-// vals and found slices of len(keys).
-func (m *Map[K, V]) MGet(keys []K) (vals []V, found []bool) {
-	vals = make([]V, len(keys))
-	found = make([]bool, len(keys))
-	m.GetBatch(keys, vals, found)
-	return vals, found
-}
-
 // getChunk runs the phased probe for one chunk (len(keys) <= mgetChunk,
 // sc.digests[i] already computed). Routing overwrites sc.digests in
 // place with each key's in-shard tag — the digest's only remaining use.

@@ -423,26 +423,33 @@ func TestGetBatchMidMigration(t *testing.T) {
 	}
 }
 
-// TestMGet covers the allocating wrapper and GetBatch edge shapes:
-// duplicate keys in one batch, empty batches, chunk-boundary lengths,
-// and arena-held string keys through the same interface.
+// getBatch runs GetBatch into fresh output slices of len(keys).
+func getBatch[K comparable, V any](m *Map[K, V], keys []K) ([]V, []bool) {
+	vals, found := make([]V, len(keys)), make([]bool, len(keys))
+	m.GetBatch(keys, vals, found)
+	return vals, found
+}
+
+// TestMGet covers GetBatch's edge shapes, the map side of the wire's
+// MGET: duplicate keys in one batch, empty batches, chunk-boundary
+// lengths, and arena-held string keys through the same interface.
 func TestMGet(t *testing.T) {
 	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 3})
 	for k := uint64(1); k <= 100; k++ {
 		m.Put(k, k+1000)
 	}
-	vals, found := m.MGet([]uint64{5, 5, 999, 7, 5})
+	vals, found := getBatch(m, []uint64{5, 5, 999, 7, 5})
 	want := []struct {
 		v  uint64
 		ok bool
 	}{{1005, true}, {1005, true}, {0, false}, {1007, true}, {1005, true}}
 	for i, w := range want {
 		if found[i] != w.ok || (w.ok && vals[i] != w.v) {
-			t.Errorf("MGet[%d] = (%d, %v), want (%d, %v)", i, vals[i], found[i], w.v, w.ok)
+			t.Errorf("GetBatch[%d] = (%d, %v), want (%d, %v)", i, vals[i], found[i], w.v, w.ok)
 		}
 	}
-	if vals, found := m.MGet(nil); len(vals) != 0 || len(found) != 0 {
-		t.Error("MGet(nil) returned non-empty slices")
+	if hits := m.GetBatch(nil, nil, nil); hits != 0 {
+		t.Errorf("GetBatch(nil) found %d keys", hits)
 	}
 	// Lengths straddling the pipelining chunk: 1 under, exact, 1 over.
 	for _, n := range []int{mgetChunk - 1, mgetChunk, mgetChunk + 1, 3 * mgetChunk} {
@@ -450,10 +457,10 @@ func TestMGet(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint64(i%100) + 1
 		}
-		vals, found := m.MGet(keys)
+		vals, found := getBatch(m, keys)
 		for i, k := range keys {
 			if !found[i] || vals[i] != k+1000 {
-				t.Fatalf("n=%d: MGet[%d] key %d = (%d, %v)", n, i, k, vals[i], found[i])
+				t.Fatalf("n=%d: GetBatch[%d] key %d = (%d, %v)", n, i, k, vals[i], found[i])
 			}
 		}
 	}
@@ -463,9 +470,9 @@ func TestMGet(t *testing.T) {
 	})
 	sm.Put("alpha", 1)
 	sm.Put("beta", 2)
-	vals2, found2 := sm.MGet([]string{"beta", "gamma", "alpha"})
+	vals2, found2 := getBatch(sm, []string{"beta", "gamma", "alpha"})
 	if !found2[0] || vals2[0] != 2 || found2[1] || !found2[2] || vals2[2] != 1 {
-		t.Errorf("string MGet = %v %v", vals2, found2)
+		t.Errorf("string GetBatch = %v %v", vals2, found2)
 	}
 
 	defer func() {

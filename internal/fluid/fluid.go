@@ -8,9 +8,12 @@
 //   - the supermarket queueing model,
 //     ds_i/dt = λ(s_{i−1}^d − s_i^d) − (s_i − s_{i+1}),
 //
-// together with a classical fixed-step RK4 integrator and the supermarket
-// model's closed-form equilibrium s_i = λ^((d^i−1)/(d−1)), from which the
-// paper's Table 8 sojourn times follow by Little's law.
+// together with the d-choice process capped at a bucket's slots, whose
+// overflow goes to a stash (CappedBallsBins and StashCurve, the model
+// behind internal/cmap's growth rule), a classical fixed-step RK4
+// integrator and the supermarket model's closed-form equilibrium
+// s_i = λ^((d^i−1)/(d−1)), from which the paper's Table 8 sojourn times
+// follow by Little's law.
 package fluid
 
 import (
@@ -44,11 +47,7 @@ func RK4(sys System, x0 []float64, t0, t1, dt float64) []float64 {
 		panic("fluid: t1 < t0")
 	}
 	x := append([]float64(nil), x0...)
-	k1 := make([]float64, n)
-	k2 := make([]float64, n)
-	k3 := make([]float64, n)
-	k4 := make([]float64, n)
-	tmp := make([]float64, n)
+	st := newStepper(sys)
 	t := t0
 	for t < t1 {
 		h := dt
@@ -58,25 +57,43 @@ func RK4(sys System, x0 []float64, t0, t1, dt float64) []float64 {
 		if h <= 0 {
 			break
 		}
-		sys.Deriv(t, x, k1)
-		for i := range tmp {
-			tmp[i] = x[i] + h/2*k1[i]
-		}
-		sys.Deriv(t+h/2, tmp, k2)
-		for i := range tmp {
-			tmp[i] = x[i] + h/2*k2[i]
-		}
-		sys.Deriv(t+h/2, tmp, k3)
-		for i := range tmp {
-			tmp[i] = x[i] + h*k3[i]
-		}
-		sys.Deriv(t+h, tmp, k4)
-		for i := range x {
-			x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
+		st.step(t, h, x)
 		t += h
 	}
 	return x
+}
+
+// stepper holds one system's RK4 stage buffers, so a caller that needs
+// the state after every step (StashCurve) steps without reallocating.
+type stepper struct {
+	sys                 System
+	k1, k2, k3, k4, tmp []float64
+}
+
+func newStepper(sys System) *stepper {
+	n := sys.Dim()
+	return &stepper{sys: sys, k1: make([]float64, n), k2: make([]float64, n),
+		k3: make([]float64, n), k4: make([]float64, n), tmp: make([]float64, n)}
+}
+
+// step advances x in place by one classical RK4 step of size h from t.
+func (s *stepper) step(t, h float64, x []float64) {
+	s.sys.Deriv(t, x, s.k1)
+	for i := range s.tmp {
+		s.tmp[i] = x[i] + h/2*s.k1[i]
+	}
+	s.sys.Deriv(t+h/2, s.tmp, s.k2)
+	for i := range s.tmp {
+		s.tmp[i] = x[i] + h/2*s.k2[i]
+	}
+	s.sys.Deriv(t+h/2, s.tmp, s.k3)
+	for i := range s.tmp {
+		s.tmp[i] = x[i] + h*s.k3[i]
+	}
+	s.sys.Deriv(t+h, s.tmp, s.k4)
+	for i := range x {
+		x[i] += h / 6 * (s.k1[i] + 2*s.k2[i] + 2*s.k3[i] + s.k4[i])
+	}
 }
 
 // BallsBins is the classic balanced-allocation fluid limit with d choices.
@@ -128,6 +145,65 @@ func LoadFractions(tails []float64) []float64 {
 		out[i] = tails[i] - tails[i+1]
 	}
 	out[len(tails)-1] = tails[len(tails)-1]
+	return out
+}
+
+// CappedBallsBins is the d-choice process over buckets of Slots slots: a
+// ball whose d candidate buckets are all full goes to an overflow stash,
+// as in a multiple-choice hash table. State component i < Slots is
+// x_{i+1}, the fraction of buckets holding at least i+1 balls (x_0 ≡ 1);
+// component Slots is the stash, in balls per bucket. The levels follow
+// BallsBins, dx_i/dt = x_{i−1}^d − x_i^d for i ≤ Slots, and the stash
+// fills at rate x_Slots^d.
+type CappedBallsBins struct {
+	D     int
+	Slots int
+}
+
+// Dim returns Slots + 1: the tail fractions, then the stash.
+func (s CappedBallsBins) Dim() int { return s.Slots + 1 }
+
+// Deriv implements the capped drift.
+func (s CappedBallsBins) Deriv(_ float64, x, dx []float64) {
+	prev := 1.0 // x_0^d
+	for i := 0; i < s.Slots; i++ {
+		p := ipow(x[i], s.D)
+		dx[i] = prev - p
+		prev = p
+	}
+	dx[s.Slots] = prev
+}
+
+// ipow is x^d for a small non-negative integer d.
+func ipow(x float64, d int) float64 {
+	p := 1.0
+	for ; d > 0; d-- {
+		p *= x
+	}
+	return p
+}
+
+// StashCurve tabulates the capped system's stash against load: out[k] is
+// the stashed balls per bucket once k·slots/steps balls per bucket have
+// been thrown — load k/steps of the slot capacity — for k = 0..steps.
+// One fixed-step RK4 pass from empty buckets computes the whole table,
+// which is nondecreasing.
+func StashCurve(d, slots, steps int) []float64 {
+	if d < 1 {
+		panic(fmt.Sprintf("fluid: d = %d", d))
+	}
+	if slots < 1 || steps < 1 {
+		panic(fmt.Sprintf("fluid: slots = %d, steps = %d", slots, steps))
+	}
+	sys := CappedBallsBins{D: d, Slots: slots}
+	st := newStepper(sys)
+	x := make([]float64, sys.Dim())
+	h := float64(slots) / float64(steps)
+	out := make([]float64, steps+1)
+	for k := 1; k <= steps; k++ {
+		st.step(float64(k-1)*h, h, x)
+		out[k] = x[slots]
+	}
 	return out
 }
 

@@ -242,3 +242,42 @@ func TestLoadFractionsSumToOne(t *testing.T) {
 		t.Errorf("load fractions sum to %v", sum)
 	}
 }
+
+// TestStashCurveMatchesUncappedLevels: capping leaves levels 1..b
+// exactly as in the uncapped system, so the stash is whatever those
+// levels do not hold, S(T) = T − Σ_{i≤b} x_i(T); the curve is
+// nondecreasing from S(0) = 0.
+func TestStashCurveMatchesUncappedLevels(t *testing.T) {
+	for _, c := range []struct{ d, slots int }{{3, 4}, {2, 8}, {1, 2}} {
+		const steps = 1024
+		curve := StashCurve(c.d, c.slots, steps)
+		if len(curve) != steps+1 || curve[0] != 0 {
+			t.Fatalf("d=%d slots=%d: %d entries from %v", c.d, c.slots, len(curve), curve[0])
+		}
+		for k := 1; k <= steps; k++ {
+			if curve[k] < curve[k-1] {
+				t.Fatalf("d=%d slots=%d: curve falls at step %d", c.d, c.slots, k)
+			}
+		}
+		for _, k := range []int{steps / 2, steps * 9 / 10, steps} {
+			T := float64(k*c.slots) / steps
+			tails := SolveBallsBins(c.d, T, c.slots)
+			want := T
+			for _, x := range tails[1:] {
+				want -= x
+			}
+			if math.Abs(curve[k]-want) > 1e-6 {
+				t.Errorf("d=%d slots=%d load %.2f: stash %.8f per bucket, want %.8f",
+					c.d, c.slots, float64(k)/steps, curve[k], want)
+			}
+		}
+	}
+}
+
+// BenchmarkStashCurve is the one-time cost of the table a map's growth
+// rule reads: served's shape, d = 3 and 4 slots, at 1024 load steps.
+func BenchmarkStashCurve(b *testing.B) {
+	for b.Loop() {
+		StashCurve(3, 4, 1024)
+	}
+}

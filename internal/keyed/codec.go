@@ -72,8 +72,10 @@ var (
 		func(u uint64) int { return int(int64(u)) })
 
 	// StringCodec stores a string's bytes verbatim. Decode copies them
-	// out of the record buffer (the one allocation persistence cannot
-	// avoid — the buffer is reused for the next record).
+	// out of the record buffer, which the reader reuses for the next
+	// record, so the result outlives it. A consumer that copies what it
+	// keeps, as a Map's arena does, can decode views of the buffer
+	// instead and allocate nothing per record; cmd/served does.
 	StringCodec = Codec[string]{
 		Append: func(dst []byte, v string) []byte { return append(dst, v...) },
 		Decode: func(b []byte) (string, error) { return string(b), nil },

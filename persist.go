@@ -256,16 +256,16 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	return s, nil
 }
 
-// recoveryBuckets returns the buckets per shard recovery starts at: the
-// geometry organic growth would end at once the snapshot's records and
-// the WAL's Puts are loaded, so every record is placed once instead of
-// being re-placed at each doubling. Placement is a function of each
-// record's digest, not of the table's history, so the presized map is
-// the grown one. The snapshot's count comes from its section headers,
-// the WAL's from a counting replay; the WAL's share is capped at the
-// snapshot's, so a log of overwrites over-provisions by at most one
-// doubling. Any error keeps cfg's geometry: the load and the replay that
-// follow report it.
+// recoveryBuckets returns the buckets per shard recovery starts at:
+// cmap.BucketsFor's presize for the snapshot's records plus the WAL's
+// Puts, a geometry whose watermark holds them all, so every record is
+// placed once and no shard resizes while they load. Placement is a
+// function of each record's digest, not of the table's history, so
+// nothing is lost by skipping the doublings. The snapshot's count comes
+// from its section headers, the WAL's from a counting replay; the WAL's
+// share is capped at the snapshot's, so a log of overwrites presizes for
+// at most twice the snapshot. Any error keeps cfg's geometry: the load
+// and the replay that follow report it.
 func recoveryBuckets(snap *os.File, walPath string, cfg cmap.Config) int {
 	st, err := snap.Stat()
 	if err != nil {
@@ -355,9 +355,6 @@ func (s *DurableMap[K, V]) Get(key K) (V, bool) { return s.m.Get(key) }
 func (s *DurableMap[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	return s.m.GetBatch(keys, vals, found)
 }
-
-// MGet is the allocating convenience form of GetBatch.
-func (s *DurableMap[K, V]) MGet(keys []K) (vals []V, found []bool) { return s.m.MGet(keys) }
 
 // Len returns the number of stored pairs.
 func (s *DurableMap[K, V]) Len() int { return s.m.Len() }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cmap"
 )
 
 // TestSaveLoadMap snapshots a Map through Save and reloads it with Load
@@ -394,14 +395,33 @@ func reopen(t *testing.T, s *repro.DurableMap[string, uint64], dir string, n int
 	return settledStats(s2.Map())
 }
 
+// servedConfig is servedFlags as the map's Config, for the presize
+// BucketsFor computes from it.
+func servedConfig() cmap.Config {
+	return cmap.Config{Shards: 16, BucketsPerShard: 1 << 12, SlotsPerBucket: 4, D: 3,
+		MaxLoadFactor: 0.9, Seed: 1, StashPerShard: 32}
+}
+
+// presizedCapacity is the slot capacity recovery presizes served's map
+// to for pairs counted pairs.
+func presizedCapacity(pairs int) int {
+	cfg := servedConfig()
+	return cfg.Shards * cmap.BucketsFor(cfg, pairs) * cfg.SlotsPerBucket
+}
+
 // TestRecoveryPresizedForNewKeys: a snapshot plus a WAL of new keys
-// recovers straight into the geometry a map that Put the same keys one
-// by one grew to, with no resize. n is chosen so the snapshot alone fits
-// served's initial 4096 buckets per shard (14,000 of 14,745 pairs a shard
-// holds under the watermark) while the WAL's new keys push every shard
-// over it: presizing from the snapshot alone would still double once.
+// recovers straight into the geometry the growth rule presizes for their
+// count, with no resize, and no larger than a map that Put the same keys
+// one by one grew to. n is chosen so the snapshot alone fits served's
+// initial 4096 buckets per shard (12,000 a shard, 12,530 for the
+// busiest, of the 12,574 a shard holds under W(4096) = 0.767) while the
+// WAL's new keys push every shard over it: presizing from the snapshot
+// alone would still double every shard.
 func TestRecoveryPresizedForNewKeys(t *testing.T) {
-	const n = 224_000
+	const n = 192_000
+	if b := cmap.BucketsFor(servedConfig(), n); b != 1<<12 {
+		t.Fatalf("the snapshot alone presizes to %d buckets per shard; the test needs it to fit 4096", b)
+	}
 	dir := t.TempDir()
 	s, err := repro.Open[string, uint64](dir, servedFlags()...)
 	if err != nil {
@@ -418,18 +438,21 @@ func TestRecoveryPresizedForNewKeys(t *testing.T) {
 	}
 
 	st := reopen(t, s, dir, n+n/8, func(i int) uint64 { return uint64(i) }, servedFlags()...)
-	if st.Resizes != 0 {
-		t.Errorf("recovery resized %d times, want 0", st.Resizes)
+	if st.Resizes != 0 || st.BackstopResizes != 0 {
+		t.Errorf("recovery resized %d times (%d backstops), want 0", st.Resizes, st.BackstopResizes)
 	}
-	if st.Capacity != grown.Capacity {
-		t.Errorf("recovered capacity %d, want %d (the map that grew by Puts)", st.Capacity, grown.Capacity)
+	if want := presizedCapacity(n + n/8); st.Capacity != want {
+		t.Errorf("recovered capacity %d, want the presize %d", st.Capacity, want)
+	}
+	if st.Capacity > grown.Capacity {
+		t.Errorf("recovered capacity %d, more than the %d of the map that grew by Puts", st.Capacity, grown.Capacity)
 	}
 }
 
 // TestRecoveryPresizedOverwriteWAL: the Puts of a WAL that only
 // overwrites snapshot keys are counted, capped at the snapshot's count,
-// so recovery over-provisions by at most one doubling of the
-// snapshot-only geometry.
+// so recovery presizes for at most twice the snapshot and over-provisions
+// by at most one doubling of the snapshot-only geometry.
 func TestRecoveryPresizedOverwriteWAL(t *testing.T) {
 	const n = 160_000 // 10,000 a shard: served's 4096 buckets hold them with no growth
 	dir := t.TempDir()
@@ -443,14 +466,17 @@ func TestRecoveryPresizedOverwriteWAL(t *testing.T) {
 	}
 	snapOnly := settledStats(s.Map())
 	// Overwrite every key three times: uncapped, the 3n logged Puts would
-	// count as 4n pairs and size the map two doublings up.
+	// count as 4n pairs.
 	for round := 1; round <= 3; round++ {
 		putRange(t, s, 0, n, round)
 	}
 
 	st := reopen(t, s, dir, n, func(i int) uint64 { return uint64(i + 3) }, servedFlags()...)
-	if st.Resizes != 0 {
-		t.Errorf("recovery resized %d times, want 0", st.Resizes)
+	if st.Resizes != 0 || st.BackstopResizes != 0 {
+		t.Errorf("recovery resized %d times (%d backstops), want 0", st.Resizes, st.BackstopResizes)
+	}
+	if want := presizedCapacity(2 * n); st.Capacity != want {
+		t.Errorf("recovered capacity %d, want the presize for the capped count, %d", st.Capacity, want)
 	}
 	if st.Capacity > 2*snapOnly.Capacity {
 		t.Errorf("recovered capacity %d, more than one doubling over the snapshot-only %d", st.Capacity, snapOnly.Capacity)

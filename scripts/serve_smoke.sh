@@ -105,7 +105,7 @@ fetch "http://$ADMIN/healthz" | grep -qx "ok" || fail "/healthz did not report o
 fetch "http://$ADMIN/metrics" >"$DIR/metrics1" || fail "/metrics scrape failed"
 for series in \
     repro_map_len repro_map_occupancy repro_map_getbatch_seconds \
-    repro_map_probe_depth repro_map_put_seconds \
+    repro_map_probe_depth repro_map_put_seconds repro_map_backstop_resizes_total \
     repro_wal_appends_total repro_wal_healthy repro_wal_replay_records_total \
     repro_server_conns_accepted_total repro_server_gets_total \
     repro_server_sets_total repro_server_batch_size repro_server_get_seconds; do
@@ -113,6 +113,10 @@ for series in \
 done
 [ "$(metric repro_wal_healthy "$DIR/metrics1")" = "1" ] \
     || fail "repro_wal_healthy != 1 on a healthy instance"
+# Shards grew from served's initial geometry by the fluid-limit
+# watermark alone: a backstop resize means a shard left the prediction.
+[ "$(metric repro_map_backstop_resizes_total "$DIR/metrics1")" = "0" ] \
+    || fail "repro_map_backstop_resizes_total != 0: stash pressure or a rejected Put grew a shard"
 MAP_LEN=$(metric repro_map_len "$DIR/metrics1")
 awk -v v="$MAP_LEN" 'BEGIN { exit !(v > 0) }' \
     || fail "repro_map_len $MAP_LEN after a mixed workload"

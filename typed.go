@@ -25,8 +25,8 @@ type (
 	// hash evaluation routes a key to a shard (digest high bits) and
 	// derives its d candidate buckets inside the shard (remaining bits);
 	// with a max load factor set (the NewMap default), shards crossing
-	// the watermark double their bucket count and migrate online without
-	// ever re-hashing a key.
+	// their watermark (see WithMaxLoadFactor) double their bucket count
+	// and migrate online without ever re-hashing a key.
 	Map[K comparable, V any] = cmap.Map[K, V]
 )
 
@@ -58,15 +58,6 @@ func BytesHasher[K comparable]() Hasher[K] { return keyed.BytesOf[K]() }
 // Uint64Hasher hashes a uint64 key as its 8-byte little-endian encoding —
 // the same digest HasherFor[uint64] computes.
 var Uint64Hasher Hasher[uint64] = keyed.Uint64
-
-// HashBytes digests a raw byte slice under key. []byte is not comparable
-// and so cannot key a Map; HashBytes serves callers that digest
-// content (chunks, payloads) before keying by something comparable, and
-// equals HashString of the same bytes.
-func HashBytes(key SipKey, b []byte) uint64 { return keyed.Bytes(key, b) }
-
-// HashString digests a string's bytes under key, without allocating.
-func HashString(key SipKey, s string) uint64 { return keyed.String(key, s) }
 
 // Functional options read by NewMap, Load and Open. Each documents the
 // options it consumes; Open alone reads WithWALSync and
@@ -119,10 +110,12 @@ func WithSlots(n int) Option { return func(o *options) { o.slots = n } }
 // paper's d.
 func WithD(d int) Option { return func(o *options) { o.d = d } }
 
-// WithMaxLoadFactor sets Map's online-resize watermark (default 0.85): a
-// shard whose occupancy crosses it doubles its bucket count and migrates
-// incrementally. 0 disables growth — the map becomes fixed-capacity and
-// Put can reject.
+// WithMaxLoadFactor caps Map's online-resize watermark (default 0.85):
+// a shard whose occupancy crosses min(f, W(N)) about doubles its bucket
+// count and migrates incrementally, where W(N) is the load at which the
+// capped fluid limit predicts a shard of N buckets nears its stash
+// trigger (see cmap.Config.MaxLoadFactor). 0 disables growth — the map
+// becomes fixed-capacity and Put can reject.
 func WithMaxLoadFactor(f float64) Option { return func(o *options) { o.maxLoad = f } }
 
 // WithMigrateBatch sets how many entries each Put/Delete migrates while
@@ -157,9 +150,9 @@ func WithDurableMetrics(dm *DurableMetrics) Option {
 // NewMap returns an empty concurrency-safe sharded map keyed by K's
 // built-in hasher (HasherFor[K]; panics for key types without one — use
 // NewMapOf to supply a custom Hasher). Growth is on by default: shards
-// double past the 0.85 occupancy watermark and migrate online, so Put
-// effectively never rejects; pass WithMaxLoadFactor(0) for a fixed-
-// capacity map.
+// double past their watermark, at most 0.85 occupancy, and migrate
+// online, so Put effectively never rejects; pass WithMaxLoadFactor(0)
+// for a fixed-capacity map.
 //
 // The type rule: K and V must each be pointer-free with a size that is a
 // multiple of 4 bytes (stored inline in the slots), or a string kind, or
