@@ -54,7 +54,7 @@ func main() {
 		dir      = flag.String("dir", "", "durable map directory (snapshot + WAL); required")
 		walSync  = flag.Bool("wal-sync", true, "fsync the WAL before acknowledging a write")
 		shards   = flag.Int("shards", 16, "shard count (rounded up to a power of two)")
-		buckets  = flag.Int("buckets", 1<<12, "initial buckets per shard")
+		buckets  = flag.Int("buckets", 1<<12, "buckets per shard of an empty map; a recovered map is sized to its records")
 		slots    = flag.Int("slots", 4, "slots per bucket")
 		d        = flag.Int("d", 3, "candidate buckets per key")
 		grow     = flag.Float64("grow", 0.90, "max load factor: a shard doubles online past the lower of this and its fluid-limit watermark")

@@ -188,10 +188,12 @@ func durable() {
 	// with the last writes sitting in the WAL.
 	store = nil
 
-	// Recovery — at 4× the shards and ¼ the buckets of the writer, because
-	// geometry is the new process's choice, not the file's.
+	// Recovery — at 4× the shards of the writer, because the shape is the
+	// new process's choice, not the file's. The bucket count is the
+	// records': Open counts the snapshot's records and the WAL's Puts and
+	// presizes each shard to hold them, whatever WithBuckets says.
 	recovered, err := repro.Open[string, FlashLoc](dir,
-		repro.WithShards(16), repro.WithBuckets(16), repro.WithD(4), repro.WithSeed(7))
+		repro.WithShards(16), repro.WithD(4), repro.WithSeed(7))
 	if err != nil {
 		panic(err)
 	}
@@ -206,7 +208,7 @@ func durable() {
 	rst := recovered.Stats()
 	fmt.Printf("recovered %d/%d fingerprints at a 16-shard geometry (was 4): %d missing or corrupt\n",
 		recovered.Len(), checkpointed+walOnly, missing)
-	fmt.Printf("(snapshot + WAL replay; %d shards × growing buckets, occupancy %.2f)\n", rst.Shards, rst.Occupancy)
+	fmt.Printf("(snapshot + WAL replay; %d shards × buckets presized to the records, occupancy %.2f)\n", rst.Shards, rst.Occupancy)
 	fmt.Println("\nEvery acknowledged fingerprint survived the crash, and the index came")
 	fmt.Println("back at a different shard/bucket shape: snapshots store (key, value,")
 	fmt.Println("digest) and candidates re-derive from the digest at any geometry.")

@@ -22,7 +22,7 @@ var benchStreams = []struct {
 }
 
 func newBenchMap(shards int) *Map[uint64, uint64] {
-	return New(Config{
+	return newU64(Config{
 		Shards: shards, BucketsPerShard: (1 << 16) / shards,
 		SlotsPerBucket: 4, D: 3, Seed: 42, StashPerShard: 64,
 	})
@@ -83,7 +83,7 @@ func BenchmarkCMapGetParallel(b *testing.B) {
 // and on a cache-resident map both paths just measure hashing.
 func BenchmarkCMapGetBatch(b *testing.B) {
 	const mask = 1<<20 - 1
-	m := New(Config{
+	m := newU64(Config{
 		Shards: 64, BucketsPerShard: 1 << 14,
 		SlotsPerBucket: 4, D: 3, Seed: 42, StashPerShard: 64,
 	})
@@ -150,7 +150,7 @@ func BenchmarkCMapGetMigration(b *testing.B) {
 	b.Run("mid-migration", func(b *testing.B) {
 		// MigrateBatch 1: the fill's own piggybacked steps barely dent the
 		// backlog, so the whole benchmark runs mid-migration.
-		m := New(Config{Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: slots,
+		m := newU64(Config{Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: slots,
 			D: d, Seed: 42, StashPerShard: 64, MaxLoadFactor: 0.75, MigrateBatch: 1})
 		fill(m)
 		if st := m.Stats(); st.Migrating < target/2 {
@@ -160,7 +160,7 @@ func BenchmarkCMapGetMigration(b *testing.B) {
 		run(b, m)
 	})
 	b.Run("steady", func(b *testing.B) {
-		m := New(Config{Shards: shards, BucketsPerShard: 2 * buckets, SlotsPerBucket: slots,
+		m := newU64(Config{Shards: shards, BucketsPerShard: 2 * buckets, SlotsPerBucket: slots,
 			D: d, Seed: 42, StashPerShard: 64})
 		fill(m)
 		b.ResetTimer()
@@ -170,8 +170,7 @@ func BenchmarkCMapGetMigration(b *testing.B) {
 
 // Typed-API benchmarks: the redesign's acceptance gates. The uint64
 // serial pair must stay within 5% of the pre-redesign cmap numbers (the
-// generic Map is now the only implementation — New is a shim over it),
-// and the string Get must be 0 allocs/op (one in-place SipHash
+// generic Map is now the only implementation), and the string Get must be 0 allocs/op (one in-place SipHash
 // evaluation per operation, no key copying).
 
 func BenchmarkMapSerialPut(b *testing.B) {

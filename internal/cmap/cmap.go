@@ -128,7 +128,7 @@ const seqSpins = 8
 // Config declares a sharded map.
 type Config struct {
 	Shards          int    // shard count, rounded up to a power of two; 0 means 16
-	BucketsPerShard int    // initial buckets per shard (required, > 0)
+	BucketsPerShard int    // initial buckets per shard of an empty map (required, > 0); BucketsFor sizes a loaded one
 	SlotsPerBucket  int    // slots per bucket (required, > 0)
 	D               int    // candidate buckets per key (required, 0 < D <= 16)
 	Seed            uint64 // hash key material
@@ -220,13 +220,6 @@ type Map[K comparable, V any] struct {
 	metrics      *Metrics // optional latency/probe instrumentation; nil = uninstrumented
 	shards       []shard[K, V]
 	mgetPool     sync.Pool // *mgetScratch[K, V], reused across GetBatch calls
-}
-
-// New returns an empty uint64 → uint64 map hashed with the canonical
-// little-endian uint64 hasher — the library's historical key shape,
-// byte-identical digests included. It panics on invalid configuration.
-func New(cfg Config) *Map[uint64, uint64] {
-	return NewKeyed[uint64, uint64](keyed.Uint64, cfg)
 }
 
 // NewKeyed returns an empty typed map whose single keyed hash evaluation

@@ -1,15 +1,28 @@
 package cmap
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/keyed"
 	"repro/internal/mchtable"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/testutil"
 )
+
+// newU64 returns an empty uint64 → uint64 map hashed with the canonical
+// little-endian uint64 hasher, the shape most of these tests drive.
+func newU64(cfg Config) *Map[uint64, uint64] {
+	return NewKeyed[uint64, uint64](keyed.Uint64, cfg)
+}
+
+// loadU64 is LoadKeyed for newU64's shape.
+func loadU64(r io.Reader, cfg Config) (*Map[uint64, uint64], error) {
+	return LoadKeyed[uint64, uint64](r, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, cfg)
+}
 
 func TestDifferentialOpSequences(t *testing.T) {
 	// The shared differential harness is the oracle for op-sequence
@@ -46,7 +59,7 @@ func TestDifferentialOpSequences(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := New(tc.cfg)
+			m := newU64(tc.cfg)
 			ops := testutil.RandomOps(tc.ops, tc.keys, 0.55, 0.15, tc.cfg.Seed)
 			opt := testutil.Options{TrackValues: true, Finalize: func() {
 				for m.MigrateStep(64) > 0 {
@@ -71,7 +84,7 @@ func TestDifferentialOpSequences(t *testing.T) {
 }
 
 func TestPutGetDeleteRoundTrip(t *testing.T) {
-	m := New(Config{Shards: 8, BucketsPerShard: 1 << 8, SlotsPerBucket: 4, D: 3, Seed: 1})
+	m := newU64(Config{Shards: 8, BucketsPerShard: 1 << 8, SlotsPerBucket: 4, D: 3, Seed: 1})
 	src := rng.NewXoshiro256(2)
 	keys := make([]uint64, 4096)
 	for i := range keys {
@@ -125,7 +138,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 }
 
 func TestFullMapRejectsAndStaysConsistent(t *testing.T) {
-	m := New(Config{Shards: 1, BucketsPerShard: 8, SlotsPerBucket: 1, D: 2, Seed: 3, StashPerShard: 2})
+	m := newU64(Config{Shards: 1, BucketsPerShard: 8, SlotsPerBucket: 1, D: 2, Seed: 3, StashPerShard: 2})
 	src := rng.NewXoshiro256(4)
 	var stored []uint64
 	var rejected uint64
@@ -157,7 +170,7 @@ func TestFullMapRejectsAndStaysConsistent(t *testing.T) {
 func TestStashOverflowAndDrain(t *testing.T) {
 	// One shard with 1-slot buckets overflows quickly; deletes must drain
 	// the stash back into freed buckets.
-	m := New(Config{Shards: 1, BucketsPerShard: 64, SlotsPerBucket: 1, D: 2, Seed: 5, StashPerShard: 16})
+	m := newU64(Config{Shards: 1, BucketsPerShard: 64, SlotsPerBucket: 1, D: 2, Seed: 5, StashPerShard: 16})
 	src := rng.NewXoshiro256(6)
 	var stored []uint64
 	for len(stored) < 60 {
@@ -197,7 +210,7 @@ func TestConcurrentPutGetDelete(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	m := New(Config{Shards: 4, BucketsPerShard: 1 << 7, SlotsPerBucket: 2, D: 3, Seed: 7, StashPerShard: 8})
+	m := newU64(Config{Shards: 4, BucketsPerShard: 1 << 7, SlotsPerBucket: 2, D: 3, Seed: 7, StashPerShard: 8})
 	const perWorker = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -254,7 +267,7 @@ func TestConcurrentPutGetDelete(t *testing.T) {
 func TestConcurrentHotKeyContention(t *testing.T) {
 	// All workers fight over the same 32 keys: maximal shard contention,
 	// constant update-in-place and delete/reinsert races.
-	m := New(Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 2, Seed: 9, StashPerShard: 4})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 2, Seed: 9, StashPerShard: 4})
 	workers := 2 * runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -286,7 +299,7 @@ func TestConcurrentHotKeyContention(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	cfg := Config{Shards: 4, BucketsPerShard: 128, SlotsPerBucket: 2, D: 3, Seed: 11, StashPerShard: 8}
-	m := New(cfg)
+	m := newU64(cfg)
 	src := rng.NewXoshiro256(12)
 	n := 0
 	for n < 600 {
@@ -333,7 +346,7 @@ func TestShardLoadHistogramMatchesSingleTable(t *testing.T) {
 	capacity := shards * buckets * slots
 	fill := int(0.75 * float64(capacity))
 
-	m := New(Config{Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: slots, D: d, Seed: 21, StashPerShard: 64})
+	m := newU64(Config{Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: slots, D: d, Seed: 21, StashPerShard: 64})
 	src := rng.NewXoshiro256(22)
 	for n := 0; n < fill; {
 		if m.Put(src.Uint64(), 0) {
@@ -371,7 +384,7 @@ func TestShardLoadHistogramMatchesSingleTable(t *testing.T) {
 
 func TestDeterministicForFixedSeed(t *testing.T) {
 	run := func() Stats {
-		m := New(Config{Shards: 8, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 31, StashPerShard: 8})
+		m := newU64(Config{Shards: 8, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 31, StashPerShard: 8})
 		src := rng.NewXoshiro256(32)
 		for i := 0; i < 800; i++ {
 			k := src.Uint64()
@@ -390,7 +403,7 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 
 func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 16}, {1, 1}, {2, 2}, {5, 8}, {16, 16}, {100, 128}} {
-		m := New(Config{Shards: tc.in, BucketsPerShard: 16, SlotsPerBucket: 1, D: 2, Seed: 1})
+		m := newU64(Config{Shards: tc.in, BucketsPerShard: 16, SlotsPerBucket: 1, D: 2, Seed: 1})
 		if m.Shards() != tc.want {
 			t.Errorf("Shards=%d rounded to %d, want %d", tc.in, m.Shards(), tc.want)
 		}
@@ -413,7 +426,7 @@ func TestConfigPanics(t *testing.T) {
 					t.Errorf("case %d: no panic", i)
 				}
 			}()
-			New(mutate(base))
+			newU64(mutate(base))
 		}()
 	}
 }

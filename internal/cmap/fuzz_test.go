@@ -86,7 +86,7 @@ func FuzzCMapOps(f *testing.F) {
 			cfg.MaxLoadFactor = 0.55 + float64(hdr[3]>>1%4)*0.1
 			cfg.MigrateBatch = 1 + int(hdr[3]>>3%8)
 		}
-		m := New(cfg)
+		m := newU64(cfg)
 		opt := testutil.Options{TrackValues: true, Finalize: func() {
 			for m.MigrateStep(64) > 0 {
 			}

@@ -116,18 +116,19 @@ func busiestShard(pairs, shards int) int {
 }
 
 // BucketsFor returns the buckets per shard a map built from cfg starts
-// at to hold pairs entries with no resize: cfg.BucketsPerShard when its
-// watermark already holds the busiest shard's share of them, otherwise
-// the smallest prime bucket count whose watermark W(N) does (prime n is
-// the paper's own setting). Each shard then loads to at most W(N), where
+// at to hold pairs entries with no resize: the smallest prime bucket
+// count above cfg.D whose watermark W(N) holds the busiest shard's share
+// of them (prime n is the paper's own setting), whatever
+// cfg.BucketsPerShard says. Each shard then loads to at most W(N), where
 // the fluid limit predicts a quarter of the stash-pressure trigger, so
 // neither the watermark nor stash pressure fires while the pairs load.
 // A loader that knows its record count up front starts here and places
-// every record once. With growth disabled it is cfg.BucketsPerShard.
+// every record once. With no pairs, or with growth disabled, it is
+// cfg.BucketsPerShard.
 func BucketsFor(cfg Config, pairs int) int {
 	b := cfg.BucketsPerShard
 	if cfg.MaxLoadFactor <= 0 || b <= 0 || cfg.SlotsPerBucket <= 0 || cfg.Shards < 0 ||
-		cfg.D <= 0 || cfg.D > maxD || cfg.StashPerShard < 0 {
+		cfg.D <= 0 || cfg.D > maxD || cfg.StashPerShard < 0 || pairs <= 0 {
 		return b
 	}
 	if cfg.StashPerShard == 0 {
@@ -135,10 +136,8 @@ func BucketsFor(cfg Config, pairs int) int {
 	}
 	g := newGrowthRule(cfg)
 	need := busiestShard(pairs, shardCount(cfg.Shards))
-	if need <= g.limit(b) {
-		return b
-	}
-	n := b + sort.Search(math.MaxUint32-b, func(i int) bool { return g.limit(b+i) >= need })
+	lo := cfg.D + 1 // NewKeyed needs more buckets than candidates
+	n := lo + sort.Search(math.MaxUint32-lo, func(i int) bool { return g.limit(lo+i) >= need })
 	p := int(numeric.NextPrime(uint64(n)))
 	for p <= math.MaxUint32 && g.limit(p) < need {
 		p = int(numeric.NextPrime(uint64(p + 1)))

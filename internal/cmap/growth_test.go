@@ -24,7 +24,7 @@ func TestCappedFluidMatchesLiveMap(t *testing.T) {
 	)
 	for _, c := range []struct{ d, slots int }{{3, 4}, {2, 8}, {4, 4}, {3, 8}, {2, 4}} {
 		buckets := slotsT / shards / c.slots
-		m := New(Config{
+		m := newU64(Config{
 			Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: c.slots, D: c.d,
 			Seed: 61, StashPerShard: slotsT / shards / 8,
 		})
@@ -63,7 +63,7 @@ func TestWatermarkServedShape(t *testing.T) {
 		t.Errorf("W(256) under MaxLoadFactor 0.8 = %v, want the cap", got)
 	}
 	prev := 0
-	for n := 64; n <= 1<<22; n = n*3/2 + 1 {
+	for n := 4; n <= 1<<22; n = n*3/2 + 1 { // from D+1, where BucketsFor's search starts
 		if l := g.limit(n); l < prev {
 			t.Fatalf("limit(%d) = %d below a smaller geometry's %d", n, l, prev)
 		} else {
@@ -84,8 +84,11 @@ func TestGrownBucketsStaysOnFastPaths(t *testing.T) {
 }
 
 // TestBucketsForPresizeNeverResizes is the presize sweep: at every load
-// from 0.50 to 0.95 of several geometries, a map presized by BucketsFor
-// and then loaded never resizes, by its watermark or by a backstop.
+// from 0.50 to 0.95 of several geometries, and at a few tiny counts, a
+// map presized by BucketsFor and then loaded never resizes, by its
+// watermark or by a backstop. Each presize is prime and minimal: the
+// next smaller prime's limit would not hold the busiest shard, whatever
+// the configured count, so a small count presizes below it.
 func TestBucketsForPresizeNeverResizes(t *testing.T) {
 	geometries := []Config{
 		{Shards: 16, BucketsPerShard: 1024, SlotsPerBucket: 4, D: 3},
@@ -95,22 +98,35 @@ func TestBucketsForPresizeNeverResizes(t *testing.T) {
 	}
 	for gi, cfg := range geometries {
 		cfg.Seed, cfg.MaxLoadFactor = uint64(70+gi), 0.9
+		if n := BucketsFor(cfg, 0); n != cfg.BucketsPerShard {
+			t.Errorf("%+v: no pairs presized to %d buckets, want the configured count", cfg, n)
+		}
+		counts := []struct{ pairs, seed int }{{1, 1}, {100, 2}, {3000, 3}}
 		for pct := 50; pct <= 95; pct += 5 {
-			pairs := pct * cfg.Shards * cfg.BucketsPerShard * cfg.SlotsPerBucket / 100
+			counts = append(counts, struct{ pairs, seed int }{pct * cfg.Shards * cfg.BucketsPerShard * cfg.SlotsPerBucket / 100, pct})
+		}
+		g := newGrowthRule(Config{D: cfg.D, SlotsPerBucket: cfg.SlotsPerBucket, StashPerShard: defaultStash, MaxLoadFactor: cfg.MaxLoadFactor})
+		for _, c := range counts {
+			pairs := c.pairs
 			sized := cfg
 			sized.BucketsPerShard = BucketsFor(cfg, pairs)
-			if n := sized.BucketsPerShard; n != cfg.BucketsPerShard && !numeric.IsPrime(uint64(n)) {
-				t.Fatalf("%+v at %d%%: presized to %d buckets, neither the configured count nor prime", cfg, pct, n)
+			n := sized.BucketsPerShard
+			need := busiestShard(pairs, cfg.Shards)
+			if !numeric.IsPrime(uint64(n)) || n <= cfg.D || g.limit(n) < need {
+				t.Fatalf("%+v, %d pairs: presized to %d buckets, not a prime above D whose limit holds %d", cfg, pairs, n, need)
 			}
-			m := New(sized)
-			src := rng.NewXoshiro256(uint64(pct))
+			if p := int(numeric.PrevPrime(uint64(n - 1))); p > cfg.D && g.limit(p) >= need {
+				t.Errorf("%+v, %d pairs: presized to %d buckets, but %d already holds the busiest shard's %d", cfg, pairs, n, p, need)
+			}
+			m := newU64(sized)
+			src := rng.NewXoshiro256(uint64(c.seed))
 			for m.Len() < pairs {
 				k := src.Uint64()
 				m.Put(k, k)
 			}
 			if st := m.Stats(); st.Resizes != 0 || st.Migrating != 0 || st.BackstopResizes != 0 {
-				t.Errorf("%+v at %d%%: presized to %d buckets, loading resized %d times (%d backstops, %d migrating)",
-					cfg, pct, sized.BucketsPerShard, st.Resizes, st.BackstopResizes, st.Migrating)
+				t.Errorf("%+v, %d pairs: presized to %d buckets, loading resized %d times (%d backstops, %d migrating)",
+					cfg, pairs, n, st.Resizes, st.BackstopResizes, st.Migrating)
 			}
 		}
 	}

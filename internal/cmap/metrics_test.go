@@ -12,7 +12,7 @@ import (
 // histograms, every GetBatch call must be timed, and results must be
 // identical to the uninstrumented map's.
 func TestMetricsSampling(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 256, SlotsPerBucket: 4, D: 3, Seed: 21, MaxLoadFactor: 0.9})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 256, SlotsPerBucket: 4, D: 3, Seed: 21, MaxLoadFactor: 0.9})
 	mx := NewMetrics()
 	m.SetMetrics(mx)
 	if m.Metrics() != mx {
@@ -78,7 +78,7 @@ func TestMetricsSampling(t *testing.T) {
 // TestMetricsDetached: a nil Metrics (the default) must keep every
 // path working and record nothing anywhere.
 func TestMetricsDetached(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 2, Seed: 3})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 2, Seed: 3})
 	if m.Metrics() != nil {
 		t.Fatal("fresh map has metrics attached")
 	}

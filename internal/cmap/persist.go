@@ -134,8 +134,3 @@ func LoadKeyed[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Cod
 	}
 	return m, nil
 }
-
-// Load is LoadKeyed for the canonical uint64 → uint64 map.
-func Load(r io.Reader, cfg Config) (*Map[uint64, uint64], error) {
-	return LoadKeyed[uint64, uint64](r, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, cfg)
-}

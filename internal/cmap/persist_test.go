@@ -30,7 +30,7 @@ func expectedVal(k uint64) uint64 { return k*0x9E3779B97F4A7C15 + 1 }
 // fails because the format deliberately changed, bump the version,
 // re-pin with -update, and keep a reader for the old version.
 func TestSnapshotGolden(t *testing.T) {
-	m := New(Config{Shards: 4, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 97, StashPerShard: 8})
+	m := newU64(Config{Shards: 4, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 97, StashPerShard: 8})
 	for k := uint64(1); k <= 200; k++ {
 		if !m.Put(k, expectedVal(k)) {
 			t.Fatalf("seed fill rejected key %d", k)
@@ -63,7 +63,7 @@ func TestSnapshotGolden(t *testing.T) {
 
 	// And the pinned bytes must still load: the golden file is also the
 	// compatibility corpus for this format version.
-	got, err := Load(bytes.NewReader(want), Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, StashPerShard: 8, MaxLoadFactor: 0.85})
+	got, err := loadU64(bytes.NewReader(want), Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, StashPerShard: 8, MaxLoadFactor: 0.85})
 	if err != nil {
 		t.Fatalf("loading the golden file: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestSnapshotGolden(t *testing.T) {
 // geometry-independence contract in its pure form.
 func TestSnapshotRoundTripAnyGeometry(t *testing.T) {
 	const keys = 5000
-	src := New(Config{Shards: 8, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 11,
+	src := newU64(Config{Shards: 8, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 11,
 		StashPerShard: 32, MaxLoadFactor: 0.8, MigrateBatch: 16})
 	resident := make(map[uint64]uint64, keys)
 	r := rng.NewXoshiro256(5)
@@ -115,7 +115,7 @@ func TestSnapshotRoundTripAnyGeometry(t *testing.T) {
 		{Shards: 16, BucketsPerShard: 4096, SlotsPerBucket: 4, D: 2, StashPerShard: 32},                   // fixed capacity, oversized
 	} {
 		cfg.Seed = 999 // must be overridden by the snapshot's seed
-		got, err := Load(bytes.NewReader(buf.Bytes()), cfg)
+		got, err := loadU64(bytes.NewReader(buf.Bytes()), cfg)
 		if err != nil {
 			t.Fatalf("load at %+v: %v", cfg, err)
 		}
@@ -159,7 +159,7 @@ func TestCrashRecoveryUnderChurn(t *testing.T) {
 		churnPerW    = 400
 		stableOffset = 1 << 20
 	)
-	m := New(Config{Shards: 4, BucketsPerShard: 128, SlotsPerBucket: 4, D: 3, Seed: 23,
+	m := newU64(Config{Shards: 4, BucketsPerShard: 128, SlotsPerBucket: 4, D: 3, Seed: 23,
 		StashPerShard: 32, MaxLoadFactor: 0.8, MigrateBatch: 8})
 
 	// Phase 1: the stable set, fully acknowledged before the snapshot.
@@ -211,7 +211,7 @@ func TestCrashRecoveryUnderChurn(t *testing.T) {
 		// ¼ the buckets at the original shard count — the pure shrink.
 		{Shards: 4, BucketsPerShard: 32, SlotsPerBucket: 4, D: 3, StashPerShard: 32, MaxLoadFactor: 0.8},
 	} {
-		got, err := Load(bytes.NewReader(buf.Bytes()), cfg)
+		got, err := loadU64(bytes.NewReader(buf.Bytes()), cfg)
 		if err != nil {
 			t.Fatalf("reload at %+v: %v", cfg, err)
 		}
@@ -393,7 +393,7 @@ func TestLoadRejectsWrongHasher(t *testing.T) {
 // TestLoadRejectsCorruptStream: corruption inside the stream must fail
 // the load with ErrCorrupt, not build a partial map silently.
 func TestLoadRejectsCorruptStream(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 5})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 5})
 	for k := uint64(1); k <= 200; k++ {
 		m.Put(k, k)
 	}
@@ -403,7 +403,7 @@ func TestLoadRejectsCorruptStream(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)-10] ^= 0x40 // damage the last section
-	_, err := Load(bytes.NewReader(data), Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, MaxLoadFactor: 0.85})
+	_, err := loadU64(bytes.NewReader(data), Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, MaxLoadFactor: 0.85})
 	if !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("corrupt stream loaded: err = %v", err)
 	}
@@ -412,7 +412,7 @@ func TestLoadRejectsCorruptStream(t *testing.T) {
 // TestLoadRejectsOverfullFixedGeometry: with growth disabled, a
 // snapshot that cannot fit must error rather than drop records.
 func TestLoadRejectsOverfullFixedGeometry(t *testing.T) {
-	m := New(Config{Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 5, MaxLoadFactor: 0.8})
+	m := newU64(Config{Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 5, MaxLoadFactor: 0.8})
 	for k := uint64(1); k <= 2000; k++ {
 		m.Put(k, k)
 	}
@@ -420,7 +420,7 @@ func TestLoadRejectsOverfullFixedGeometry(t *testing.T) {
 	if err := m.Snapshot(&buf, keyed.Uint64Codec, keyed.Uint64Codec); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(bytes.NewReader(buf.Bytes()), Config{Shards: 1, BucketsPerShard: 8, SlotsPerBucket: 4, D: 3, StashPerShard: 4})
+	_, err := loadU64(bytes.NewReader(buf.Bytes()), Config{Shards: 1, BucketsPerShard: 8, SlotsPerBucket: 4, D: 3, StashPerShard: 4})
 	if err == nil {
 		t.Fatal("2000 pairs loaded into a 32-slot fixed geometry")
 	}

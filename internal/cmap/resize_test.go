@@ -47,7 +47,7 @@ func testResizeMatchesFresh(t *testing.T, buckets int) {
 		watermark = 0.75
 	)
 	grownTo := grownBuckets(buckets)
-	grown := New(Config{
+	grown := newU64(Config{
 		Shards: shards, BucketsPerShard: buckets, SlotsPerBucket: slots, D: d,
 		Seed: 41, StashPerShard: 64, MaxLoadFactor: watermark, MigrateBatch: 8,
 	})
@@ -83,7 +83,7 @@ func testResizeMatchesFresh(t *testing.T, buckets int) {
 	// the same occupancy. Deletes shift the load distribution away from
 	// an insert-only table's (the paper's §2.2), so only a churned
 	// baseline isolates what the resize itself does.
-	fresh := New(Config{
+	fresh := newU64(Config{
 		Shards: shards, BucketsPerShard: grownTo, SlotsPerBucket: slots, D: d,
 		Seed: 43, StashPerShard: 64,
 	})
@@ -141,7 +141,7 @@ func TestRaceResizeHandoff(t *testing.T) {
 		perWorker     = 4000
 		keysPerWorker = 600
 	)
-	m := New(Config{
+	m := newU64(Config{
 		Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 3, Seed: 51,
 		StashPerShard: 8, MaxLoadFactor: 0.7, MigrateBatch: 1,
 	})

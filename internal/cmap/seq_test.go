@@ -31,7 +31,7 @@ import (
 func TestSeqReadGating(t *testing.T) {
 	cfg := Config{Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 2, Seed: 1}
 	t.Run("uint64", func(t *testing.T) {
-		seqReadWhileLocked(t, New(cfg), 7, 70, eqComparable[uint64])
+		seqReadWhileLocked(t, newU64(cfg), 7, 70, eqComparable[uint64])
 	})
 	t.Run("fiveTuple", func(t *testing.T) {
 		m := NewKeyed[fiveTuple, uint64](keyed.ForType[fiveTuple](), cfg)
@@ -133,7 +133,7 @@ func TestSeqlockStableReadsDuringResize(t *testing.T) {
 		StashPerShard: 16, MaxLoadFactor: 0.6, MigrateBatch: 1,
 	}
 	t.Run("uint64", func(t *testing.T) {
-		stableReadsDuringResize(t, New(cfg),
+		stableReadsDuringResize(t, newU64(cfg),
 			func(k uint64) uint64 { return k },
 			func(k uint64) uint64 { return k * 3 },
 			eqComparable[uint64], false)
@@ -282,7 +282,7 @@ func TestSeqSteadyStateNoFallbacks(t *testing.T) {
 		MaxLoadFactor: 0.9,
 	}
 	t.Run("uint64", func(t *testing.T) {
-		steadyStateNoFallbacks(t, New(cfg),
+		steadyStateNoFallbacks(t, newU64(cfg),
 			func(k uint64) uint64 { return k }, func(k uint64) uint64 { return k * 7 }, eqComparable[uint64])
 	})
 	t.Run("string-bytes", func(t *testing.T) {
@@ -337,7 +337,7 @@ func steadyStateNoFallbacks[K comparable, V any](t *testing.T, m *Map[K, V], key
 // forces Get to spin out its budget and take the lock, and forces
 // GetBatch to route that shard's keys through the per-key fallback.
 func TestSeqCountersCountFallbacks(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 2, Seed: 13})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 2, Seed: 13})
 	m.Put(42, 99)
 	sh, _ := m.route(42)
 
@@ -379,7 +379,7 @@ func TestSeqCountersCountFallbacks(t *testing.T) {
 // reads only through GetBatch, so this is its live choice distribution.
 func TestGetBatchMidMigration(t *testing.T) {
 	const n = 4096
-	m := New(Config{
+	m := newU64(Config{
 		Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 9,
 		StashPerShard: 32, MaxLoadFactor: 0.7, MigrateBatch: 1,
 	})
@@ -434,7 +434,7 @@ func getBatch[K comparable, V any](m *Map[K, V], keys []K) ([]V, []bool) {
 // MGET: duplicate keys in one batch, empty batches, chunk-boundary
 // lengths, and arena-held string keys through the same interface.
 func TestMGet(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 3})
+	m := newU64(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 3})
 	for k := uint64(1); k <= 100; k++ {
 		m.Put(k, k+1000)
 	}
@@ -492,7 +492,7 @@ func TestMGet(t *testing.T) {
 // implied by the capacities seen in the same pass (the old torn-read
 // Stats could mix one geometry's buckets with another's stash).
 func TestStatsSeqConsistency(t *testing.T) {
-	m := New(Config{
+	m := newU64(Config{
 		Shards: 4, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 11,
 		StashPerShard: 16, MaxLoadFactor: 0.7, MigrateBatch: 4,
 	})
@@ -566,7 +566,7 @@ func TestLockedFallbackMatchesProbe(t *testing.T) {
 		StashPerShard: 32, MaxLoadFactor: 0.7, MigrateBatch: 1,
 	}
 	t.Run("uint64/doubling", func(t *testing.T) {
-		m := New(doubling)
+		m := newU64(doubling)
 		keys := fillMidDoubling(t, m, 4096, func(k uint64) uint64 { return k }, func(k uint64) uint64 { return ^k })
 		lockedReadsMatchProbe(t, m, keys, eqComparable[uint64])
 	})

@@ -99,7 +99,7 @@ func TestTypedBucketLoadsMatchUint64(t *testing.T) {
 			}
 		}
 	}
-	u := New(cfg)
+	u := newU64(cfg)
 	fillMap(func(x uint64) bool { return u.Put(x, x) })
 	uh := u.Stats().BucketLoads
 
@@ -124,14 +124,14 @@ func TestTypedBucketLoadsMatchUint64(t *testing.T) {
 }
 
 // TestTypedUint64MatchesLegacyMap pins that the generic machinery did
-// not change uint64 behaviour: the compat constructor (New) and an
-// explicitly keyed Map[uint64, uint64] built from ForType place an
+// not change uint64 behaviour: a map under the canonical uint64 hasher
+// (keyed.Uint64, the legacy digests) and one built from ForType place an
 // identical op sequence identically — same membership, same histogram,
 // same stash.
 func TestTypedUint64MatchesLegacyMap(t *testing.T) {
 	cfg := Config{Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 2, D: 3, Seed: 23,
 		StashPerShard: 16, MaxLoadFactor: 0.8, MigrateBatch: 4}
-	a := New(cfg)
+	a := newU64(cfg)
 	b := NewKeyed[uint64, uint64](keyed.ForType[uint64](), cfg)
 	ops := testutil.RandomOps(20000, 1024, 0.5, 0.2, 24)
 	for _, op := range ops {

@@ -445,14 +445,15 @@ func (s *Server) flushGets(cs *connState) {
 }
 
 // writeOut flushes a burst's accumulated reply frames under the write
-// deadline.
+// deadline. The deadline stays armed after the flush and may lapse while
+// the connection idles: every write on a connection goes through here
+// and arms a fresh one first.
 func (s *Server) writeOut(conn net.Conn, bw *connWriter, out []byte) error {
 	if len(out) == 0 {
 		return nil
 	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		defer conn.SetWriteDeadline(time.Time{})
 	}
 	if _, err := bw.Write(out); err != nil {
 		return err

@@ -5,7 +5,8 @@ package wire
 // queued requests → N in-order replies), per-connection read-your-
 // writes across the GET-coalescing tier, the two error disciplines
 // (framing faults close the connection, application faults don't),
-// the frame guards, STATS, and graceful shutdown.
+// the frame guards, the idle and write timeouts, STATS, and graceful
+// shutdown.
 
 import (
 	"bytes"
@@ -444,4 +445,110 @@ func TestServerEmptyKeyAndValue(t *testing.T) {
 	if err != nil || !ok || len(v) != 0 {
 		t.Fatalf("Get(empty) = %q ok %v err %v", v, ok, err)
 	}
+}
+
+// waitCounter waits up to five seconds for c to read want.
+func waitCounter(t *testing.T, c *obs.Counter, want int64, name string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.Load() != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, c.Load(), want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerWriteTimeoutCutsStalledReader: a peer that keeps sending
+// requests but never reads the replies fills the socket buffers, so the
+// server's flush blocks. WriteTimeout must cut it: the handler exits,
+// and ConnsActive returns to 0, while the peer still holds its end open.
+func TestServerWriteTimeoutCutsStalledReader(t *testing.T) {
+	backend := newMemBackend()
+	backend.m["big"] = make([]byte, 256<<10)
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	srv, addr := startServer(t, backend, Options{
+		MaxPipeline:  4, // a burst buffers at most 1 MiB of replies
+		WriteTimeout: 100 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	// Send GETs until a write fails: the server stops reading once its
+	// flush blocks, and closes the connection when the flush times out.
+	req := AppendGetRequest(nil, []byte("big"))
+	writer := make(chan struct{})
+	go func() {
+		defer close(writer)
+		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		for {
+			if _, err := conn.Write(req); err != nil {
+				return
+			}
+		}
+	}()
+	waitCounter(t, &srv.Counters().ConnsAccepted, 1, "conns_accepted")
+	waitCounter(t, &srv.Counters().ConnsActive, 0, "conns_active")
+	conn.Close()
+	<-writer
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "writing replies") && strings.Contains(l, "timeout") {
+			return
+		}
+	}
+	t.Errorf("handler exited without a write timeout; logs: %q", logs)
+}
+
+// TestServerReplyAfterIdleLongerThanWriteTimeout: every flush arms its
+// own write deadline, so a connection idle for longer than WriteTimeout
+// still gets its next reply.
+func TestServerReplyAfterIdleLongerThanWriteTimeout(t *testing.T) {
+	_, addr := startServer(t, newMemBackend(), Options{WriteTimeout: 50 * time.Millisecond})
+	c := dialT(t, addr)
+	if err := c.Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	c.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if v, ok, err := c.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after an idle gap = %q ok %v err %v, want v", v, ok, err)
+	}
+}
+
+// TestServerIdleTimeoutClosesSilentConnection: a connection that sends
+// nothing is closed, with no reply, once IdleTimeout lapses.
+func TestServerIdleTimeoutClosesSilentConnection(t *testing.T) {
+	srv, addr := startServer(t, newMemBackend(), Options{IdleTimeout: 100 * time.Millisecond})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	raw, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("waiting for the server to close the connection: %v", err)
+	}
+	if len(raw) != 0 {
+		t.Errorf("server sent %d bytes to a silent peer", len(raw))
+	}
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+		t.Errorf("closed after %v, before the idle timeout", elapsed)
+	}
+	waitCounter(t, &srv.Counters().ConnsActive, 0, "conns_active")
 }

@@ -175,11 +175,14 @@ func (s *DurableMap[K, V]) stripe(digest uint64) *sync.Mutex {
 // Open opens (or creates) the durable map stored in dir: it loads
 // dir/snapshot if present, replays dir/wal over it (truncating any torn
 // tail a crash left), and returns a map ready for durable writes. The
-// geometry options describe the map *this* process wants — recovery
-// places the snapshot's records at the new shape, so a restart is also
-// the moment to resize. Growth must be enabled (it is by default):
-// replay must never hit a capacity rejection. K and V follow NewMap's
-// type rule; Open panics for any other type.
+// shape options (shards, slots, d, stash, growth) describe the map
+// *this* process wants — recovery places the snapshot's records at the
+// new shape, so a restart is also the moment to reshape. The bucket
+// count follows the records instead: recovery sizes each shard for the
+// records it counts (see recoveryBuckets), and WithBuckets sizes only a
+// map that starts empty or from a WAL alone. Growth must be enabled (it
+// is by default): replay must never hit a capacity rejection. K and V
+// follow NewMap's type rule; Open panics for any other type.
 //
 // Options consumed: those of NewMap, plus WithWALSync.
 func Open[K comparable, V any](dir string, opts ...Option) (*DurableMap[K, V], error) {
@@ -213,7 +216,7 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	var m *Map[K, V]
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
 		cfg.BucketsPerShard = recoveryBuckets(f, filepath.Join(dir, walFile), cfg)
-		m, err = cmap.LoadKeyed[K, V](bufio.NewReaderSize(f, 1<<20), h, kc, vc, cfg)
+		m, err = cmap.LoadKeyed[K, V](f, h, kc, vc, cfg)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("repro: loading %s: %w", snapshotFile, err)
@@ -258,14 +261,17 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 
 // recoveryBuckets returns the buckets per shard recovery starts at:
 // cmap.BucketsFor's presize for the snapshot's records plus the WAL's
-// Puts, a geometry whose watermark holds them all, so every record is
-// placed once and no shard resizes while they load. Placement is a
-// function of each record's digest, not of the table's history, so
-// nothing is lost by skipping the doublings. The snapshot's count comes
-// from its section headers, the WAL's from a counting replay; the WAL's
-// share is capped at the snapshot's, so a log of overwrites presizes for
-// at most twice the snapshot. Any error keeps cfg's geometry: the load
-// and the replay that follow report it.
+// Puts, the smallest geometry whose watermark holds them all, so every
+// record is placed once and no shard resizes while they load. It depends
+// on that count alone, not on cfg.BucketsPerShard: a small snapshot
+// recovers into a small map, which the watermark grows as new keys
+// arrive. Placement is a function of each record's digest, not of the
+// table's history, so nothing is lost by skipping the doublings. The
+// snapshot's count comes from its section headers, the WAL's from a
+// counting replay; the WAL's share is capped at the snapshot's, so a log
+// of overwrites presizes for at most twice the snapshot. An empty
+// snapshot, or any error, keeps cfg's geometry: the load and the replay
+// that follow report the error.
 func recoveryBuckets(snap *os.File, walPath string, cfg cmap.Config) int {
 	st, err := snap.Stat()
 	if err != nil {

@@ -412,15 +412,16 @@ func presizedCapacity(pairs int) int {
 // TestRecoveryPresizedForNewKeys: a snapshot plus a WAL of new keys
 // recovers straight into the geometry the growth rule presizes for their
 // count, with no resize, and no larger than a map that Put the same keys
-// one by one grew to. n is chosen so the snapshot alone fits served's
-// initial 4096 buckets per shard (12,000 a shard, 12,530 for the
-// busiest, of the 12,574 a shard holds under W(4096) = 0.767) while the
-// WAL's new keys push every shard over it: presizing from the snapshot
-// alone would still double every shard.
+// one by one grew to. The WAL's new keys must be counted: the snapshot
+// alone presizes to 4091 buckets per shard (12,000 pairs a shard, 12,531
+// for the busiest, of the 12,559 a shard holds under W(4091) = 0.767),
+// while with the WAL's keys (13,500 a shard, 14,063 for the busiest) the
+// presize is 4603 buckets. Presizing from the snapshot alone would
+// double every shard.
 func TestRecoveryPresizedForNewKeys(t *testing.T) {
 	const n = 192_000
-	if b := cmap.BucketsFor(servedConfig(), n); b != 1<<12 {
-		t.Fatalf("the snapshot alone presizes to %d buckets per shard; the test needs it to fit 4096", b)
+	if a, b := cmap.BucketsFor(servedConfig(), n), cmap.BucketsFor(servedConfig(), n+n/8); a >= b {
+		t.Fatalf("the snapshot alone presizes to %d buckets per shard, with the WAL's keys to %d; the test needs fewer", a, b)
 	}
 	dir := t.TempDir()
 	s, err := repro.Open[string, uint64](dir, servedFlags()...)
@@ -446,6 +447,55 @@ func TestRecoveryPresizedForNewKeys(t *testing.T) {
 	}
 	if st.Capacity > grown.Capacity {
 		t.Errorf("recovered capacity %d, more than the %d of the map that grew by Puts", st.Capacity, grown.Capacity)
+	}
+}
+
+// TestRecoverySmallSnapshotGrowsOnline: a snapshot far smaller than
+// served's configured 4096 buckets per shard hold recovers at the
+// presize for its own count (mget-cache's 16,384 pairs: 347 buckets per
+// shard at 0.74 load, where 4096 buckets would hold them at 0.06), with
+// no resize. A presized shard loads to within five binomial standard
+// deviations of its limit, so the first new keys grow it online; they
+// must grow it by the watermark alone, like any other shard, and every
+// key must read back.
+func TestRecoverySmallSnapshotGrowsOnline(t *testing.T) {
+	const n = 16_384
+	cfg := servedConfig()
+	if configured := cfg.Shards * cfg.BucketsPerShard * cfg.SlotsPerBucket; presizedCapacity(n) >= configured {
+		t.Fatalf("%d pairs presize to %d slots; the test needs fewer than the configured %d", n, presizedCapacity(n), configured)
+	}
+	dir := t.TempDir()
+	s, err := repro.Open[string, uint64](dir, servedFlags()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putRange(t, s, 0, n, 0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := repro.Open[string, uint64](dir, servedFlags()...)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer s2.Close()
+	if st := s2.Map().Stats(); st.Capacity != presizedCapacity(n) || st.Resizes != 0 {
+		t.Fatalf("recovered capacity %d after %d resizes, want the presize %d after none", st.Capacity, st.Resizes, presizedCapacity(n))
+	}
+	putRange(t, s2, n, 5*n, 0)
+	if st := settledStats(s2.Map()); st.Resizes == 0 || st.BackstopResizes != 0 {
+		t.Errorf("%d new keys: %d resizes, %d backstops; want growth by the watermark alone", 4*n, st.Resizes, st.BackstopResizes)
+	}
+	if s2.Len() != 5*n {
+		t.Fatalf("%d pairs stored, want %d", s2.Len(), 5*n)
+	}
+	for i := 0; i < 5*n; i++ {
+		if v, ok := s2.Get(recoveryKey(i)); !ok || v != uint64(i) {
+			t.Fatalf("key %d = (%d, %v), want (%d, true)", i, v, ok, i)
+		}
 	}
 }
 

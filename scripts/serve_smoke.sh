@@ -6,8 +6,9 @@
 # (/metrics must carry the core series with live values, /healthz must
 # report ready, counters must be monotone across scrapes), compare
 # batched MGET reads against per-key GETs, then shut down gracefully and
-# prove a restart recovers every pair. Used by `make serve-smoke` and
-# the CI serve-smoke job.
+# prove a restart recovers every pair into a map sized to its records,
+# which new keys then grow by the watermark alone. Used by
+# `make serve-smoke` and the CI serve-smoke job.
 #
 # Env knobs:
 #   SMOKE_OPS   ops for the verified run        (default 60000)
@@ -171,12 +172,25 @@ RECOVERED=$(grep -o "recovered [0-9]* pairs" "$LOG" | tail -1 | awk '{print $2}'
 [ "$RECOVERED" -gt 0 ] || fail "restart recovered $RECOVERED pairs, expected the checkpointed map"
 echo "serve-smoke: restart recovered $RECOVERED pairs"
 
+# Recovery sizes the map to its records, not to -buckets: each shard
+# loads to about its fluid-limit watermark (~0.7), where -buckets' 4096
+# per shard would hold this map at ~0.06.
+fetch "http://$ADMIN/metrics" >"$DIR/metrics3" || fail "post-restart /metrics scrape failed"
+OCC3=$(metric repro_map_occupancy "$DIR/metrics3")
+awk -v o="$OCC3" 'BEGIN { exit !(o >= 0.5) }' \
+    || fail "restarted map occupancy $OCC3 < 0.5: recovery did not size the map to its records"
+echo "serve-smoke: restarted map occupancy $OCC3"
+
 # The restarted instance must still serve (plain run, not -verify: the
 # shadow maps start empty, and the recovered pairs occupy the same key
 # space — the oracle is only sound against a map its run populated).
 "$DIR/loadgen" -net "$ADDR" -ops "$OPS" -conns "$CONNS" \
     -read 0.6 -delete 0.1 -seed 8 >/dev/null \
     || fail "post-restart run failed"
+# The new keys grew the presized shards by the watermark alone.
+fetch "http://$ADMIN/metrics" >"$DIR/metrics4" || fail "post-restart-run /metrics scrape failed"
+[ "$(metric repro_map_backstop_resizes_total "$DIR/metrics4")" = "0" ] \
+    || fail "repro_map_backstop_resizes_total != 0 after the post-restart run: a presized shard grew by a backstop"
 stop_served
 
 echo "serve-smoke: PASS"

@@ -100,7 +100,10 @@ func buildOptions(opts []Option) options {
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // WithBuckets sets Map's buckets per shard (default 1024) — the
-// *initial* count when growth is enabled.
+// *initial* count when growth is enabled. It sizes NewMap, Load, and an
+// Open whose snapshot is absent or empty; Open recovering a snapshot's
+// records sizes each shard for their count instead, smaller or larger
+// than this.
 func WithBuckets(n int) Option { return func(o *options) { o.buckets = n } }
 
 // WithSlots sets Map's slots per bucket (default 4).
