@@ -98,9 +98,13 @@ bench-module:
 # Differential fuzz smoke (used by CI): each op-sequence fuzz target runs
 # against the shared shadow-map oracle for FUZZ_TIME. `go test -fuzz`
 # accepts one target per invocation, hence one line per package.
+# FuzzLoadMatchesPuts builds, snapshots and loads maps per input, so
+# minimizing one new input under Go's default 60 s cap would spend the
+# whole smoke budget; a 5 s cap leaves most of it to fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCMapOps$$' -fuzztime $(FUZZ_TIME) ./internal/cmap
 	$(GO) test -run '^$$' -fuzz '^FuzzCMapStringOps$$' -fuzztime $(FUZZ_TIME) ./internal/cmap
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadMatchesPuts$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 5s ./internal/cmap
 	$(GO) test -run '^$$' -fuzz '^FuzzCuckooOps$$' -fuzztime $(FUZZ_TIME) ./internal/cuckoo
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenAddrOps$$' -fuzztime $(FUZZ_TIME) ./internal/openaddr
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZ_TIME) ./internal/persist

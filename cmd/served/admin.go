@@ -32,20 +32,21 @@ func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, 
 	// Map layer: sampled Put latency, GetBatch call latency (every
 	// served read is a GetBatch), the paper's which-choice-held
 	// probe-depth distribution, and occupancy/resize/seqlock health
-	// pulled from Stats().
+	// read from one Stats() per scrape: Stats walks every bucket of
+	// every shard.
 	reg.Histogram("repro_map_put_seconds", "sampled map Put latency (1-in-64 digest-keyed sample)", mapMx.PutNanos, 1e-9)
 	reg.Histogram("repro_map_getbatch_seconds", "map GetBatch whole-call latency (every call)", mapMx.BatchNanos, 1e-9)
 	reg.Histogram("repro_map_probe_depth", "candidate index resolving sampled Get and GetBatch hits (0..d-1 buckets, d stash)", mapMx.ProbeDepth, 1)
-	stat := func(f func(repro.ContainerStats) float64) func() float64 {
-		return func() float64 { return f(m.Stats()) }
-	}
-	reg.Gauge("repro_map_len", "stored pairs", stat(func(s repro.ContainerStats) float64 { return float64(s.Len) }))
-	reg.Gauge("repro_map_occupancy", "stored pairs over total slot capacity", stat(func(s repro.ContainerStats) float64 { return s.Occupancy }))
-	reg.Gauge("repro_map_resizes_total", "completed online shard resizes", stat(func(s repro.ContainerStats) float64 { return float64(s.Resizes) }))
-	reg.Gauge("repro_map_backstop_resizes_total", "shard resizes started by stash pressure or a rejected Put before the fluid-limit watermark (any nonzero means a shard left the prediction)", stat(func(s repro.ContainerStats) float64 { return float64(s.BackstopResizes) }))
-	reg.Gauge("repro_map_migrating", "entries awaiting migration in resizing shards", stat(func(s repro.ContainerStats) float64 { return float64(s.Migrating) }))
-	reg.Gauge("repro_map_seq_retries_total", "seqlock optimistic-read retries", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqRetries) }))
-	reg.Gauge("repro_map_seq_fallbacks_total", "seqlock reads that fell back to the shard lock", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqFallbacks) }))
+	type stat = obs.SetGauge[repro.ContainerStats]
+	obs.GaugeSet(reg, m.Stats,
+		stat{Name: "repro_map_len", Help: "stored pairs", Value: func(s repro.ContainerStats) float64 { return float64(s.Len) }},
+		stat{Name: "repro_map_occupancy", Help: "stored pairs over total slot capacity", Value: func(s repro.ContainerStats) float64 { return s.Occupancy }},
+		stat{Name: "repro_map_resizes_total", Help: "completed online shard resizes", Value: func(s repro.ContainerStats) float64 { return float64(s.Resizes) }},
+		stat{Name: "repro_map_backstop_resizes_total", Help: "shard resizes started by stash pressure or a rejected Put before the fluid-limit watermark (any nonzero means a shard left the prediction)", Value: func(s repro.ContainerStats) float64 { return float64(s.BackstopResizes) }},
+		stat{Name: "repro_map_migrating", Help: "entries awaiting migration in resizing shards", Value: func(s repro.ContainerStats) float64 { return float64(s.Migrating) }},
+		stat{Name: "repro_map_seq_retries_total", Help: "seqlock optimistic-read retries", Value: func(s repro.ContainerStats) float64 { return float64(s.SeqRetries) }},
+		stat{Name: "repro_map_seq_fallbacks_total", Help: "seqlock reads that fell back to the shard lock", Value: func(s repro.ContainerStats) float64 { return float64(s.SeqFallbacks) }},
+	)
 
 	// Durability layer: WAL append/fsync latency, group-commit batch
 	// sizes, poison events, recovery totals, checkpoint cost.

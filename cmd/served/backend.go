@@ -1,4 +1,4 @@
-//repro:unsafeview string views of wire frame and recovery record bytes, handed to the map for the length of one call; the map copies whatever it keeps into its arena
+//repro:unsafeview string views of wire frame and recovery record bytes, handed to the map while their buffer lives; the map copies whatever it keeps into its arena
 
 package main
 
@@ -12,9 +12,10 @@ import (
 // keyCodec and bytesCodec encode keys and values verbatim. Decode
 // returns a view of the loader's buffer without copying, so recovery
 // allocates nothing per record: the snapshot load and the WAL replay
-// pass a decoded key and value only to the map's Put and Delete (and
-// the load's one-time hasher check), and the map copies what it keeps
-// into its arena before the loader reuses the buffer.
+// pass a decoded key and value only to the map's put body and Delete
+// (and the load's one-time hasher check), and the map copies what it
+// keeps into its arena before the loader reuses the buffer — at the
+// end of a snapshot section, or at the next WAL record.
 var (
 	keyCodec = repro.Codec[string]{
 		Append: func(dst []byte, k string) []byte { return append(dst, k...) },
@@ -47,7 +48,7 @@ type backend struct {
 
 // view returns b's bytes as a string without copying. The string is
 // valid only while the buffer is: for the length of one backend call,
-// or of one recovered record.
+// of one replayed WAL record, or of one snapshot section.
 //
 //repro:noalloc
 //repro:gated a byte slice has no pointer fields to hide; the view is used only while its buffer is live

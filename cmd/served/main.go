@@ -77,6 +77,7 @@ func main() {
 	logger := log.New(os.Stderr, "served: ", log.LstdFlags)
 
 	dm := repro.NewDurableMetrics()
+	start := time.Now()
 	m, err := openStore(*dir,
 		repro.WithShards(*shards), repro.WithBuckets(*buckets), repro.WithSlots(*slots),
 		repro.WithD(*d), repro.WithMaxLoadFactor(*grow), repro.WithSeed(*seed),
@@ -84,7 +85,8 @@ func main() {
 	if err != nil {
 		logger.Fatalf("open %s: %v", *dir, err)
 	}
-	logger.Printf("recovered %d pairs from %s (wal fsync %v)", m.Len(), *dir, *walSync)
+	logger.Printf("recovered %d pairs from %s in %v (wal fsync %v)",
+		m.Len(), *dir, time.Since(start).Round(time.Millisecond), *walSync)
 	mapMx := cmap.NewMetrics()
 	m.Map().SetMetrics(mapMx) // before any traffic: the hot paths read it unsynchronized
 

@@ -1,7 +1,9 @@
 package cmap
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,6 +307,45 @@ func BenchmarkCMapGetBatchBytes(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLoadKeyedBytes is recovery's snapshot load at served's shape:
+// 20-byte string keys and 32-byte []byte values, loaded into a map
+// presized by BucketsFor as Open presizes it, with served's shards,
+// slots, d and growth cap. Values decode as views of the record, as
+// served's codec decodes them; keys are copied, as the standard string
+// codec copies them. The snapshot holds the pairs in key order, in 16
+// sections, as the end-to-end benchmark's datasets do, so consecutive
+// records land in random shards (Map.Snapshot writes one shard per
+// section instead, which a load at the same shard count places in one
+// shard's slice of the map at a time). ns/op is per record. At 2^14
+// pairs the map stays in cache; at 2^20 each placement misses DRAM. Run
+// it at a fixed -benchtime of a few loads (e.g. 4194304x).
+func BenchmarkLoadKeyedBytes(b *testing.B) {
+	for _, pairs := range []int{1 << 14, 1 << 20} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			cfg := Config{Shards: 16, BucketsPerShard: 1 << 12, SlotsPerBucket: 4, D: 3, Seed: 1, MaxLoadFactor: 0.9}
+			sections := make([]int, 16)
+			for s := range sections {
+				sections[s] = pairs / len(sections)
+			}
+			val := benchValue()
+			snap := writeSections(b, keyed.ForType[string](), keyed.StringCodec, bytesView, cfg.Seed, sections,
+				func(i int) string { return fmt.Sprintf("key-%016x", i) }, func(int) []byte { return val })
+			cfg.BucketsPerShard = BucketsFor(cfg, pairs)
+			b.ResetTimer()
+			for n := 0; n < b.N; n += pairs {
+				// Each load starts on a collected heap, as a new process does.
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				m, err := LoadKeyed(bytes.NewReader(snap), keyed.ForType[string](), keyed.StringCodec, bytesView, cfg)
+				if err != nil || m.Len() != pairs {
+					b.Fatalf("load: %v", err)
+				}
+			}
+		})
+	}
 }
 
 // benchValue is a 32-byte value, the size served's benchmark stores.

@@ -92,10 +92,12 @@
 //
 // The keyed hash evaluation always happens outside the shard lock. The
 // cheap geometry-dependent candidate expansion happens under the lock on
-// the write path, because a doubling or rebuild may start at any write;
-// seqlock readers instead validate that their deriver and bucket view
-// describe the same geometry and retry on mismatch, keeping the whole
-// read path lock-free.
+// the write path, because a doubling or rebuild may start at any write
+// (the snapshot loader derives a window's candidates ahead of placing
+// them, and the put body derives again under the lock if the shard's
+// geometry changed since); seqlock readers instead validate that their
+// deriver and bucket view describe the same geometry and retry on
+// mismatch, keeping the whole read path lock-free.
 package cmap
 
 import (
@@ -431,39 +433,47 @@ func Digest[K comparable, V any](m *Map[K, V], key K) uint64 { return m.digest(k
 //repro:digestcarried
 //repro:noalloc
 func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) bool {
+	var buf [maxD]uint32
+	sh, tag := m.routeDigest(digest)
 	if mx := m.metrics; mx != nil && digest&sampleMask == 0 {
 		start := nowNanos()
-		ok := m.putDigest(digest, key, val)
+		ok := m.putRouted(sh, tag, nil, buf[:m.d], key, val)
 		mx.PutNanos.Record(nowNanos() - start)
 		return ok
 	}
-	return m.putDigest(digest, key, val)
+	return m.putRouted(sh, tag, nil, buf[:m.d], key, val)
 }
 
-// putDigest is Put from an already computed full digest — shared by
-// PutDigest and the snapshot loader (which streams stored digests back
-// in, re-hashing nothing).
+// putRouted is the put body, shared by Put and the snapshot loader: it
+// stores key → val in sh, key's shard, where key's tag is tag. cands
+// holds d candidates that der derived for tag; a nil der derived none.
+// Under the shard lock it derives them with the shard's deriver unless
+// that is der: the loader plans a window of records' candidates before
+// placing any, and a placement in between may have promoted the shard to
+// a new geometry. Mid-resize it derives the new geometry's candidates
+// too.
 //
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
-	var oldBuf, newBuf [maxD]uint32
-	sh, tag := m.routeDigest(digest)
-	oldCands, newCands := oldBuf[:m.d], newBuf[:m.d]
+func (m *Map[K, V]) putRouted(sh *shard[K, V], tag uint64, der *hashes.Deriver, cands []uint32, key K, val V) bool {
+	var newBuf [maxD]uint32
+	newCands := newBuf[:m.d]
 	sh.lock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
+	if cur := sh.deriver.Load(); cur != der {
+		cur.CandidateBins(tag, cands)
+	}
 	var ok bool
 	if sh.core.Resizing() {
 		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
+		ok = sh.core.PutDual(cands, newCands, key, val, tag)
 	} else {
-		ok = sh.core.Put(oldCands, key, val, tag)
+		ok = sh.core.Put(cands, key, val, tag)
 		if n := m.resizeTargetLocked(sh, !ok); n > 0 {
 			doubling := n != sh.core.Buckets()
 			m.startResizeLocked(sh, n)
 			if !ok && doubling {
 				sh.nextDeriver.Load().CandidateBins(tag, newCands)
-				ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
+				ok = sh.core.PutDual(cands, newCands, key, val, tag)
 			}
 		}
 	}

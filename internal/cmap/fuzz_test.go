@@ -1,6 +1,7 @@
 package cmap
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -54,6 +55,24 @@ func fuzzSeeds(keySpace uint64) [][]byte {
 	}
 }
 
+// fuzzConfig decodes a 4-byte fuzz header into a map shape: fixed
+// capacity, or, with hdr[3]'s low bit set, online resize.
+func fuzzConfig(hdr []byte) Config {
+	cfg := Config{
+		Shards:          1 << (hdr[0] % 3),      // 1, 2, 4
+		BucketsPerShard: 8 << (hdr[0] >> 4 % 3), // 8, 16, 32
+		SlotsPerBucket:  1 + int(hdr[1]%4),
+		D:               2 + int(hdr[1]>>4%3), // 2..4
+		Seed:            uint64(hdr[2]),
+		StashPerShard:   2 + int(hdr[2]>>4),
+	}
+	if hdr[3]%2 == 1 {
+		cfg.MaxLoadFactor = 0.55 + float64(hdr[3]>>1%4)*0.1
+		cfg.MigrateBatch = 1 + int(hdr[3]>>3%8)
+	}
+	return cfg
+}
+
 // FuzzCMapOps decodes the input into a map shape (fixed-capacity or
 // growing) plus an op sequence and differentially tests it against the
 // shadow-map oracle, finishing any in-flight migration before the final
@@ -74,18 +93,7 @@ func FuzzCMapOps(f *testing.F) {
 		if len(body) > 32<<10 { // bound work per exec
 			body = body[:32<<10]
 		}
-		cfg := Config{
-			Shards:          1 << (hdr[0] % 3),      // 1, 2, 4
-			BucketsPerShard: 8 << (hdr[0] >> 4 % 3), // 8, 16, 32
-			SlotsPerBucket:  1 + int(hdr[1]%4),
-			D:               2 + int(hdr[1]>>4%3), // 2..4
-			Seed:            uint64(hdr[2]),
-			StashPerShard:   2 + int(hdr[2]>>4),
-		}
-		if hdr[3]%2 == 1 {
-			cfg.MaxLoadFactor = 0.55 + float64(hdr[3]>>1%4)*0.1
-			cfg.MigrateBatch = 1 + int(hdr[3]>>3%8)
-		}
+		cfg := fuzzConfig(hdr)
 		m := newU64(cfg)
 		opt := testutil.Options{TrackValues: true, Finalize: func() {
 			for m.MigrateStep(64) > 0 {
@@ -120,18 +128,7 @@ func FuzzCMapStringOps(f *testing.F) {
 		if len(body) > 32<<10 { // bound work per exec
 			body = body[:32<<10]
 		}
-		cfg := Config{
-			Shards:          1 << (hdr[0] % 3),      // 1, 2, 4
-			BucketsPerShard: 8 << (hdr[0] >> 4 % 3), // 8, 16, 32
-			SlotsPerBucket:  1 + int(hdr[1]%4),
-			D:               2 + int(hdr[1]>>4%3), // 2..4
-			Seed:            uint64(hdr[2]),
-			StashPerShard:   2 + int(hdr[2]>>4),
-		}
-		if hdr[3]%2 == 1 {
-			cfg.MaxLoadFactor = 0.55 + float64(hdr[3]>>1%4)*0.1
-			cfg.MigrateBatch = 1 + int(hdr[3]>>3%8)
-		}
+		cfg := fuzzConfig(hdr)
 		decoded := testutil.DecodeOps(body, keySpace)
 		key := func(k uint64) string { return fmt.Sprintf("key-%04x", k) }
 		m := NewKeyed[string, uint64](keyed.ForType[string](), cfg)
@@ -149,6 +146,55 @@ func FuzzCMapStringOps(f *testing.F) {
 		}
 		if err := testutil.Run(bm, testutil.MapOps(decoded, key, fuzzValue), opt); err != nil {
 			t.Fatalf("Map[string, []byte] cfg %+v: %v", cfg, err)
+		}
+	})
+}
+
+// FuzzLoadMatchesPuts builds a map at one fuzzed geometry from a fuzzed
+// op sequence, snapshots it — mid-migration as often as not — and loads
+// the snapshot at a second fuzzed geometry. The loaded map must be the
+// one PutDigest placement in snapshot order builds (loadMatchesPuts:
+// Range order and Stats) and hold exactly the shadow oracle's pairs. A
+// fixed target geometry may reject a record; both loads must then fail.
+func FuzzLoadMatchesPuts(f *testing.F) {
+	const keySpace = 512
+	for _, seed := range fuzzSeeds(keySpace) {
+		f.Add(append([]byte{1, 1, 17, 1, 0x12, 0x11, 3, 3}, seed...))
+		f.Add(append([]byte{0, 0, 0, 0, 2, 0x23, 5, 1}, seed...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		src, target, body := newU64(fuzzConfig(data[:4])), fuzzConfig(data[4:8]), data[8:]
+		if len(body) > 32<<10 { // bound work per exec
+			body = body[:32<<10]
+		}
+		shadow := make(map[uint64]uint64)
+		for _, op := range testutil.DecodeOps(body, keySpace) {
+			switch op.Kind {
+			case testutil.OpPut:
+				if src.Put(op.Key, op.Val) {
+					shadow[op.Key] = op.Val
+				}
+			case testutil.OpDelete:
+				src.Delete(op.Key)
+				delete(shadow, op.Key)
+			}
+		}
+		var snap bytes.Buffer
+		if err := src.Snapshot(&snap, keyed.Uint64Codec, keyed.Uint64Codec); err != nil {
+			t.Fatal(err)
+		}
+		m, err := loadMatchesPuts(snap.Bytes(), keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, target, eqComparable[uint64])
+		if err != nil {
+			t.Fatalf("load at %+v: %v", target, err)
+		}
+		if m == nil {
+			return // the fixed target geometry rejected a record, both ways
+		}
+		if err := testutil.RunSeeded[uint64, uint64](m, shadow, nil, testutil.Options{TrackValues: true}); err != nil {
+			t.Fatalf("load at %+v against the shadow oracle: %v", target, err)
 		}
 	})
 }

@@ -2,11 +2,14 @@ package cmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -423,5 +426,193 @@ func TestLoadRejectsOverfullFixedGeometry(t *testing.T) {
 	_, err := loadU64(bytes.NewReader(buf.Bytes()), Config{Shards: 1, BucketsPerShard: 8, SlotsPerBucket: 4, D: 3, StashPerShard: 4})
 	if err == nil {
 		t.Fatal("2000 pairs loaded into a 32-slot fixed geometry")
+	}
+}
+
+// bytesView decodes a []byte value as a view of its record, as served's
+// codec does: the loader holds it only until its section ends.
+var bytesView = keyed.Codec[[]byte]{
+	Append: func(dst, v []byte) []byte { return append(dst, v...) },
+	Decode: func(v []byte) ([]byte, error) { return v, nil },
+}
+
+// writeSections returns a snapshot under seed whose sections hold
+// sizes[s] records each, record i being keyOf(i) → valOf(i) with its
+// digest under h.
+func writeSections[K comparable, V any](t testing.TB, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V],
+	seed uint64, sizes []int, keyOf func(int) K, valOf func(int) V) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := persist.NewSnapshotWriter(&buf, persist.Header{Sections: uint32(len(sizes)), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := hashes.SipKeyFromSeed(seed)
+	i := 0
+	for _, n := range sizes {
+		if err := sw.BeginSection(); err != nil {
+			t.Fatal(err)
+		}
+		for end := i + n; i < end; i++ {
+			k := keyOf(i)
+			if err := sw.Record(kc.Append(nil, k), vc.Append(nil, valOf(i)), h(sk, k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.EndSection(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadMatchesPuts loads snap at cfg, and places the same records with
+// PutDigest, in snapshot order, into a fresh map of cfg. The two maps
+// must agree on Range order (so on every pair) and on Stats, and the
+// loaded map's load histogram must count every bucket and every pair
+// outside the stashes. It returns the loaded map, or an error naming the
+// first difference; a geometry that rejects a record must fail both
+// ways, and then it returns neither.
+func loadMatchesPuts[K comparable, V any](snap []byte, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V],
+	cfg Config, eq func(a, b V) bool) (*Map[K, V], error) {
+	loaded, loadErr := LoadKeyed(bytes.NewReader(snap), h, kc, vc, cfg)
+	sr, err := persist.NewSnapshotReader(bytes.NewReader(snap))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed = sr.Header().Seed
+	placed := NewKeyed[K, V](h, cfg)
+	rejected := false
+	for !rejected && sr.Next() {
+		kb, vb, digest := sr.Record()
+		k, err := kc.Decode(kb)
+		if err != nil {
+			return nil, err
+		}
+		v, err := vc.Decode(vb)
+		if err != nil {
+			return nil, err
+		}
+		rejected = !PutDigest(placed, digest, k, v)
+	}
+	if err := sr.Err(); err != nil {
+		return nil, err
+	}
+	if rejected || loadErr != nil {
+		if rejected && loadErr != nil {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("LoadKeyed error %v, yet PutDigest rejected a record: %v", loadErr, rejected)
+	}
+
+	type pair struct {
+		k K
+		v V
+	}
+	pairs := func(m *Map[K, V]) (ps []pair) {
+		m.Range(func(k K, v V) bool { ps = append(ps, pair{k, v}); return true })
+		return ps
+	}
+	lp, pp := pairs(loaded), pairs(placed)
+	if len(lp) != len(pp) {
+		return nil, fmt.Errorf("Range visits %d loaded pairs, %d placed ones", len(lp), len(pp))
+	}
+	for i := range lp {
+		if lp[i].k != pp[i].k || !eq(lp[i].v, pp[i].v) {
+			return nil, fmt.Errorf("Range position %d: loaded (%v, %v), placed (%v, %v)", i, lp[i].k, lp[i].v, pp[i].k, pp[i].v)
+		}
+	}
+	ls, ps := loaded.Stats(), placed.Stats()
+	if ls.Len != ps.Len || ls.Capacity != ps.Capacity || ls.Stashed != ps.Stashed || ls.Resizes != ps.Resizes ||
+		ls.Migrating != ps.Migrating || !reflect.DeepEqual(ls.BucketLoads, ps.BucketLoads) {
+		return nil, fmt.Errorf("Stats differ:\n loaded %+v\n placed %+v", ls, ps)
+	}
+	var buckets, held int64
+	for load := 0; load <= ls.BucketLoads.MaxValue(); load++ {
+		buckets += ls.BucketLoads.Count(load)
+		held += int64(load) * ls.BucketLoads.Count(load)
+	}
+	if int(buckets)*cfg.SlotsPerBucket != ls.Capacity || int(held) != ls.Len-ls.Stashed {
+		return nil, fmt.Errorf("load histogram counts %d buckets holding %d pairs; Capacity %d, Len %d, Stashed %d",
+			buckets, held, ls.Capacity, ls.Len, ls.Stashed)
+	}
+	return loaded, nil
+}
+
+// TestLoadKeyedMatchesPutDigest: the windowed load builds the map that
+// placing the snapshot's records one PutDigest at a time, in snapshot
+// order, builds — with sections that end short of, at and past a window
+// boundary, for an inline and an arena layout, presized as recovery
+// presizes and from a small geometry that resizes through the load.
+func TestLoadKeyedMatchesPutDigest(t *testing.T) {
+	const w = loadChunk
+	sizes := []int{0, 1, w - 1, w, w + 1, 3*w + 5}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	presized := Config{Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, MaxLoadFactor: 0.9}
+	presized.BucketsPerShard = BucketsFor(presized, total)
+	growing := Config{Shards: 2, BucketsPerShard: 8, SlotsPerBucket: 4, D: 3, MaxLoadFactor: 0.8, MigrateBatch: 1}
+
+	u64Key := func(i int) uint64 { return uint64(i)*7919 + 1 }
+	u64 := writeSections(t, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, 7, sizes, u64Key,
+		func(i int) uint64 { return expectedVal(u64Key(i)) })
+	strKey := func(i int) string { return fmt.Sprintf("key-%05d", i) }
+	str := writeSections(t, keyed.ForType[string](), keyed.StringCodec, bytesView, 7, sizes, strKey,
+		func(i int) []byte { return varValue(uint64(i)) })
+
+	for _, g := range []struct {
+		name  string
+		cfg   Config
+		grows bool // resizes during the load
+	}{{"presized", presized, false}, {"growing", growing, true}} {
+		t.Run("uint64/"+g.name, func(t *testing.T) {
+			m, err := loadMatchesPuts(u64, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, g.cfg, eqComparable[uint64])
+			if err != nil || m == nil {
+				t.Fatalf("loaded map differs from PutDigest placement: %v", err)
+			}
+			for i := 0; i < total; i++ {
+				if v, ok := m.Get(u64Key(i)); !ok || v != expectedVal(u64Key(i)) {
+					t.Fatalf("key %d = (%d, %v)", u64Key(i), v, ok)
+				}
+			}
+			if st := m.Stats(); (st.Resizes > 0) != g.grows {
+				t.Fatalf("%d resizes during the %s load", st.Resizes, g.name)
+			}
+		})
+		t.Run("string-bytes/"+g.name, func(t *testing.T) {
+			m, err := loadMatchesPuts(str, keyed.ForType[string](), keyed.StringCodec, bytesView, g.cfg, bytes.Equal)
+			if err != nil || m == nil {
+				t.Fatalf("loaded map differs from PutDigest placement: %v", err)
+			}
+			for i := 0; i < total; i++ {
+				if v, ok := m.Get(strKey(i)); !ok || !bytes.Equal(v, varValue(uint64(i))) {
+					t.Fatalf("key %s = (%q, %v)", strKey(i), v, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadRejectsCorruptRecordMidWindow: a record that fails to parse
+// while the window holds earlier records of its section fails the load
+// with ErrCorrupt, and no map comes back.
+func TestLoadRejectsCorruptRecordMidWindow(t *testing.T) {
+	snap := writeSections(t, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, 5, []int{10},
+		func(i int) uint64 { return uint64(i) + 1 }, func(i int) uint64 { return expectedVal(uint64(i) + 1) })
+	// Declare 6 records where the payload holds 10, and re-seal the
+	// section's CRC: the sixth record leaves four records' bytes behind,
+	// a malformed section that still passes its checksum.
+	const sec = 48 // the section header follows the 48-byte file header
+	binary.LittleEndian.PutUint64(snap[sec:], 6)
+	end := sec + 16 + int(binary.LittleEndian.Uint64(snap[sec+8:]))
+	binary.LittleEndian.PutUint32(snap[end:], crc32.Checksum(snap[sec:end], crc32.MakeTable(crc32.Castagnoli)))
+	m, err := loadU64(bytes.NewReader(snap), Config{Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 4, D: 3, MaxLoadFactor: 0.85})
+	if !errors.Is(err, persist.ErrCorrupt) || m != nil {
+		t.Fatalf("a malformed sixth record loaded: map %v, err %v", m != nil, err)
 	}
 }

@@ -4,7 +4,7 @@ package lint
 // exactly once, and everything downstream — shard routing, candidate
 // buckets at every geometry, snapshot re-placement — derives from the
 // stored digest. Functions annotated //repro:digestcarried are those
-// downstream paths (putDigest and friends, resize migration, snapshot
+// downstream paths (putRouted and friends, resize migration, snapshot
 // load): they receive or load a digest and must never evaluate a keyed
 // hash again. Re-hashing there is not just wasted work — a different
 // hasher or seed at load time would silently re-place keys with skewed

@@ -127,6 +127,11 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // after. Inline fields are stored before the ref (or, with no arena
 // fields, the used flag) that publishes the slot.
 //
+// Occupancy is recorded once, in the slots: a bucket's load is its count
+// of occupied slot words (non-zero refs, or set used flags), which sit in
+// the bucket's own line. Placement therefore reads only the lines its key
+// lookup has just read, and an insert or a delete stores one word.
+//
 // A Core optionally resizes online: StartResize allocates a second Core
 // with a different bucket count, and StartRebuild one with the same count,
 // which compacts the arena (see NeedsRebuild); Migrate moves entries
@@ -152,11 +157,14 @@ type Core[K comparable, V any] struct {
 	slotsPerBucket int
 	stashCap       int
 	lay            layout
-	slots[K, V]             // bucket storage, slot s of bucket b at b*slotsPerBucket+s
-	counts         []uint32 // occupied slots per bucket
+	slots[K, V]    // bucket storage, slot s of bucket b at b*slotsPerBucket+s
 	arena          *arena
 	stash          atomic.Pointer[stashBlock[K, V]]
 	size           atomic.Int64
+
+	// loads and positions are place's selection scratch (writer-side):
+	// the candidates' loads, and the positions 0, 1, … that index them.
+	loads, positions []uint32
 
 	// view is the published read snapshot of this geometry's bucket
 	// arrays. Its slice headers are immutable once stored; only NewCore
@@ -191,7 +199,6 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 		stashCap:       stashCap,
 		lay:            lay,
 		slots:          makeSlots[K, V](buckets*slotsPerBucket, lay),
-		counts:         make([]uint32, buckets),
 		arena:          newArena(),
 	}
 	c.stash.Store(&stashBlock[K, V]{arena: c.arena})
@@ -204,7 +211,6 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 		used:    c.used,
 		keys:    c.keys,
 		vals:    c.vals,
-		counts:  c.counts,
 	})
 	return c
 }
@@ -250,6 +256,25 @@ func (c *Core[K, V]) occupied(s *slots[K, V], i int) bool {
 		return s.refs[i] != 0
 	}
 	return s.used[i] != 0
+}
+
+// load returns bucket b's load: its count of occupied slots
+// (writer-side, plain reads).
+//
+//repro:noalloc
+func (c *Core[K, V]) load(b int) int {
+	lo, hi := c.slot(b, 0), c.slot(b+1, 0)
+	n := 0
+	if c.lay.inArena() {
+		for _, ref := range c.refs[lo:hi] {
+			n += int((ref | -ref) >> 63) // 1 for an occupied slot, without a branch
+		}
+		return n
+	}
+	for _, u := range c.used[lo:hi] {
+		n += int(u) // a used flag is 0 or 1
+	}
+	return n
 }
 
 // entryAt reads slot i of s (writer-side, plain reads).
@@ -414,7 +439,6 @@ func (c *Core[K, V]) storeInBucket(b int, e *entry[K, V]) {
 	for s := 0; s < c.slotsPerBucket; s++ {
 		if idx := c.slot(b, s); !c.occupied(&c.slots, idx) {
 			c.putSlot(&c.slots, idx, e)
-			atomic.StoreUint32(&c.counts[b], c.counts[b]+1)
 			return
 		}
 	}
@@ -461,10 +485,11 @@ func (c *Core[K, V]) update(cands []uint32, key K, val V, tag uint64) bool {
 func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool) bool {
 	// Place in the least-loaded candidate bucket, ties to the first —
 	// exactly the balanced-allocation rule, via the engine's shared
-	// selection.
-	if best, count := engine.LeastLoadedFirst(c.counts, cands); int(count) < c.slotsPerBucket {
+	// selection over the candidates' loads.
+	loads, positions := c.candidateLoads(cands)
+	if i, load := engine.LeastLoadedFirst(loads, positions); int(load) < c.slotsPerBucket {
 		e := c.encode(key, val, tag)
-		c.storeInBucket(int(best), &e)
+		c.storeInBucket(int(cands[i]), &e)
 		c.size.Add(1)
 		return true
 	}
@@ -476,6 +501,27 @@ func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool
 		return true
 	}
 	return false
+}
+
+// candidateLoads returns the loads of cands' buckets in cands' order,
+// and the positions 0, 1, … that index them, so engine's selection over
+// the two returns a position in cands. The buffers are the Core's,
+// sized at its first placement.
+//
+//repro:noalloc
+func (c *Core[K, V]) candidateLoads(cands []uint32) (loads, positions []uint32) {
+	if len(c.positions) < len(cands) {
+		c.loads = make([]uint32, len(cands))     //repro:allocok once per Core: sized at its first placement
+		c.positions = make([]uint32, len(cands)) //repro:allocok once per Core, with loads
+		for i := range c.positions {
+			c.positions[i] = uint32(i)
+		}
+	}
+	loads = c.loads[:len(cands)]
+	for i, b := range cands {
+		loads[i] = uint32(c.load(int(b)))
+	}
+	return loads, c.positions[:len(cands)]
 }
 
 // Delete removes key (whose tag is tag), reporting whether it was
@@ -490,7 +536,7 @@ func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool
 func (c *Core[K, V]) Delete(cands []uint32, key K, tag uint64, candsOf func(tag uint64) []uint32) bool {
 	for _, b := range cands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.clearSlot(idx, int(b))
+			c.clearSlot(idx)
 			c.drainStashInto(int(b), candsOf)
 			return true
 		}
@@ -512,19 +558,18 @@ func (c *Core[K, V]) dropStash(i int) {
 	c.size.Add(-1)
 }
 
-// clearSlot frees flat slot idx of bucket b, releasing its record. The
+// clearSlot frees flat bucket slot idx, releasing its record. The
 // slot's other words stay behind the cleared ref: they hold no pointers,
 // and zeroing them would race with lock-free readers.
 //
 //repro:noalloc
-func (c *Core[K, V]) clearSlot(idx, b int) {
+func (c *Core[K, V]) clearSlot(idx int) {
 	c.release(&c.slots, idx)
 	if c.lay.inArena() {
 		atomic.StoreUint64(&c.refs[idx], 0)
 	} else {
 		atomic.StoreUint32(&c.used[idx], 0)
 	}
-	atomic.StoreUint32(&c.counts[b], c.counts[b]-1)
 	c.size.Add(-1)
 }
 
@@ -544,7 +589,7 @@ func (c *Core[K, V]) release(s *slots[K, V], i int) {
 //
 //repro:noalloc
 func (c *Core[K, V]) drainStashInto(b int, candsOf func(tag uint64) []uint32) {
-	if int(c.counts[b]) >= c.slotsPerBucket {
+	if c.load(b) >= c.slotsPerBucket {
 		return
 	}
 	blk := c.stash.Load()
@@ -661,11 +706,6 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 	for work < n && c.size.Load() > 0 {
 		if c.cursor < c.buckets {
 			b := c.cursor
-			if c.counts[b] == 0 {
-				c.cursor++
-				work++
-				continue
-			}
 			idx := -1
 			for s := 0; s < c.slotsPerBucket; s++ {
 				if i := c.slot(b, s); c.occupied(&c.slots, i) {
@@ -673,12 +713,17 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 					break
 				}
 			}
+			if idx < 0 { // an empty bucket: sweep past it
+				c.cursor++
+				work++
+				continue
+			}
 			e := c.entryAt(&c.slots, idx)
 			k, v := c.pair(&e)
 			if !next.place(candsOf(e.tag), k, v, e.tag, capped) {
 				return work
 			}
-			c.clearSlot(idx, b)
+			c.clearSlot(idx)
 			work++
 			continue
 		}
@@ -712,7 +757,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 func (c *Core[K, V]) promote() {
 	next := c.next.Load()
 	c.buckets = next.buckets
-	c.slots, c.counts, c.arena = next.slots, next.counts, next.arena
+	c.slots, c.arena = next.slots, next.arena
 	c.cursor = 0
 	c.size.Store(next.size.Load())
 	c.stash.Store(next.stash.Load())
@@ -738,7 +783,7 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 	for _, b := range oldCands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
 			if next.Put(newCands, key, val, tag) {
-				c.clearSlot(idx, int(b))
+				c.clearSlot(idx)
 				return true
 			}
 			c.setValue(&c.slots, idx, key, val, tag)
@@ -770,7 +815,7 @@ func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, tag uint64, 
 	}
 	for _, b := range oldCands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.clearSlot(idx, int(b))
+			c.clearSlot(idx)
 			return true
 		}
 	}

@@ -33,6 +33,29 @@ func get[K comparable, V any](c *Core[K, V], oldCands, newCands []uint32, key K,
 	return v, depth, ok
 }
 
+// checkLoads requires c's load histogram, over its geometry and, mid-
+// resize, Next's, to count every bucket of both and every pair outside
+// the stashes.
+func checkLoads[K comparable, V any](t *testing.T, c *Core[K, V]) {
+	t.Helper()
+	loads := make([]int64, c.SlotsPerBucket()+1)
+	c.View().AddLoads(loads)
+	buckets := c.Buckets()
+	if next := c.Next(); next != nil {
+		next.View().AddLoads(loads)
+		buckets += next.Buckets()
+	}
+	var total, held int64
+	for load, n := range loads {
+		total += n
+		held += int64(load) * n
+	}
+	if total != int64(buckets) || held != int64(c.Len()-c.StashLen()) {
+		t.Fatalf("load histogram %v counts %d buckets holding %d pairs; want %d buckets, %d pairs",
+			loads, total, held, buckets, c.Len()-c.StashLen())
+	}
+}
+
 func TestCoreResizeMigratesEverything(t *testing.T) {
 	const (
 		oldBuckets = 32
@@ -71,6 +94,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 		if moved == 0 && c.Resizing() {
 			t.Fatal("migration stalled with backlog remaining")
 		}
+		checkLoads(t, c)
 		steps++
 		for _, k := range stored {
 			// The caller always branches on Resizing() to pick the current
@@ -107,6 +131,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 		if !c.Delete(newOp(k), k, k, newDrain) {
 			t.Fatalf("key %d not deletable after promotion", k)
 		}
+		checkLoads(t, c)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after deleting everything", c.Len())
@@ -171,11 +196,13 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Len() != 19 {
 		t.Fatalf("Len = %d mid-resize", c.Len())
 	}
+	checkLoads(t, c)
 	// Drain the rest and re-check membership.
 	for c.Resizing() {
 		if c.Migrate(4, newDrain) == 0 && c.Resizing() {
 			t.Fatal("migration stalled")
 		}
+		checkLoads(t, c)
 	}
 	if c.Len() != 19 {
 		t.Fatalf("Len = %d after promotion", c.Len())

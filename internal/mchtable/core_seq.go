@@ -109,7 +109,8 @@ func loadRef(p *uint64) uint64 { return atomic.LoadUint64(p) }
 // Core.View (one atomic load) and probe it with SeqGet; because the
 // headers never mutate and candidate buckets are derived for a deriver
 // whose N matches Buckets, every probe into the view is in bounds no
-// matter how torn the rest of the read is.
+// matter how torn the rest of the read is. Occupancy has no array of its
+// own: a bucket's load is its count of occupied slot words (AddLoads).
 //
 // The slice fields' elements are the reader-visible words of the seqlock
 // protocol: every element access must go through sync/atomic (the slice
@@ -128,8 +129,6 @@ type SeqView[K comparable, V any] struct {
 	keys []K
 	//repro:seqguarded
 	vals []V
-	//repro:seqguarded
-	counts []uint32
 }
 
 // Buckets returns the view's bucket count — the geometry readers must
@@ -298,19 +297,52 @@ func (v *SeqView[K, V]) Prefetch(cands []uint32) uint32 {
 	return sum
 }
 
+// PrefetchPut is Prefetch for a writer about to place keys in c: it
+// touches the lines Prefetch touches in c's geometry, plus the first
+// word of each candidate bucket's tag line, which putSlot stores into,
+// so the misses of a batch of placements overlap instead of serializing
+// placement by placement. It reads the writer-only tags, so the caller
+// must exclude writers (cmap's snapshot loader owns its map until it
+// returns it). It returns a checksum for a non-inlined sink, as
+// Prefetch does.
+//
+//repro:noalloc
+func (c *Core[K, V]) PrefetchPut(cands []uint32) uint32 {
+	sum := c.View().Prefetch(cands)
+	for _, b := range cands {
+		if int(b) < c.buckets {
+			sum += uint32(atomic.LoadUint64(&c.tags[int(b)*c.slotsPerBucket]))
+		}
+	}
+	return sum
+}
+
 // AddLoads folds the view's per-bucket occupancy histogram into dst,
 // where dst[load] accumulates the bucket count at that load; dst must
-// hold Slots()+1 entries. Counters are read atomically, so a seqlock
-// reader can histogram a live geometry; values a writer is mid-way
-// through changing are simply the old or new counter (32-bit loads never
-// tear), and the caller's generation check rejects inconsistent totals.
+// hold Slots()+1 entries. A bucket's load is its count of occupied slot
+// words, each read atomically, so a seqlock reader can histogram a live
+// geometry; the caller's generation check rejects a pass a writer
+// overlapped. The pass streams every slot word: 8 bytes per slot with
+// arena fields, 4 with K and V inline.
 //
 //repro:noalloc
 func (v *SeqView[K, V]) AddLoads(dst []int64) {
-	for i := range v.counts {
-		n := int(atomic.LoadUint32(&v.counts[i]))
-		if n < len(dst) {
+	if v.lay.inArena() {
+		for lo := 0; lo < len(v.refs); lo += v.slots {
+			var n uint64
+			for i := lo; i < lo+v.slots; i++ {
+				ref := loadRef(&v.refs[i])
+				n += (ref | -ref) >> 63 // 1 for an occupied slot, without a branch
+			}
 			dst[n]++
 		}
+		return
+	}
+	for lo := 0; lo < len(v.used); lo += v.slots {
+		var n uint32
+		for i := lo; i < lo+v.slots; i++ {
+			n += atomic.LoadUint32(&v.used[i]) // a used flag is 0 or 1
+		}
+		dst[n]++
 	}
 }

@@ -72,6 +72,7 @@ func TestCoreTagCollision(t *testing.T) {
 		if c.StashLen() != 1 {
 			t.Fatalf("drain left %d stashed, want 1", c.StashLen())
 		}
+		checkLoads(t, c)
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 20, true)
 		if v, depth, ok := get(c, cands, nil, "a", shared); !ok || v != 1 || depth != 0 {

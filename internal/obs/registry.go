@@ -37,7 +37,11 @@ type metric struct {
 
 	counter *Counter
 	gauge   func() float64
-	hist    *Histogram
+	// set, when non-nil, computes this gauge with its set's other
+	// gauges; the value is vals[setIdx] of the set's fill.
+	set    *gaugeSet
+	setIdx int
+	hist   *Histogram
 	// scale multiplies histogram values on exposition (1e-9 turns
 	// recorded nanoseconds into Prometheus-conventional seconds).
 	scale float64
@@ -82,6 +86,39 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 	r.add(metric{name: name, help: help, kind: kindGauge, gauge: fn})
 }
 
+// gaugeSet is the shared computation behind a GaugeSet's gauges: fill
+// writes every gauge's value into vals, one entry per gauge.
+type gaugeSet struct {
+	n    int
+	fill func(vals []float64)
+}
+
+// SetGauge is one gauge of a GaugeSet: its name and help, and the value
+// it reads from the set's snapshot.
+type SetGauge[T any] struct {
+	Name, Help string
+	Value      func(T) float64
+}
+
+// GaugeSet registers pull gauges that read one snapshot: each
+// exposition calls snapshot once, however many of the gauges it
+// encodes, so a snapshot that is costly to take (a walk of every map
+// shard) is taken once per scrape, and the gauges of one scrape agree.
+// The snapshot lives in storage local to the exposition call, so
+// concurrent expositions share nothing. snapshot must be safe to call
+// concurrently with whatever it reads.
+func GaugeSet[T any](r *Registry, snapshot func() T, gauges ...SetGauge[T]) {
+	set := &gaugeSet{n: len(gauges), fill: func(vals []float64) {
+		s := snapshot()
+		for i, g := range gauges {
+			vals[i] = g.Value(s)
+		}
+	}}
+	for i, g := range gauges {
+		r.add(metric{name: g.Name, help: g.Help, kind: kindGauge, set: set, setIdx: i})
+	}
+}
+
 // Histogram registers h under name as a summary. scale multiplies
 // recorded values on exposition: pass 1e-9 for histograms recording
 // nanoseconds (exported in seconds, per Prometheus convention) and 1
@@ -106,6 +143,7 @@ func (r *Registry) AppendProm(dst []byte) []byte {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
 
 	var snap HistSnapshot
+	sets := make(map[*gaugeSet][]float64) // each gauge set's values, filled at its first gauge
 	for _, m := range ms {
 		dst = append(dst, "# HELP "...)
 		dst = append(dst, m.name...)
@@ -125,7 +163,17 @@ func (r *Registry) AppendProm(dst []byte) []byte {
 			dst = append(dst, " gauge\n"...)
 			dst = append(dst, m.name...)
 			dst = append(dst, ' ')
-			dst = appendFloat(dst, m.gauge())
+			if m.set == nil {
+				dst = appendFloat(dst, m.gauge())
+			} else {
+				vals, ok := sets[m.set]
+				if !ok {
+					vals = make([]float64, m.set.n)
+					m.set.fill(vals)
+					sets[m.set] = vals
+				}
+				dst = appendFloat(dst, vals[m.setIdx])
+			}
 			dst = append(dst, '\n')
 		case kindHist:
 			dst = append(dst, " summary\n"...)

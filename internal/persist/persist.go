@@ -253,9 +253,11 @@ func (sw *SnapshotWriter) fail(err error) error {
 //
 // A section's CRC is verified before any of its records are surfaced, so
 // every record Next yields came from intact bytes. Key and value slices
-// point into an internal buffer valid until the next Next call. Err is
-// nil only after a clean read of every declared section; any corruption
-// satisfies errors.Is(err, ErrCorrupt).
+// point into the section's buffer and stay valid through the section:
+// the Next call after its last record (see SectionDone) reads the
+// following section into the same buffer. Err is nil only after a clean
+// read of every declared section; any corruption satisfies
+// errors.Is(err, ErrCorrupt).
 type SnapshotReader struct {
 	r       *bufio.Reader
 	hdr     Header
@@ -399,11 +401,17 @@ func (sr *SnapshotReader) Next() bool {
 	return sr.parseRecord()
 }
 
-// Record returns the current record. Key and val are valid until the
-// next Next call.
+// Record returns the current record. Key and val are views of the
+// section's buffer, valid through the section: until the Next call after
+// the record for which SectionDone reports true.
 func (sr *SnapshotReader) Record() (key, val []byte, digest uint64) {
 	return sr.key, sr.val, sr.digest
 }
+
+// SectionDone reports whether the current record is the last of its
+// section, so that the next Next call reuses the buffer every view of
+// the section points into.
+func (sr *SnapshotReader) SectionDone() bool { return sr.left == 0 }
 
 // Err returns the first error encountered, or nil after a clean read.
 func (sr *SnapshotReader) Err() error { return sr.err }

@@ -92,6 +92,34 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
+
+	// SectionDone marks exactly the last record of each section, and the
+	// views a section's records returned still read their bytes there.
+	sr, err := NewSnapshotReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []rec
+	for sr.Next() {
+		k, v, d := sr.Record()
+		views = append(views, rec{key: k, val: v, digest: d})
+		sec := in[sr.Section()]
+		if done := sr.SectionDone(); done != (len(views) == len(sec)) {
+			t.Fatalf("section %d record %d: SectionDone = %v", sr.Section(), len(views)-1, done)
+		}
+		if !sr.SectionDone() {
+			continue
+		}
+		for j, g := range views {
+			if w := sec[j]; !bytes.Equal(g.key, w.key) || !bytes.Equal(g.val, w.val) {
+				t.Fatalf("section %d record %d: view reads %+v at the section's end, want %+v", sr.Section(), j, g, w)
+			}
+		}
+		views = views[:0]
+	}
+	if err := sr.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSnapshotWriterSectionDiscipline(t *testing.T) {
