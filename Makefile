@@ -34,9 +34,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static invariant gate: gofmt, then the eight reprolint analyzers
-# (seqatomic, noalloc, unsafeview, digestflow, lockheld, fsyncorder,
-# boundedinput, lockorder — see ANNOTATIONS.md) over every package
+# Static invariant gate: gofmt, then the seven reprolint analyzers
+# (seqatomic, noalloc, unsafeview, digestflow, fsyncorder, boundedinput,
+# lockorder — see ANNOTATIONS.md) over every package
 # including cmd/ and examples/, driven through `go vet -vettool` so
 # runs are cached per package like any other vet check. staticcheck
 # runs when installed; CI installs a pinned version, offline dev boxes

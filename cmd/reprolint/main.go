@@ -1,7 +1,7 @@
 // Command reprolint runs the repository's invariant analyzers (package
 // repro/internal/lint): seqatomic, noalloc, unsafeview, digestflow,
-// lockheld, fsyncorder, boundedinput and lockorder. See ANNOTATIONS.md
-// for the //repro:* directives they enforce.
+// fsyncorder, boundedinput and lockorder. See ANNOTATIONS.md for the
+// //repro:* directives they enforce.
 //
 // Standalone:
 //
@@ -39,7 +39,7 @@ import (
 // toolVersion feeds the go vet build cache via -V=full: changing any
 // analyzer's behaviour must bump this, or cached clean verdicts from
 // the old analyzers keep suppressing new findings.
-const toolVersion = "8"
+const toolVersion = "9"
 
 // selectedAnalyzers honours the LINT_ANALYZERS environment variable: a
 // comma-separated list of analyzer names restricts the run to that

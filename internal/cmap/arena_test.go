@@ -199,7 +199,7 @@ func TestArenaRebuildKeepsFixedCapacity(t *testing.T) {
 			sh.deriver.Load().CandidateBins(tag, cands)
 			v := []byte(fmt.Sprintf("%s core round %d", k, r))
 			sh.lock()
-			sh.core.Put(cands, k, v, tag)
+			sh.core.Put(cands, nil, k, v, tag)
 			sh.unlock()
 			want[k] = v
 		}

@@ -158,9 +158,12 @@ type Config struct {
 // (see lock/unlock), read by the lock-free Get path. The derivers are
 // atomic pointers because lock-free readers chase them while a promotion
 // swaps them; deriver matches the core's current bucket count,
-// nextDeriver the doubled geometry while a resize is in flight. The
-// trailing pad keeps adjacent shards' hot words off one cache line, so
-// uncontended shards do not false-share.
+// nextDeriver the doubled geometry while a resize is in flight. candsOf
+// is the core's drain and migrate derivation: it derives a stored tag's
+// candidates for the geometry entries move into, the next one while a
+// resize is in flight and the current one otherwise. The trailing pad
+// keeps adjacent shards' hot words off one cache line, so uncontended
+// shards do not false-share.
 type shard[K comparable, V any] struct {
 	//repro:lockclass cmap-shard 30
 	mu          sync.RWMutex
@@ -168,11 +171,9 @@ type shard[K comparable, V any] struct {
 	core        *mchtable.Core[K, V] // set once at construction; the pointer itself never changes
 	deriver     atomic.Pointer[hashes.Deriver]
 	nextDeriver atomic.Pointer[hashes.Deriver]
-	candsOf     func(tag uint64) []uint32 // current-geometry drain derivation
-	newCandsOf  func(tag uint64) []uint32 // new-geometry drain/migrate derivation
-	scratch     []uint32                  // candsOf target; guarded by mu (write side)
-	newScratch  []uint32                  // newCandsOf target; guarded by mu (write side)
-	limit       int                       // pairs the settled geometry holds before it grows; guarded by mu
+	candsOf     func(tag uint64) []uint32
+	scratch     []uint32 // candsOf target; guarded by mu (write side)
+	limit       int      // pairs the settled geometry holds before it grows; guarded by mu
 
 	// Seqlock read-path health, surfaced through Stats: torn or
 	// overlapped optimistic attempts that retried, and reads that gave
@@ -277,14 +278,13 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 		sh.deriver.Store(deriver)
 		m.setLimit(sh)
 		sh.scratch = make([]uint32, cfg.D)
-		sh.newScratch = make([]uint32, cfg.D)
 		sh.candsOf = func(tag uint64) []uint32 {
-			sh.deriver.Load().CandidateBins(tag, sh.scratch)
+			der := sh.nextDeriver.Load()
+			if der == nil {
+				der = sh.deriver.Load()
+			}
+			der.CandidateBins(tag, sh.scratch)
 			return sh.scratch
-		}
-		sh.newCandsOf = func(tag uint64) []uint32 {
-			sh.nextDeriver.Load().CandidateBins(tag, sh.newScratch)
-			return sh.newScratch
 		}
 	}
 	return m
@@ -389,7 +389,7 @@ func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 	if !sh.core.Resizing() {
 		return 0
 	}
-	moved := sh.core.Migrate(n, sh.newCandsOf)
+	moved := sh.core.Migrate(n, sh.candsOf)
 	if !sh.core.Resizing() { // promoted: the doubled geometry is current
 		sh.deriver.Store(sh.nextDeriver.Load())
 		sh.nextDeriver.Store(nil)
@@ -450,36 +450,41 @@ func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) b
 // Under the shard lock it derives them with the shard's deriver unless
 // that is der: the loader plans a window of records' candidates before
 // placing any, and a placement in between may have promoted the shard to
-// a new geometry. Mid-resize it derives the new geometry's candidates
+// a new geometry. Mid-resize it derives the next geometry's candidates
 // too.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) putRouted(sh *shard[K, V], tag uint64, der *hashes.Deriver, cands []uint32, key K, val V) bool {
-	var newBuf [maxD]uint32
-	newCands := newBuf[:m.d]
+	var nextBuf [maxD]uint32
 	sh.lock()
 	if cur := sh.deriver.Load(); cur != der {
 		cur.CandidateBins(tag, cands)
 	}
-	var ok bool
-	if sh.core.Resizing() {
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		ok = sh.core.PutDual(cands, newCands, key, val, tag)
-	} else {
-		ok = sh.core.Put(cands, key, val, tag)
-		if n := m.resizeTargetLocked(sh, !ok); n > 0 {
-			doubling := n != sh.core.Buckets()
-			m.startResizeLocked(sh, n)
-			if !ok && doubling {
-				sh.nextDeriver.Load().CandidateBins(tag, newCands)
-				ok = sh.core.PutDual(cands, newCands, key, val, tag)
-			}
+	ok := sh.core.Put(cands, sh.nextCands(tag, nextBuf[:m.d]), key, val, tag)
+	if n := m.resizeTargetLocked(sh, !ok); n > 0 {
+		doubling := n != sh.core.Buckets()
+		m.startResizeLocked(sh, n)
+		if !ok && doubling {
+			ok = sh.core.Put(cands, sh.nextCands(tag, nextBuf[:m.d]), key, val, tag)
 		}
 	}
 	m.migrateLocked(sh, m.migrateBatch)
 	sh.unlock()
 	return ok
+}
+
+// nextCands derives tag's candidates for sh's next geometry into buf and
+// returns them, or returns nil while sh is settled. Caller holds sh.mu.
+//
+//repro:noalloc
+func (sh *shard[K, V]) nextCands(tag uint64, buf []uint32) []uint32 {
+	der := sh.nextDeriver.Load()
+	if der == nil {
+		return nil
+	}
+	der.CandidateBins(tag, buf)
+	return buf
 }
 
 // Get returns the value stored for key. The read is optimistic and
@@ -514,20 +519,27 @@ func (m *Map[K, V]) getRouted(sh *shard[K, V], tag uint64, key K) (V, int, bool)
 	return m.lockedGet(sh, tag, key)
 }
 
-// seqGet is the optimistic lock-free read: snapshot the generation,
-// probe wait-free, accept only if the generation never moved. done=false
-// after seqSpins torn attempts sends the caller to the locked fallback.
+// seqGet is the optimistic lock-free read: snapshot the generation, plan
+// and resolve wait-free, accept only if the generation never moved.
+// done=false after seqSpins torn attempts sends the caller to the locked
+// fallback.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, depth int, ok, done bool) {
+	var buf, nextBuf [maxD]uint32
+	cands, nextCands := buf[:m.d], nextBuf[:m.d]
 	for spin := 0; spin < seqSpins; spin++ {
 		s := sh.seq.Load()
 		if s&1 != 0 {
 			continue // a mutation is in flight right now
 		}
-		val, depth, ok, done = m.probe(sh, tag, key)
-		if done && sh.seq.Load() == s {
+		p := m.plan(sh, tag, cands, nextCands)
+		if p.v == nil {
+			continue
+		}
+		val, depth, ok = m.resolve(sh, &p, cands, nextCands, key, tag)
+		if sh.seq.Load() == s {
 			if spin > 0 {
 				sh.seqRetries.Add(uint64(spin))
 			}
@@ -539,57 +551,80 @@ func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, depth int
 	return zero, -1, false, false
 }
 
-// lockedGet is the read-locked probe: the fallback when the lock-free
-// read keeps colliding with writers. It reports the probe depth like
-// getRouted.
+// lockedGet is the read-locked lookup: the fallback when the lock-free
+// read keeps colliding with writers. It plans and resolves as seqGet
+// does, and reports the probe depth like getRouted.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
+	var buf, nextBuf [maxD]uint32
+	cands, nextCands := buf[:m.d], nextBuf[:m.d]
 	sh.mu.RLock()
-	v, depth, ok, _ := m.probe(sh, tag, key) // writers excluded: the geometries agree
+	p := m.plan(sh, tag, cands, nextCands) // writers excluded: the geometries agree
+	v, depth, ok := m.resolve(sh, &p, cands, nextCands, key, tag)
 	sh.mu.RUnlock()
 	return v, depth, ok
 }
 
-// probe is the lookup's one body, run lock-free under the generation
-// check and read-locked in the fallback: derive key's candidates for the
-// shard's published view, SeqGet it, and on a miss mid-resize chase the
-// next core, whose depths are offset past the old probe sequence (d+1)
-// so the depth histogram reflects the total buckets examined. It reports
-// the probe depth as mchtable.Core.SeqGet does. consistent=false means a
-// deriver and the view it must match came from different geometries,
-// which only an overlapping writer can cause: the caller retries.
+// readPlan is one key's planned lookup in a shard: the current
+// geometry's view and, mid-resize, the next core and its view, each
+// matched to the deriver the key's candidates for it came from. A nil v
+// means no plan: a deriver and the view it must match came from
+// different geometries, which only an overlapping writer can cause.
+type readPlan[K comparable, V any] struct {
+	v    *mchtable.SeqView[K, V]
+	next *mchtable.Core[K, V] // captured: a promotion may nil core.Next before resolve
+	nv   *mchtable.SeqView[K, V]
+}
+
+// plan is the first half of every lookup: it loads sh's published view
+// and deriver, checks that they describe one geometry, and derives tag's
+// candidates for it into cands — and, mid-resize, does the same for the
+// next geometry into nextCands. Every load is atomic, so plan runs
+// lock-free under the caller's generation check, or read-locked.
 //
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) probe(sh *shard[K, V], tag uint64, key K) (val V, depth int, ok, consistent bool) {
-	var buf [maxD]uint32
-	cands := buf[:m.d]
+func (m *Map[K, V]) plan(sh *shard[K, V], tag uint64, cands, nextCands []uint32) readPlan[K, V] {
 	core := sh.core
 	v := core.View()
 	der := sh.deriver.Load()
 	if der.N() != v.Buckets() {
-		return val, -1, false, false
+		return readPlan[K, V]{}
 	}
 	der.CandidateBins(tag, cands)
-	if val, depth, ok = core.SeqGet(v, cands, key, tag); ok {
-		return val, depth, true, true
-	}
 	next := core.Next()
 	if next == nil {
-		return val, depth, false, true
+		return readPlan[K, V]{v: v}
 	}
 	nder := sh.nextDeriver.Load()
 	nv := next.View()
 	if nder == nil || nder.N() != nv.Buckets() {
-		return val, -1, false, false
+		return readPlan[K, V]{}
 	}
-	nder.CandidateBins(tag, cands)
-	if val, depth, ok = next.SeqGet(nv, cands, key, tag); ok {
+	nder.CandidateBins(tag, nextCands)
+	return readPlan[K, V]{v: v, next: next, nv: nv}
+}
+
+// resolve is the second half: it SeqGets key in p's current view and, on
+// a miss mid-resize, in the next geometry, whose depths are offset past
+// the old probe sequence (d+1) so the depth histogram reflects the total
+// buckets examined. It reports the probe depth as mchtable.Core.SeqGet
+// does; the result counts only if the caller's generation check (or read
+// lock) covers plan and resolve both.
+//
+//repro:digestcarried
+//repro:noalloc
+func (m *Map[K, V]) resolve(sh *shard[K, V], p *readPlan[K, V], cands, nextCands []uint32, key K, tag uint64) (V, int, bool) {
+	val, depth, ok := sh.core.SeqGet(p.v, cands, key, tag)
+	if ok || p.next == nil {
+		return val, depth, ok
+	}
+	if val, depth, ok = p.next.SeqGet(p.nv, nextCands, key, tag); ok {
 		depth += m.d + 1
 	}
-	return val, depth, ok, true
+	return val, depth, ok
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -606,21 +641,14 @@ func (m *Map[K, V]) Delete(key K) bool { return DeleteDigest(m, m.digest(key), k
 //repro:digestcarried
 //repro:noalloc
 func DeleteDigest[K comparable, V any](m *Map[K, V], digest uint64, key K) bool {
-	var oldBuf, newBuf [maxD]uint32
+	var buf, nextBuf [maxD]uint32
 	sh, tag := m.routeDigest(digest)
-	oldCands := oldBuf[:m.d]
+	cands := buf[:m.d]
 	sh.lock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
-	var ok bool
-	if sh.core.Resizing() {
-		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
-		ok = sh.core.DeleteDual(oldCands, newCands, key, tag, sh.newCandsOf)
-	} else {
-		ok = sh.core.Delete(oldCands, key, tag, sh.candsOf)
-		if n := m.resizeTargetLocked(sh, false); n > 0 {
-			m.startResizeLocked(sh, n)
-		}
+	sh.deriver.Load().CandidateBins(tag, cands)
+	ok := sh.core.Delete(cands, sh.nextCands(tag, nextBuf[:m.d]), key, tag, sh.candsOf)
+	if n := m.resizeTargetLocked(sh, false); n > 0 {
+		m.startResizeLocked(sh, n)
 	}
 	m.migrateLocked(sh, m.migrateBatch)
 	sh.unlock()

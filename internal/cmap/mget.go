@@ -8,13 +8,14 @@ package cmap
 //
 //  1. hash every key in the chunk (keyed.DigestBatch — pure compute, no
 //     memory traffic) and route each digest to its shard;
-//  2. snapshot each shard's seqlock generation, derive the candidate
-//     buckets for the shard's current view(s), and issue prefetch
-//     touches for every key's candidate buckets — a volley of
-//     independent loads the memory system executes concurrently;
-//  3. probe each key's buckets (now likely cache-resident) and validate
-//     its generation, falling back to the locked per-key path for any
-//     key whose snapshot tore.
+//  2. snapshot each shard's seqlock generation and plan each key — the
+//     same plan a Get runs: check the shard's view(s) against its
+//     deriver(s) and derive the candidate buckets — then issue prefetch
+//     touches for every key's candidate buckets, a volley of independent
+//     loads the memory system executes concurrently;
+//  3. resolve each key — Get's resolve, over buckets now likely
+//     cache-resident — and validate its generation, falling back to the
+//     locked per-key path for any key whose snapshot tore.
 //
 // Each key's hit/miss is individually consistent — exactly a Get's
 // guarantee — but different keys may observe different instants; a batch
@@ -22,10 +23,7 @@ package cmap
 // phase 2's prefetches close enough to phase 3's probes to still be in
 // cache.
 
-import (
-	"repro/internal/keyed"
-	"repro/internal/mchtable"
-)
+import "repro/internal/keyed"
 
 // mgetChunk is the batch-pipelining chunk size: large enough to fill the
 // memory system with independent misses, small enough that prefetched
@@ -35,17 +33,14 @@ const mgetChunk = 64
 
 // mgetScratch is one GetBatch call's working state, pooled on the Map:
 // ~10 KB of arrays that would otherwise be zeroed on every call (the
-// zeroing costs more than a small batch's probes). Only views and
-// nextViews carry per-chunk meaning in their zero state (nil = take the
-// locked fallback), so getChunk clears just those two prefixes; every
-// other array is written before it is read.
+// zeroing costs more than a small batch's probes). Each array is written
+// before it is read: getChunk plans every key of a chunk, storing a zero
+// plan for a key whose shard is mid-mutation.
 type mgetScratch[K comparable, V any] struct {
 	digests   [mgetChunk]uint64
 	shards    [mgetChunk]*shard[K, V]
 	seqs      [mgetChunk]uint64
-	views     [mgetChunk]*mchtable.SeqView[K, V] // nil marks a key for the locked fallback
-	nexts     [mgetChunk]*mchtable.Core[K, V]    // captured next core (promotion may nil core.Next between phases)
-	nextViews [mgetChunk]*mchtable.SeqView[K, V]
+	plans     [mgetChunk]readPlan[K, V] // a nil view marks a key for the locked fallback
 	cands     [mgetChunk * maxD]uint32
 	nextCands [mgetChunk * maxD]uint32
 }
@@ -88,9 +83,11 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	return hits
 }
 
-// getChunk runs the phased probe for one chunk (len(keys) <= mgetChunk,
-// sc.digests[i] already computed). Routing overwrites sc.digests in
-// place with each key's in-shard tag — the digest's only remaining use.
+// getChunk runs the phased lookup for one chunk (len(keys) <=
+// mgetChunk, sc.digests[i] already computed): it plans every key, fires
+// the prefetch volley, then resolves every key, through the plan and
+// resolve every Get runs. Routing overwrites sc.digests in place with
+// each key's in-shard tag — the digest's only remaining use.
 //
 //repro:digestcarried
 //repro:noalloc
@@ -99,77 +96,51 @@ func (m *Map[K, V]) getChunk(sc *mgetScratch[K, V], keys []K, vals []V, found []
 	for i, d := range tags {
 		sc.shards[i], tags[i] = m.routeDigest(d)
 	}
-	clear(sc.views[:len(keys)])
-	clear(sc.nextViews[:len(keys)])
-	// Phase 2a: snapshot generations and derive candidates — all compute
-	// over small, cache-hot control structures. A key whose shard is
-	// mid-mutation or whose deriver/view disagree on geometry right now
-	// goes straight to the fallback — GetBatch pipelines the common case,
-	// it does not spin.
+	// Phase 2a: snapshot generations and plan — all compute over small,
+	// cache-hot control structures. A key whose shard is mid-mutation, or
+	// whose plan finds a deriver and view disagreeing on geometry, goes
+	// straight to the fallback — GetBatch pipelines the common case, it
+	// does not spin.
 	for i := range keys {
 		sh := sc.shards[i]
 		s := sh.seq.Load()
 		if s&1 != 0 {
+			sc.plans[i] = readPlan[K, V]{}
 			continue
 		}
-		core := sh.core
-		v := core.View()
-		der := sh.deriver.Load()
-		if der.N() != v.Buckets() {
-			continue
-		}
-		der.CandidateBins(tags[i], sc.cands[i*m.d:(i+1)*m.d])
-		if next := core.Next(); next != nil {
-			nder := sh.nextDeriver.Load()
-			nv := next.View()
-			if nder == nil || nder.N() != nv.Buckets() {
-				continue
-			}
-			nder.CandidateBins(tags[i], sc.nextCands[i*m.d:(i+1)*m.d])
-			sc.nexts[i], sc.nextViews[i] = next, nv
-		}
-		sc.seqs[i], sc.views[i] = s, v
+		sc.seqs[i] = s
+		sc.plans[i] = m.plan(sh, tags[i], sc.cands[i*m.d:(i+1)*m.d], sc.nextCands[i*m.d:(i+1)*m.d])
 	}
 	// Phase 2b: the prefetch volley, kept free of interleaved compute so
 	// the cache misses issue back-to-back and overlap as deeply as the
 	// memory system allows.
 	var sum uint32
 	for i := range keys {
-		if v := sc.views[i]; v != nil {
-			sum += v.Prefetch(sc.cands[i*m.d : (i+1)*m.d])
-			if nv := sc.nextViews[i]; nv != nil {
-				sum += nv.Prefetch(sc.nextCands[i*m.d : (i+1)*m.d])
+		if p := &sc.plans[i]; p.v != nil {
+			sum += p.v.Prefetch(sc.cands[i*m.d : (i+1)*m.d])
+			if p.nv != nil {
+				sum += p.nv.Prefetch(sc.nextCands[i*m.d : (i+1)*m.d])
 			}
 		}
 	}
 	keepAlive(sum)
-	// Phase 3: probe and validate; anything torn or unsnapshotted takes
-	// the per-key locked path. Hits on the digest-keyed sample record
-	// their probe depth, as Get's do.
+	// Phase 3: resolve and validate; anything torn or unplanned takes the
+	// per-key locked path. Hits on the digest-keyed sample record their
+	// probe depth, as Get's do.
 	mx := m.metrics
 	hits := 0
 	for i, key := range keys {
 		sh := sc.shards[i]
-		v := sc.views[i]
 		var val V
 		var depth int
 		var ok bool
-		if v != nil {
-			val, depth, ok = sh.core.SeqGet(v, sc.cands[i*m.d:(i+1)*m.d], key, tags[i])
-			if !ok {
-				if nv := sc.nextViews[i]; nv != nil {
-					if val, depth, ok = sc.nexts[i].SeqGet(nv, sc.nextCands[i*m.d:(i+1)*m.d], key, tags[i]); ok {
-						depth += m.d + 1
-					}
-				}
-			}
-			if sh.seq.Load() != sc.seqs[i] {
-				v = nil // torn: discard and fall back
-			}
+		p := &sc.plans[i]
+		if p.v != nil {
+			val, depth, ok = m.resolve(sh, p, sc.cands[i*m.d:(i+1)*m.d], sc.nextCands[i*m.d:(i+1)*m.d], key, tags[i])
 		}
-		if v == nil {
+		if p.v == nil || sh.seq.Load() != sc.seqs[i] {
 			// The optimistic snapshot tore (or was never taken): this
-			// key's probe is a seqlock fallback, same health signal as a
+			// key's lookup is a seqlock fallback, same health signal as a
 			// spun-out Get.
 			sh.seqFallbacks.Add(1)
 			val, depth, ok = m.lockedGet(sh, tags[i], key)

@@ -2,10 +2,13 @@ package cmap
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/hashes"
+	"repro/internal/keyed"
 	"repro/internal/numeric"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -182,5 +185,84 @@ func TestRaceResizeHandoff(t *testing.T) {
 	}
 	if st.Migrating != 0 {
 		t.Fatalf("%d entries still migrating after drain", st.Migrating)
+	}
+}
+
+// TestDeleteMidResizeDrainsNextStash deletes, mid-resize, a pair that
+// lives in a bucket of the next geometry, whose stash holds overflow.
+// The freed slot must take the first stashed pair whose candidates in
+// the next geometry cover it — derived through the shard's one drain and
+// migrate callback, which must derive for the next geometry while a
+// resize is in flight. A hasher that collapses every key onto four
+// digests fills the few buckets those digests reach in any geometry, so
+// the next geometry's stash fills too. The shard starts at a prime
+// bucket count, so the next geometry's candidates are not the current
+// ones' residues, as a power-of-two doubling's would be.
+func TestDeleteMidResizeDrainsNextStash(t *testing.T) {
+	collapsed := func(k hashes.SipKey, key uint64) uint64 { return keyed.Uint64(k, key%4) }
+	m := NewKeyed[uint64, uint64](collapsed, Config{Shards: 1, BucketsPerShard: 61, SlotsPerBucket: 4, D: 3,
+		Seed: 81, StashPerShard: 8, MaxLoadFactor: 0.9, MigrateBatch: 1})
+	sh := &m.shards[0]
+	var keys []uint64
+	for k := uint64(0); ; k++ {
+		if next := sh.core.Next(); next != nil && next.StashLen() > 0 {
+			break
+		}
+		if k == 1000 {
+			t.Fatal("the next geometry's stash never filled")
+		}
+		if !m.Put(k, ^k) {
+			t.Fatalf("Put(%d) rejected", k)
+		}
+		keys = append(keys, k)
+	}
+	depth := func(k uint64) int { // -1 for a miss
+		_, tag := m.route(k)
+		_, depth, _, _ := m.seqGet(sh, tag, k)
+		return depth
+	}
+	nextCands := func(k uint64) []uint32 {
+		_, tag := m.route(k)
+		cands := make([]uint32, m.d)
+		sh.nextDeriver.Load().CandidateBins(tag, cands)
+		return cands
+	}
+	// Next's stash in insertion order: Range streams it after the buckets.
+	var stashed []uint64
+	sh.core.Next().Range(func(k, _, _ uint64) bool {
+		if depth(k) == 2*m.d+1 {
+			stashed = append(stashed, k)
+		}
+		return true
+	})
+	// The victim shares the first stashed pair's digest, so it sits in one
+	// of that pair's candidate buckets in the next geometry.
+	victim, freed := uint64(0), -1
+	for _, k := range keys {
+		if d := depth(k); k%4 == stashed[0]%4 && d > m.d && d < 2*m.d+1 {
+			victim, freed = k, int(nextCands(k)[d-m.d-1])
+			break
+		}
+	}
+	if freed < 0 {
+		t.Fatal("no pair of the stashed digest in a bucket of the next geometry")
+	}
+	drained := stashed[0] // the first stashed pair the freed bucket can take
+	slot := slices.Index(nextCands(drained), uint32(freed))
+	if !m.Delete(victim) {
+		t.Fatalf("Delete(%d) missed", victim)
+	}
+	if !sh.core.Resizing() {
+		t.Fatal("the Delete finished the resize; the drain must run mid-resize")
+	}
+	if d := depth(drained); d != m.d+1+slot {
+		t.Fatalf("stashed key %d resolves at depth %d after its bucket %d freed; want %d, the freed bucket of the next geometry",
+			drained, d, freed, m.d+1+slot)
+	}
+	if v, ok := m.Get(drained); !ok || v != ^drained {
+		t.Fatalf("drained key %d = (%d, %v)", drained, v, ok)
+	}
+	if _, ok := m.Get(victim); ok {
+		t.Fatalf("deleted key %d still reachable", victim)
 	}
 }

@@ -39,8 +39,7 @@ const (
 	DirDigestCarry = "digestcarried" // func: re-places from stored digests, never re-hashes
 	DirDigestSrc   = "digestsource"  // func/field: evaluates a keyed hash
 	DirRehashOK    = "rehash-ok"     // line: suppress one digestflow finding (reason required)
-	DirRequiresLck = "requires-lock" // func: callable only with the shard lock held
-	DirLocked      = "locked"        // func: asserts the lock is held on entry (reason required)
+	DirRequiresLck = "requires-lock" // func: callable only with a classed lock held
 	DirDurable     = "durable"       // func / interface method: calls of this are durability ops
 	DirPoisons     = "poisons"       // func: durable-op errors are poisoned into these targets
 	DirBoundedIn   = "boundedinput"  // func: decoded sizes allocate only under a dominating bound

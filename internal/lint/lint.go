@@ -19,8 +19,6 @@
 //     //repro:unsafeview, dominated by a pointer-free/size gate.
 //   - digestflow: //repro:digestcarried functions never re-hash — they
 //     re-derive placement from stored digests only.
-//   - lockheld: //repro:requires-lock functions are reached only from
-//     callers that visibly hold the shard lock.
 //   - fsyncorder: in //repro:poisons functions, every error a
 //     //repro:durable operation (fsync/rename/truncate) returns is
 //     poisoned — a sticky-error store or cleanup action — before it can
@@ -30,7 +28,9 @@
 //     a lying length prefix cannot force allocation.
 //   - lockorder: //repro:lockclass ranks order every lock-acquisition
 //     edge; rank inversions and cycles are reported before they can
-//     deadlock.
+//     deadlock. The same flow-sensitive held set checks that every call
+//     of a //repro:requires-lock function holds a classed lock on every
+//     path to it.
 //
 // The last three are path-sensitive: they run over per-function
 // control-flow graphs (repro/internal/lint/cfg) with dominance and
@@ -225,5 +225,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Analyzers returns the full reprolint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SeqAtomic, NoAlloc, UnsafeView, DigestFlow, LockHeld, FsyncOrder, BoundedInput, LockOrder}
+	return []*Analyzer{SeqAtomic, NoAlloc, UnsafeView, DigestFlow, FsyncOrder, BoundedInput, LockOrder}
 }

@@ -20,7 +20,6 @@ func TestAnalyzers(t *testing.T) {
 		{lint.NoAlloc, "noalloc"},
 		{lint.UnsafeView, "unsafeview"},
 		{lint.DigestFlow, "digestflow"},
-		{lint.LockHeld, "lockheld"},
 		{lint.FsyncOrder, "fsyncorder"},
 		{lint.BoundedInput, "boundedinput"},
 		{lint.LockOrder, "lockorder"},
@@ -32,6 +31,11 @@ func TestAnalyzers(t *testing.T) {
 			})
 		}
 	}
+	// A package whose only lock discipline is //repro:requires-lock: with
+	// no class declared, lockorder flags the requirement itself.
+	t.Run("lockorder/unclassed", func(t *testing.T) {
+		linttest.Run(t, filepath.Join("testdata", "lockorder", "unclassed"), lint.LockOrder)
+	})
 }
 
 // TestRepositoryClean is the regression gate in test form: the full

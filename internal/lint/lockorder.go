@@ -32,6 +32,14 @@ package lint
 // bands are a module-wide convention documented in ANNOTATIONS.md so
 // cross-package nesting — DurableMap(10,20) → cmap shard(30) → WAL
 // (40,50) → wire server(60) — stays increasing by construction.
+//
+// The same held-set answers //repro:requires-lock: a function so marked
+// (the shard's *Locked resize helpers) mutates state only its caller's
+// lock serializes, so every call of it must come from a requires-lock
+// function or hold a classed lock on every path to the call — an unlock
+// before the call drops it. A function literal may run after its creator
+// unlocked, so a call inside one counts as unlocked, and a package that
+// classes no mutex cannot show any lock held.
 
 import (
 	"go/ast"
@@ -58,26 +66,40 @@ type lockClass struct {
 	id   int // bit position in held-set masks
 }
 
-type lockEdge struct {
-	from, to int
-	pos      token.Pos
-}
-
 func runLockOrder(p *Pass) error {
 	lc := collectLockClasses(p)
+	decls := funcDecls(p)
+	dirs := p.Directives()
 	if len(lc.classes) == 0 {
+		for _, fd := range sortedDecls(decls) {
+			if dirs.FuncHas(fd, DirRequiresLck) {
+				p.Reportf(fd.Name.Pos(), "//repro:requires-lock %s in a package with no //repro:lockclass mutex: no caller can be seen holding its lock", fd.Name.Name)
+			}
+		}
 		return nil
 	}
-	decls := funcDecls(p)
 	acq := acquireSummaries(p, lc, decls)
+	needsLock := func(call *ast.CallExpr) (string, bool) {
+		fn := calleeFunc(p.TypesInfo, call)
+		if fn == nil || fn.Pkg() != p.Pkg {
+			return "", false
+		}
+		cd, ok := decls[fn.Origin()]
+		return fn.Name(), ok && dirs.FuncHas(cd, DirRequiresLck)
+	}
 
-	// Record acquisition edges across every function at dataflow fixpoint.
+	// Record acquisition edges across every function at dataflow fixpoint,
+	// and check requires-lock calls against the same held sets.
 	edges := map[[2]int]token.Pos{}
 	for _, fd := range sortedDecls(decls) {
 		if fd.Body == nil {
 			continue
 		}
-		recordEdges(p, fd, lc, decls, acq, edges)
+		check := needsLock
+		if dirs.FuncHas(fd, DirRequiresLck) {
+			check = nil // the obligation passes to fd's callers
+		}
+		recordEdges(p, fd, lc, decls, acq, edges, check)
 	}
 
 	reportLockEdges(p, lc, edges)
@@ -373,26 +395,51 @@ func acquireSummaries(p *Pass, ci *classIndex, decls map[*types.Func]*ast.FuncDe
 	return acq
 }
 
+// heldSet is the held-set dataflow fact: the classes held on some path
+// to a point (may), which orders acquisitions, and on every path (must),
+// which a requires-lock call needs.
+type heldSet struct{ may, must uint64 }
+
 // recordEdges runs the held-set dataflow over fd and records a
-// held → acquired edge for every acquisition made with locks held.
-func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Func]*ast.FuncDecl, acq map[*ast.FuncDecl]uint64, edges map[[2]int]token.Pos) {
+// held → acquired edge for every acquisition made with locks held. With
+// a non-nil needsLock, which names the callee of a call that requires a
+// lock, it also reports each such call made with no class held on every
+// path to it, or made from a function literal.
+func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Func]*ast.FuncDecl, acq map[*ast.FuncDecl]uint64, edges map[[2]int]token.Pos, needsLock func(*ast.CallExpr) (string, bool)) {
 	g := p.CFG(fd)
 	if g == nil {
 		return
 	}
 	locals := localAliases(p, fd, ci)
 
-	// transfer applies one node's lock events to a held mask; when
-	// record is set, acquisition edges land in the edges map.
-	apply := func(n ast.Node, held uint64, record bool) uint64 {
-		deferred := false
-		if _, ok := n.(*ast.DeferStmt); ok {
-			deferred = true
+	// edge records held → to at pos, keeping each edge's first site.
+	edge := func(held uint64, to int, pos token.Pos) {
+		for _, c := range ci.classes {
+			if held&(1<<c.id) != 0 {
+				key := [2]int{c.id, to}
+				if _, seen := edges[key]; !seen {
+					edges[key] = pos
+				}
+			}
+		}
+	}
+	// apply applies one node's lock events to a held set; when record is
+	// set, acquisition edges land in the edges map and requires-lock
+	// calls are checked.
+	apply := func(n ast.Node, held heldSet, record bool) heldSet {
+		_, deferred := n.(*ast.DeferStmt) // a deferred unlock holds to exit
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			n = rs.X // a range head evaluates X; the body's statements are blocks of their own
 		}
 		inspectNoFuncLit(n, func(d ast.Node) {
 			call, ok := d.(*ast.CallExpr)
 			if !ok {
 				return
+			}
+			if record && needsLock != nil && held.must == 0 {
+				if name, ok := needsLock(call); ok {
+					p.Reportf(call.Pos(), "call of //repro:requires-lock %s from %s with no //repro:lockclass lock held on every path to it", name, fd.Name.Name)
+				}
 			}
 			ev, ok := resolveLockEvent(p, call, ci, locals, decls, acq)
 			if !ok {
@@ -401,34 +448,17 @@ func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Fun
 			switch {
 			case ev.class != nil && ev.acquire:
 				if record {
-					for _, c := range ci.classes {
-						if held&(1<<c.id) != 0 {
-							key := [2]int{c.id, ev.class.id}
-							if _, seen := edges[key]; !seen {
-								edges[key] = ev.pos
-							}
-						}
-					}
+					edge(held.may, ev.class.id, ev.pos)
 				}
-				held |= 1 << ev.class.id
-			case ev.class != nil && !ev.acquire:
-				if !deferred {
-					held &^= 1 << ev.class.id // a deferred unlock holds to exit
-				}
-			case ev.summary != 0:
-				if record {
-					for _, c := range ci.classes {
-						if held&(1<<c.id) == 0 {
-							continue
-						}
-						for _, t := range ci.classes {
-							if ev.summary&(1<<t.id) != 0 {
-								key := [2]int{c.id, t.id}
-								if _, seen := edges[key]; !seen {
-									edges[key] = ev.pos
-								}
-							}
-						}
+				held.may |= 1 << ev.class.id
+				held.must |= 1 << ev.class.id
+			case ev.class != nil && !deferred:
+				held.may &^= 1 << ev.class.id
+				held.must &^= 1 << ev.class.id
+			case ev.summary != 0 && record:
+				for _, t := range ci.classes {
+					if ev.summary&(1<<t.id) != 0 {
+						edge(held.may, t.id, ev.pos)
 					}
 				}
 			}
@@ -436,12 +466,12 @@ func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Fun
 		return held
 	}
 
-	in := cfg.Forward(g, cfg.ForwardProblem[uint64]{
-		Entry: 0,
-		Init:  func(*cfg.Block) uint64 { return 0 },
-		Join:  func(a, b uint64) uint64 { return a | b },
-		Equal: func(a, b uint64) bool { return a == b },
-		Transfer: func(b *cfg.Block, held uint64) uint64 {
+	in := cfg.Forward(g, cfg.ForwardProblem[heldSet]{
+		Entry: heldSet{},
+		Init:  func(*cfg.Block) heldSet { return heldSet{must: ^uint64(0)} },
+		Join:  func(a, b heldSet) heldSet { return heldSet{a.may | b.may, a.must & b.must} },
+		Equal: func(a, b heldSet) bool { return a == b },
+		Transfer: func(b *cfg.Block, held heldSet) heldSet {
 			for _, n := range b.Nodes {
 				held = apply(n, held, false)
 			}
@@ -458,6 +488,24 @@ func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Fun
 			held = apply(n, held, true)
 		}
 	}
+	if needsLock == nil {
+		return
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if name, ok := needsLock(call); ok {
+					p.Reportf(call.Pos(), "call of //repro:requires-lock %s from a function literal in %s, which may run with no lock held", name, fd.Name.Name)
+				}
+			}
+			return true
+		})
+		return false
+	})
 }
 
 // reportLockEdges checks every recorded edge for rank inversions and

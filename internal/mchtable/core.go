@@ -135,11 +135,11 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // A Core optionally resizes online: StartResize allocates a second Core
 // with a different bucket count, and StartRebuild one with the same count,
 // which compacts the arena (see NeedsRebuild); Migrate moves entries
-// across in small batches, PutDual and DeleteDual write through both
-// geometries, and a lookup keeps every key reachable mid-migration by
-// probing the old geometry first and Next's second. When the old side
-// empties, the new Core is promoted in place — the *Core pointer held by
-// callers keeps working across the hand-off.
+// across in small batches, Put and Delete write through both geometries
+// given a key's candidates in each, and a lookup keeps every key
+// reachable mid-migration by probing the old geometry first and Next's
+// second. When the old side empties, the new Core is promoted in place —
+// the *Core pointer held by callers keeps working across the hand-off.
 //
 // The stash is insertion-ordered so that drain and migration order — and
 // therefore placement — is fully deterministic for a fixed op sequence.
@@ -448,33 +448,60 @@ func (c *Core[K, V]) storeInBucket(b int, e *entry[K, V]) {
 // Put stores key → val given key's candidate buckets, updating in place
 // if key is present. tag is the opaque value candidates re-derive from
 // (see the type comment); it is stored alongside the pair. Put reports
-// whether the pair is stored; false means every candidate bucket and the
-// stash were full (the insertion is rejected, core unchanged).
+// whether the pair is stored; false means the insertion is rejected,
+// core unchanged.
 //
-// Put addresses the current geometry only; while a resize is in flight
-// callers must use PutDual instead.
+// nextCands are key's candidates in Next's geometry, read only while a
+// resize is in flight. Then a key still resident in the current geometry
+// moves to the next one (insertion piggybacks migration), and a new key
+// goes to the next geometry directly. Settled, a new key is rejected when
+// every candidate bucket and the stash are full; mid-resize, when the
+// next geometry's are (rare, since resizes grow the table), and a
+// resident key the next geometry rejects is updated where it lives.
 //
 //repro:noalloc
-func (c *Core[K, V]) Put(cands []uint32, key K, val V, tag uint64) bool {
-	return c.update(cands, key, val, tag) || c.place(cands, key, val, tag, true)
+func (c *Core[K, V]) Put(cands, nextCands []uint32, key K, val V, tag uint64) bool {
+	s, i := c.find(cands, key, tag)
+	next := c.next.Load()
+	if next != nil && next.Put(nextCands, nil, key, val, tag) {
+		if s != nil {
+			c.remove(s, i)
+		}
+		return true
+	}
+	if s != nil {
+		c.setValue(s, i, key, val, tag)
+		return true
+	}
+	return next == nil && c.place(cands, key, val, tag, true)
 }
 
-// update overwrites key's value wherever key already lives — a
-// candidate bucket or the stash — reporting whether it was present.
+// find returns the slots and index where key (whose tag is tag) lives in
+// the current geometry — a candidate bucket's slot or a stash entry — or
+// nil slots if it is absent.
 //
 //repro:noalloc
-func (c *Core[K, V]) update(cands []uint32, key K, val V, tag uint64) bool {
+func (c *Core[K, V]) find(cands []uint32, key K, tag uint64) (*slots[K, V], int) {
 	for _, b := range cands {
 		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.setValue(&c.slots, idx, key, val, tag)
-			return true
+			return &c.slots, idx
 		}
 	}
 	if i := c.stashFind(key, tag); i >= 0 {
-		c.setValue(&c.stash.Load().slots, i, key, val, tag)
-		return true
+		return &c.stash.Load().slots, i
 	}
-	return false
+	return nil, -1
+}
+
+// remove deletes the pair find located at slot i of s.
+//
+//repro:noalloc
+func (c *Core[K, V]) remove(s *slots[K, V], i int) {
+	if s == &c.slots {
+		c.clearSlot(i)
+	} else {
+		c.dropStash(i)
+	}
 }
 
 // place inserts a pair the caller knows is absent, with no lookup. The
@@ -525,27 +552,31 @@ func (c *Core[K, V]) candidateLoads(cands []uint32) (loads, positions []uint32) 
 }
 
 // Delete removes key (whose tag is tag), reporting whether it was
-// present. Freeing a bucket slot triggers a stash drain: any stashed
-// entry with that bucket among its candidates (re-derived from its stored
-// tag through candsOf) moves back into the table, so transient overflow
-// does not pin stash capacity forever. cands must not alias the buffer
-// candsOf writes into — the drain recomputes stashed entries' candidates
-// while cands is still live. While a resize is in flight use DeleteDual.
+// present. nextCands are key's candidates in Next's geometry, read only
+// while a resize is in flight, when key is removed from whichever
+// geometry holds it. Freeing a bucket slot of a settled geometry — or,
+// mid-resize, of Next's — triggers a stash drain: any stashed entry with
+// that bucket among its candidates (re-derived from its stored tag
+// through candsOf, which therefore derives for Next's geometry while a
+// resize is in flight and for the current one otherwise) moves back into
+// the table, so transient overflow does not pin stash capacity forever.
+// A mid-resize deletion from the current geometry drains nothing: its
+// stashed entries are on their way to the next one. cands and nextCands
+// must not alias the buffer candsOf writes into — the drain recomputes
+// stashed entries' candidates while they are still live.
 //
 //repro:noalloc
-func (c *Core[K, V]) Delete(cands []uint32, key K, tag uint64, candsOf func(tag uint64) []uint32) bool {
-	for _, b := range cands {
-		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.clearSlot(idx)
-			c.drainStashInto(int(b), candsOf)
-			return true
-		}
+func (c *Core[K, V]) Delete(cands, nextCands []uint32, key K, tag uint64, candsOf func(tag uint64) []uint32) bool {
+	s, i := c.find(cands, key, tag)
+	next := c.next.Load()
+	if s == nil {
+		return next != nil && next.Delete(nextCands, nil, key, tag, candsOf)
 	}
-	if i := c.stashFind(key, tag); i >= 0 {
-		c.dropStash(i)
-		return true
+	c.remove(s, i)
+	if s == &c.slots && next == nil {
+		c.drainStashInto(i/c.slotsPerBucket, candsOf)
 	}
-	return false
+	return true
 }
 
 // dropStash removes stash entry i and releases its record.
@@ -621,9 +652,9 @@ func (c *Core[K, V]) NeedsRebuild() bool {
 // StartResize begins an online resize to newBuckets buckets (same slots
 // per bucket and stash capacity): it allocates the new-geometry Core that
 // Migrate drains entries into. It panics if a resize is already in flight
-// or the shape is invalid. Until the resize completes, writes must go
-// through the *Dual variants with candidates for both geometries, and a
-// lookup that misses the old geometry probes Next's.
+// or the shape is invalid. Until the resize completes, Put and Delete
+// need a key's candidates in both geometries, and a lookup that misses
+// the old geometry probes Next's.
 func (c *Core[K, V]) StartResize(newBuckets int) {
 	if newBuckets <= 0 || newBuckets == c.buckets {
 		panic(fmt.Sprintf("mchtable: resize %d -> %d buckets", c.buckets, newBuckets))
@@ -633,8 +664,8 @@ func (c *Core[K, V]) StartResize(newBuckets int) {
 
 // StartRebuild begins a same-size resize: the rebuild that compacts the
 // arena once NeedsRebuild reports it holding more dead bytes than live
-// ones. It runs exactly like a resize — Migrate, the *Dual operations,
-// promotion — with identical candidates in both geometries.
+// ones. It runs exactly like a resize — Migrate, Put and Delete through
+// both geometries, promotion — with identical candidates in both.
 func (c *Core[K, V]) StartRebuild() { c.startMigration(c.buckets) }
 
 // startMigration allocates the Core a resize or rebuild migrates into.
@@ -675,7 +706,7 @@ func (c *Core[K, V]) Resizes() int { return int(c.resizes.Load()) }
 // there is nothing left to do or the new geometry rejected an entry.
 //
 // Entries are placed with no lookup in the new geometry: mid-resize an
-// entry lives in exactly one geometry (PutDual moves a key across before
+// entry lives in exactly one geometry (Put moves a key across before
 // writing it), so a migrating key cannot already be there.
 //
 // A growth migration (more buckets) or a rebuild (the same count) always
@@ -764,66 +795,6 @@ func (c *Core[K, V]) promote() {
 	c.view.Store(next.view.Load())
 	c.resizes.Add(1)
 	c.next.Store(nil)
-}
-
-// PutDual is Put while a resize is in flight. A key still resident in the
-// old geometry is moved to the new one (insertion piggybacks migration);
-// otherwise the pair goes to the new geometry directly. If the new
-// geometry rejects the pair (all candidates and its stash full — rare,
-// since resizes grow the table) a resident key is updated in place in the
-// old geometry and a new key is rejected. It panics without a resize in
-// flight.
-//
-//repro:noalloc
-func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint64) bool {
-	next := c.next.Load()
-	if next == nil {
-		panic("mchtable: PutDual without a resize in flight")
-	}
-	for _, b := range oldCands {
-		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			if next.Put(newCands, key, val, tag) {
-				c.clearSlot(idx)
-				return true
-			}
-			c.setValue(&c.slots, idx, key, val, tag)
-			return true
-		}
-	}
-	if i := c.stashFind(key, tag); i >= 0 {
-		if next.Put(newCands, key, val, tag) {
-			c.dropStash(i)
-			return true
-		}
-		c.setValue(&c.stash.Load().slots, i, key, val, tag)
-		return true
-	}
-	return next.Put(newCands, key, val, tag)
-}
-
-// DeleteDual is Delete while a resize is in flight: the key is removed
-// from whichever geometry holds it. Old-geometry deletions skip the stash
-// drain — stashed entries are on their way to the new geometry anyway —
-// while new-geometry deletions drain the new stash through newCandsOf. It
-// panics without a resize in flight.
-//
-//repro:noalloc
-func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, tag uint64, newCandsOf func(tag uint64) []uint32) bool {
-	next := c.next.Load()
-	if next == nil {
-		panic("mchtable: DeleteDual without a resize in flight")
-	}
-	for _, b := range oldCands {
-		if idx := c.findInBucket(key, tag, int(b)); idx >= 0 {
-			c.clearSlot(idx)
-			return true
-		}
-	}
-	if i := c.stashFind(key, tag); i >= 0 {
-		c.dropStash(i)
-		return true
-	}
-	return next.Delete(newCands, key, tag, newCandsOf)
 }
 
 // Len returns the number of stored pairs (including stashed ones and, mid-

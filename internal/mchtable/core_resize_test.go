@@ -69,7 +69,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 
 	var stored []uint64
 	for k := uint64(1); k <= 60; k++ {
-		if c.Put(oldOp(k), k, k*10, k) {
+		if c.Put(oldOp(k), nil, k, k*10, k) {
 			stored = append(stored, k)
 		}
 	}
@@ -128,7 +128,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 		if v, _, ok := get(c, newOp(k), nil, k, k); !ok || v != k*10 {
 			t.Fatalf("key %d lost after promotion", k)
 		}
-		if !c.Delete(newOp(k), k, k, newDrain) {
+		if !c.Delete(newOp(k), nil, k, k, newDrain) {
 			t.Fatalf("key %d not deletable after promotion", k)
 		}
 		checkLoads(t, c)
@@ -149,7 +149,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	newDrain := geom(newBuckets, d)
 
 	for k := uint64(1); k <= 20; k++ {
-		if !c.Put(oldOp(k), k, k, k) {
+		if !c.Put(oldOp(k), nil, k, k, k) {
 			t.Fatalf("put %d rejected", k)
 		}
 	}
@@ -157,8 +157,8 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 
 	// A fresh key lands in the new geometry without touching the backlog.
 	pending := c.Pending()
-	if !c.PutDual(oldOp(100), newOp(100), 100, 100, 100) {
-		t.Fatal("PutDual of a fresh key rejected")
+	if !c.Put(oldOp(100), newOp(100), 100, 100, 100) {
+		t.Fatal("Put of a fresh key rejected")
 	}
 	if c.Pending() != pending {
 		t.Fatalf("fresh insert changed the backlog: %d -> %d", pending, c.Pending())
@@ -168,8 +168,8 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	}
 
 	// Updating an old-resident key moves it across (piggybacked migration).
-	if !c.PutDual(oldOp(1), newOp(1), 1, 111, 1) {
-		t.Fatal("PutDual update rejected")
+	if !c.Put(oldOp(1), newOp(1), 1, 111, 1) {
+		t.Fatal("Put update rejected")
 	}
 	if c.Pending() != pending-1 {
 		t.Fatalf("update of an old resident did not migrate it: backlog %d -> %d", pending, c.Pending())
@@ -179,13 +179,13 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	}
 
 	// Deletes find keys in either geometry.
-	if !c.DeleteDual(oldOp(2), newOp(2), 2, 2, newDrain) {
+	if !c.Delete(oldOp(2), newOp(2), 2, 2, newDrain) {
 		t.Fatal("old-resident delete missed")
 	}
-	if !c.DeleteDual(oldOp(100), newOp(100), 100, 100, newDrain) {
+	if !c.Delete(oldOp(100), newOp(100), 100, 100, newDrain) {
 		t.Fatal("new-resident delete missed")
 	}
-	if c.DeleteDual(oldOp(2), newOp(2), 2, 2, newDrain) {
+	if c.Delete(oldOp(2), newOp(2), 2, 2, newDrain) {
 		t.Fatal("double delete succeeded")
 	}
 	if _, _, ok := get(c, oldOp(2), newOp(2), 2, 2); ok {
@@ -225,13 +225,42 @@ func TestCoreResizeGuards(t *testing.T) {
 	}
 	mustPanic("same size", func() { c.StartResize(8) })
 	mustPanic("non-positive", func() { c.StartResize(0) })
-	mustPanic("PutDual idle", func() { c.PutDual(nil, nil, 1, 1, 1) })
-	mustPanic("DeleteDual idle", func() { c.DeleteDual(nil, nil, 1, 1, nil) })
 	if c.Migrate(10, nil) != 0 {
 		t.Error("Migrate on an idle core moved entries")
 	}
 	c.StartResize(16)
 	mustPanic("double StartResize", func() { c.StartResize(32) })
+
+	// On an idle core, Put and Delete ignore next-geometry candidates:
+	// given them, they act exactly as the settled operations do, down to
+	// every placement and stash drain.
+	op, nextOp, drain := geom(8, 2), geom(16, 2), geom(8, 2)
+	with, without := NewCore[uint64, uint64](8, 1, 2), NewCore[uint64, uint64](8, 1, 2)
+	for k := uint64(1); k <= 12; k++ {
+		if got, want := with.Put(op(k), nextOp(k), k, k, k), without.Put(op(k), nil, k, k, k); got != want {
+			t.Fatalf("idle Put(%d) with next candidates = %v, settled %v", k, got, want)
+		}
+	}
+	if without.StashLen() == 0 {
+		t.Fatal("no stashed pair for the deletes to drain")
+	}
+	for k := uint64(1); k <= 12; k += 3 {
+		if got, want := with.Delete(op(k), nextOp(k), k, k, drain), without.Delete(op(k), nil, k, k, drain); got != want {
+			t.Fatalf("idle Delete(%d) with next candidates = %v, settled %v", k, got, want)
+		}
+	}
+	for k := uint64(1); k <= 12; k++ { // the probe depth names the candidate bucket, or the stash
+		if _, got, ok := get(with, op(k), nil, k, k); ok {
+			if _, want, _ := get(without, op(k), nil, k, k); got != want {
+				t.Fatalf("key %d at depth %d with next candidates, settled %d", k, got, want)
+			}
+		} else if _, _, ok := get(without, op(k), nil, k, k); ok {
+			t.Fatalf("key %d missing with next candidates, stored settled", k)
+		}
+	}
+	if with.Len() != without.Len() || with.StashLen() != without.StashLen() {
+		t.Fatalf("cores hold %d pairs (%d stashed) and %d (%d)", with.Len(), with.StashLen(), without.Len(), without.StashLen())
+	}
 }
 
 func TestCoreResizeEmptyPromotesImmediately(t *testing.T) {
@@ -262,14 +291,14 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 
 	var stored []uint64
 	for k := uint64(1); k <= 20 && c.Len() < 5; k++ { // fill 4 slots + 1 stash
-		if c.Put(oldOp(k), k, k, k) {
+		if c.Put(oldOp(k), nil, k, k, k) {
 			stored = append(stored, k)
 		}
 	}
 	c.StartResize(8)
 	// Saturate the new geometry through fresh inserts until it rejects.
 	for k := uint64(100); k < 200; k++ {
-		if !c.PutDual(oldOp(k), newOp(k), k, k, k) {
+		if !c.Put(oldOp(k), newOp(k), k, k, k) {
 			break
 		}
 		stored = append(stored, k)
@@ -294,7 +323,7 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 	// Post-promotion, normal Puts respect the cap again: the next one
 	// past a full table must reject, not grow the stash further.
 	before := c.StashLen()
-	if c.Put(newOp(999), 999, 999, 999) {
+	if c.Put(newOp(999), nil, 999, 999, 999) {
 		t.Fatal("capped Put accepted into a saturated promoted core")
 	}
 	if c.StashLen() != before {
@@ -311,7 +340,7 @@ func TestCoreShrinkStallsInsteadOfLosing(t *testing.T) {
 	oldOp := geom(32, d)
 	var stored []uint64
 	for k := uint64(1); k <= 20; k++ {
-		if c.Put(oldOp(k), k, k, k) {
+		if c.Put(oldOp(k), nil, k, k, k) {
 			stored = append(stored, k)
 		}
 	}

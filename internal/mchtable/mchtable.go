@@ -125,7 +125,7 @@ func (t *Table) candidates(key uint64) []uint32 {
 // both hashing disciplines, so candidates are recomputed from the key
 // (internal/cmap stores the in-shard digest instead).
 func (t *Table) Put(key, val uint64) bool {
-	return t.core.Put(t.candidates(key), key, val, key)
+	return t.core.Put(t.candidates(key), nil, key, val, key)
 }
 
 // Get returns the value stored for key.
@@ -140,7 +140,7 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 // pin stash capacity forever.
 func (t *Table) Delete(key uint64) bool {
 	copy(t.delScratch, t.candidates(key))
-	return t.core.Delete(t.delScratch, key, key, t.candidates)
+	return t.core.Delete(t.delScratch, nil, key, key, t.candidates)
 }
 
 // Len returns the number of stored pairs (including stashed ones).

@@ -20,7 +20,7 @@ func TestCoreTagCollision(t *testing.T) {
 
 	t.Run("bucket", func(t *testing.T) {
 		c := NewCore[string, int](4, 2, 4)
-		if !c.Put(cands, "a", 1, shared) || !c.Put(cands, "b", 2, shared) {
+		if !c.Put(cands, nil, "a", 1, shared) || !c.Put(cands, nil, "b", 2, shared) {
 			t.Fatal("Put rejected")
 		}
 		if c.StashLen() != 0 || c.Len() != 2 {
@@ -29,15 +29,15 @@ func TestCoreTagCollision(t *testing.T) {
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 2, true) // skips "a"'s slot: tag matches, key does not
 		want(t, c, "c", shared, 0, false)
-		if !c.Put(cands, "b", 20, shared) || c.Len() != 2 {
+		if !c.Put(cands, nil, "b", 20, shared) || c.Len() != 2 {
 			t.Fatalf("overwrite of b: Len %d", c.Len())
 		}
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 20, true)
-		if c.Delete(cands, "c", shared, candsOf) {
+		if c.Delete(cands, nil, "c", shared, candsOf) {
 			t.Fatal("Delete of an absent key sharing the tag succeeded")
 		}
-		if !c.Delete(cands, "a", shared, candsOf) {
+		if !c.Delete(cands, nil, "a", shared, candsOf) {
 			t.Fatal("Delete(a) missed")
 		}
 		want(t, c, "a", shared, 0, false)
@@ -47,10 +47,10 @@ func TestCoreTagCollision(t *testing.T) {
 	t.Run("stash", func(t *testing.T) {
 		c := NewCore[string, int](4, 2, 4)
 		// Fill bucket 0 with keys under other tags, so a and b overflow.
-		if !c.Put(cands, "x", 100, 1) || !c.Put(cands, "y", 200, 2) {
+		if !c.Put(cands, nil, "x", 100, 1) || !c.Put(cands, nil, "y", 200, 2) {
 			t.Fatal("fill rejected")
 		}
-		if !c.Put(cands, "a", 1, shared) || !c.Put(cands, "b", 2, shared) {
+		if !c.Put(cands, nil, "a", 1, shared) || !c.Put(cands, nil, "b", 2, shared) {
 			t.Fatal("Put into the stash rejected")
 		}
 		if c.StashLen() != 2 {
@@ -58,7 +58,7 @@ func TestCoreTagCollision(t *testing.T) {
 		}
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 2, true)
-		if !c.Put(cands, "b", 20, shared) || c.Len() != 4 {
+		if !c.Put(cands, nil, "b", 20, shared) || c.Len() != 4 {
 			t.Fatalf("overwrite of stashed b: Len %d", c.Len())
 		}
 		want(t, c, "a", shared, 1, true)
@@ -66,7 +66,7 @@ func TestCoreTagCollision(t *testing.T) {
 
 		// Freeing x's slot drains the first stashed entry, a, into bucket
 		// 0; b stays stashed behind a slot that now carries its tag.
-		if !c.Delete(cands, "x", 1, candsOf) {
+		if !c.Delete(cands, nil, "x", 1, candsOf) {
 			t.Fatal("Delete(x) missed")
 		}
 		if c.StashLen() != 1 {
@@ -82,12 +82,12 @@ func TestCoreTagCollision(t *testing.T) {
 			t.Fatalf("b resolved at depth %d, want the stash (%d)", depth, len(cands))
 		}
 
-		if !c.Delete(cands, "b", shared, candsOf) {
+		if !c.Delete(cands, nil, "b", shared, candsOf) {
 			t.Fatal("Delete(b) missed the stash")
 		}
 		want(t, c, "a", shared, 1, true)
 		want(t, c, "b", shared, 0, false)
-		if !c.Delete(cands, "a", shared, candsOf) {
+		if !c.Delete(cands, nil, "a", shared, candsOf) {
 			t.Fatal("Delete(a) missed the bucket")
 		}
 		want(t, c, "y", 2, 200, true)
