@@ -31,6 +31,13 @@ func TestAnalyzers(t *testing.T) {
 			})
 		}
 	}
+	// lockorder's //repro:requires-lock check has goldens of its own,
+	// under the lockheld name it had as a separate analyzer.
+	for _, sub := range []string{"flagged", "clean"} {
+		t.Run("lockheld/"+sub, func(t *testing.T) {
+			linttest.Run(t, filepath.Join("testdata", "lockorder", "held", sub), lint.LockOrder)
+		})
+	}
 	// A package whose only lock discipline is //repro:requires-lock: with
 	// no class declared, lockorder flags the requirement itself.
 	t.Run("lockorder/unclassed", func(t *testing.T) {

@@ -1,9 +1,8 @@
+// Package clean holds the //repro:requires-lock shapes lockorder must
+// accept: a classed lock held on every path to the call, obligation
+// propagation between requires-lock functions, and the lock()/unlock()
+// wrapper around a call in a loop. Any finding here is a false positive.
 package clean
-
-// The //repro:requires-lock shapes lockorder must accept: a classed lock
-// held on every path to the call, obligation propagation between
-// requires-lock functions, and the lock()/unlock() wrapper around a call
-// in a loop.
 
 import "sync"
 
@@ -60,6 +59,15 @@ func (s *table) either(fast bool) {
 	s.growLocked()
 	s.mu.Unlock()
 }
+
+// shard locks its one classed mutex through lock()/unlock() wrappers.
+type shard struct {
+	mu sync.RWMutex //repro:lockclass shard 30
+	n  int
+}
+
+func (sh *shard) lock()   { sh.mu.Lock() }
+func (sh *shard) unlock() { sh.mu.Unlock() }
 
 //repro:requires-lock
 func (sh *shard) bumpLocked() { sh.n++ }

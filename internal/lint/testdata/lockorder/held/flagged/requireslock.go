@@ -1,7 +1,7 @@
-package a
-
+// Package a exercises lockorder's //repro:requires-lock check:
 // requires-lock helpers reached from callers that do not hold a classed
 // lock on every path to the call.
+package a
 
 import "sync"
 
