@@ -14,8 +14,10 @@ import (
 // allocates nothing per record: the snapshot load and the WAL replay
 // pass a decoded key and value only to the map's put body and Delete
 // (and the load's one-time hasher check), and the map copies what it
-// keeps into its arena before the loader reuses the buffer — at the
-// end of a snapshot section, or at the next WAL record.
+// keeps into its arena before the buffer is reused: the recovery places
+// a snapshot section's records before it reads the next section, and
+// decodes a WAL record from a copy that lives in the record's window
+// until the record is placed.
 var (
 	keyCodec = repro.Codec[string]{
 		Append: func(dst []byte, k string) []byte { return append(dst, k...) },

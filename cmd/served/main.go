@@ -85,8 +85,10 @@ func main() {
 	if err != nil {
 		logger.Fatalf("open %s: %v", *dir, err)
 	}
-	logger.Printf("recovered %d pairs from %s in %v (wal fsync %v)",
-		m.Len(), *dir, time.Since(start).Round(time.Millisecond), *walSync)
+	rec := m.Recovery()
+	logger.Printf("recovered %d pairs from %s in %v (snapshot load %v, wal replay %v, workers %d; wal fsync %v)",
+		m.Len(), *dir, time.Since(start).Round(time.Millisecond), rec.SnapshotLoad.Round(time.Millisecond),
+		rec.WALReplay.Round(time.Millisecond), rec.Workers, *walSync)
 	mapMx := cmap.NewMetrics()
 	m.Map().SetMetrics(mapMx) // before any traffic: the hot paths read it unsynchronized
 

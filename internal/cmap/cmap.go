@@ -93,7 +93,7 @@
 // The keyed hash evaluation always happens outside the shard lock. The
 // cheap geometry-dependent candidate expansion happens under the lock on
 // the write path, because a doubling or rebuild may start at any write
-// (the snapshot loader derives a window's candidates ahead of placing
+// (the recovery loader derives a window's candidates ahead of placing
 // them, and the put body derives again under the lock if the shard's
 // geometry changed since); seqlock readers instead validate that their
 // deriver and bucket view describe the same geometry and retry on
@@ -316,7 +316,7 @@ func (m *Map[K, V]) route(key K) (*shard[K, V], uint64) {
 }
 
 // routeDigest is route from an already computed full digest — the entry
-// point the snapshot loader shares with the hashed path, so reloading at
+// point the recovery loader shares with the hashed path, so reloading at
 // any shard count re-splits stored digests instead of re-hashing keys.
 //
 //repro:digestcarried
@@ -444,7 +444,7 @@ func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) b
 	return m.putRouted(sh, tag, nil, buf[:m.d], key, val)
 }
 
-// putRouted is the put body, shared by Put and the snapshot loader: it
+// putRouted is the put body, shared by Put and the recovery loader: it
 // stores key → val in sh, key's shard, where key's tag is tag. cands
 // holds d candidates that der derived for tag; a nil der derived none.
 // Under the shard lock it derives them with the shard's deriver unless
@@ -641,8 +641,17 @@ func (m *Map[K, V]) Delete(key K) bool { return DeleteDigest(m, m.digest(key), k
 //repro:digestcarried
 //repro:noalloc
 func DeleteDigest[K comparable, V any](m *Map[K, V], digest uint64, key K) bool {
-	var buf, nextBuf [maxD]uint32
 	sh, tag := m.routeDigest(digest)
+	return m.deleteRouted(sh, tag, key)
+}
+
+// deleteRouted is the delete body, shared by Delete and the recovery
+// loader: it removes key from sh, key's shard, where key's tag is tag.
+//
+//repro:digestcarried
+//repro:noalloc
+func (m *Map[K, V]) deleteRouted(sh *shard[K, V], tag uint64, key K) bool {
+	var buf, nextBuf [maxD]uint32
 	cands := buf[:m.d]
 	sh.lock()
 	sh.deriver.Load().CandidateBins(tag, cands)

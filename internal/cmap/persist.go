@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/persist"
 )
@@ -101,96 +100,69 @@ func (m *Map[K, V]) Snapshot(w io.Writer, kc keyed.Codec[K], vc keyed.Codec[V]) 
 // the stream fills them; with it disabled, a record the fixed geometry
 // cannot hold fails the load.
 //
-// Records are placed a window at a time, in snapshot order, through the
-// put body Put runs (see placeWindow), so the loaded map is the one
-// placing every record with PutDigest would build. A window never spans
-// two sections: decoded keys and values may be views of their record's
-// bytes, which the reader keeps valid through the section.
+// The records go through a Loader, the recovery pipeline: a window at a
+// time through the put body Put runs (see placeWindow), placed by the
+// caller for a small snapshot and by min(GOMAXPROCS, shard count)
+// workers, each owning a share of the shards, past loadWorkerQuota
+// records. Every shard receives its records in snapshot order, so the
+// loaded map is the one placing every record with PutDigest would build,
+// whatever the worker count. Decoded keys and values may be views of
+// their record's bytes, which the reader keeps valid through the
+// section: the load places a section's records before it reads the
+// next. Every worker has exited when LoadKeyed returns, on every path.
 //
 //repro:digestcarried
 func LoadKeyed[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V], cfg Config) (*Map[K, V], error) {
+	ld, err := LoadSnapshot(r, h, kc, vc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ld.Close() // LoadSnapshot placed every record
+	return ld.Map(), nil
+}
+
+// LoadSnapshot is LoadKeyed, returning the Loader that placed the
+// snapshot still open, with every record placed: a recovery hands the
+// log's records to the same pipeline, then closes it. On an error it
+// closes the loader itself.
+//
+//repro:digestcarried
+func LoadSnapshot[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V], cfg Config) (*Loader[K, V], error) {
 	sr, err := persist.NewSnapshotReader(r)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Seed = sr.Header().Seed
-	m := NewKeyed[K, V](h, cfg)
-	w := new(loadWindow[K, V])
+	ld := NewLoader(NewKeyed[K, V](h, cfg))
+	fail := func(err error) (*Loader[K, V], error) {
+		ld.Close()
+		return nil, err
+	}
 	first := true
 	for sr.Next() {
 		kb, vb, digest := sr.Record()
 		key, err := kc.Decode(kb)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		val, err := vc.Decode(vb)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if first {
 			first = false
-			if got := m.digest(key); got != digest { //repro:rehash-ok one-time wrong-hasher detection against the first record
-				return nil, fmt.Errorf("cmap: snapshot digest %#x, hasher computes %#x — wrong hasher for this snapshot", digest, got)
+			if got := ld.m.digest(key); got != digest { //repro:rehash-ok one-time wrong-hasher detection against the first record
+				return fail(fmt.Errorf("cmap: snapshot digest %#x, hasher computes %#x — wrong hasher for this snapshot", digest, got))
 			}
 		}
-		w.digests[w.n], w.keys[w.n], w.vals[w.n] = digest, key, val
-		w.n++
-		if (w.n == loadChunk || sr.SectionDone()) && !m.placeWindow(w) {
-			return nil, fmt.Errorf("cmap: snapshot does not fit the target geometry (record rejected; enable MaxLoadFactor or widen the shape)")
+		// A section's keys and values may view its buffer, which the
+		// reader reuses after the section's last record.
+		if !ld.Put(digest, key, val) || (sr.SectionDone() && !ld.Sync()) {
+			return fail(fmt.Errorf("cmap: snapshot does not fit the target geometry (record rejected; enable MaxLoadFactor or widen the shape)"))
 		}
 	}
 	if err := sr.Err(); err != nil {
-		return nil, err
+		return fail(err)
 	}
-	return m, nil
-}
-
-// loadChunk is the number of records LoadKeyed places per window: as
-// many independent misses as GetBatch's chunk keeps in flight.
-const loadChunk = mgetChunk
-
-// loadWindow is LoadKeyed's window of decoded records and their plans.
-// digests holds each record's full digest, then its in-shard tag once
-// planned; cands holds d candidates per record.
-type loadWindow[K comparable, V any] struct {
-	n       int
-	digests [loadChunk]uint64
-	keys    [loadChunk]K
-	vals    [loadChunk]V
-	shards  [loadChunk]*shard[K, V]
-	ders    [loadChunk]*hashes.Deriver
-	cands   [loadChunk * maxD]uint32
-}
-
-// placeWindow places w's records in order and empties w, reporting
-// false if the map rejected one. It runs in three phases, as GetBatch
-// does: plan every record (route it, derive its candidates with its
-// shard's deriver), touch each candidate bucket's slot and tag lines in
-// one volley so the window's cache misses overlap, then place each
-// record through putRouted with its planned candidates. The map is the
-// loader's alone, so planning needs no lock, and putRouted derives
-// again only for a record whose shard an earlier placement promoted.
-//
-//repro:digestcarried
-func (m *Map[K, V]) placeWindow(w *loadWindow[K, V]) bool {
-	tags := w.digests[:w.n]
-	for i, d := range tags {
-		sh, tag := m.routeDigest(d)
-		der := sh.deriver.Load()
-		der.CandidateBins(tag, w.cands[i*m.d:(i+1)*m.d])
-		w.shards[i], w.ders[i], tags[i] = sh, der, tag
-	}
-	// The volley, kept free of interleaved compute (see getChunk).
-	var sum uint32
-	for i := range tags {
-		sum += w.shards[i].core.PrefetchPut(w.cands[i*m.d : (i+1)*m.d])
-	}
-	keepAlive(sum)
-	w.n = 0
-	for i, tag := range tags {
-		if !m.putRouted(w.shards[i], tag, w.ders[i], w.cands[i*m.d:(i+1)*m.d], w.keys[i], w.vals[i]) {
-			return false
-		}
-	}
-	return true
+	return ld, nil
 }

@@ -24,7 +24,8 @@ import (
 
 // A Block is a maximal straight-line run of AST nodes: if control
 // enters the block, every node in Nodes executes in order (a node is a
-// statement, or the condition expression that terminates the block).
+// statement, the condition expression that terminates the block, or a
+// range head's range expression and iteration bindings).
 // Blocks with a non-nil Cond branch on it: Succs[0] is the true edge
 // and Succs[1] the false edge. Blocks without a condition either flow
 // unconditionally (one successor), dispatch (switch/select/range heads
@@ -499,9 +500,14 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, label string) {
 	body := b.newBlock("range.body")
 	done := b.newBlock("range.done")
 	b.edgeFrom(b.cur, head)
-	// The RangeStmt node itself carries X/Key/Value; placed in the head
-	// so analyzers see the per-iteration bindings there.
-	head.Nodes = append(head.Nodes, s)
+	// The head holds what it evaluates, the range expression and the
+	// per-iteration bindings, never the RangeStmt: that node's subtree
+	// includes the body, which may run zero times.
+	for _, e := range []ast.Expr{s.X, s.Key, s.Value} {
+		if e != nil {
+			head.Nodes = append(head.Nodes, e)
+		}
+	}
 	b.edgeFrom(head, body)
 	b.edgeFrom(head, done)
 	if label != "" {

@@ -428,9 +428,6 @@ func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Fun
 	// calls are checked.
 	apply := func(n ast.Node, held heldSet, record bool) heldSet {
 		_, deferred := n.(*ast.DeferStmt) // a deferred unlock holds to exit
-		if rs, ok := n.(*ast.RangeStmt); ok {
-			n = rs.X // a range head evaluates X; the body's statements are blocks of their own
-		}
 		inspectNoFuncLit(n, func(d ast.Node) {
 			call, ok := d.(*ast.CallExpr)
 			if !ok {

@@ -26,6 +26,7 @@ type log struct {
 	mu       sync.Mutex
 	smu      sync.Mutex
 	f        file
+	files    []file
 	buf      []byte
 	seq      uint64
 	durable  uint64
@@ -128,4 +129,19 @@ func (w *log) ackUnsynced(force bool) error {
 		}
 	}
 	return nil // want `success ack \(nil error\) in //repro:poisons ackUnsynced is not dominated`
+}
+
+// syncAll fsyncs every file and poisons on a failure, but the loop may
+// run zero times: its success return is reached on a path that synced
+// nothing and never consulted the sticky error.
+//
+//repro:poisons syncErr
+func (w *log) syncAll() error {
+	for _, f := range w.files {
+		if err := f.Sync(); err != nil {
+			w.syncErr = err
+			return err
+		}
+	}
+	return nil // want `success ack \(nil error\) in //repro:poisons syncAll is not dominated`
 }

@@ -302,9 +302,9 @@ func (v *SeqView[K, V]) Prefetch(cands []uint32) uint32 {
 // word of each candidate bucket's tag line, which putSlot stores into,
 // so the misses of a batch of placements overlap instead of serializing
 // placement by placement. It reads the writer-only tags, so the caller
-// must exclude writers (cmap's snapshot loader owns its map until it
-// returns it). It returns a checksum for a non-inlined sink, as
-// Prefetch does.
+// must exclude writers (each worker of cmap's recovery loader owns its
+// shards until the load returns). It returns a checksum for a
+// non-inlined sink, as Prefetch does.
 //
 //repro:noalloc
 func (c *Core[K, V]) PrefetchPut(cands []uint32) uint32 {

@@ -140,14 +140,15 @@ const (
 // writers — readers never block.
 type DurableMap[K comparable, V any] struct {
 	//repro:lockclass durable-map 10
-	mu      sync.RWMutex // writers share it; Checkpoint excludes them
-	m       *Map[K, V]
-	wal     *persist.WAL
-	kc      Codec[K]
-	vc      Codec[V]
-	dir     string
-	metrics *DurableMetrics // nil unless WithDurableMetrics was given
-	buf     sync.Pool       // *walScratch: per-append encode buffers
+	mu       sync.RWMutex // writers share it; Checkpoint excludes them
+	m        *Map[K, V]
+	wal      *persist.WAL
+	kc       Codec[K]
+	vc       Codec[V]
+	dir      string
+	metrics  *DurableMetrics // nil unless WithDurableMetrics was given
+	recovery Recovery        // how Open recovered the map
+	buf      sync.Pool       // *walScratch: per-append encode buffers
 	// stripes serialize the WAL-append + map-apply pair per key (striped
 	// by the key's map digest): without it, two racing writes to the
 	// same key could land in the WAL in one order and in the map in the
@@ -159,6 +160,21 @@ type DurableMap[K comparable, V any] struct {
 
 // durableStripes is the per-key ordering stripe count (power of two).
 const durableStripes = 256
+
+// Recovery describes how Open recovered a DurableMap.
+type Recovery struct {
+	// SnapshotLoad is the time Open took to load the snapshot, its
+	// presizing count included; 0 with no snapshot.
+	SnapshotLoad time.Duration
+	// WALReplay is the time it took to replay the WAL over it.
+	WALReplay time.Duration
+	// Workers is the number of goroutines that placed the records: 1
+	// when Open placed them itself, as it does for a small recovery.
+	Workers int
+}
+
+// errReplayRejected is the error of a logged Put the map rejected.
+var errReplayRejected = errors.New("repro: WAL replay rejected a Put")
 
 type walScratch struct{ k, v []byte }
 
@@ -184,13 +200,25 @@ func (s *DurableMap[K, V]) stripe(digest uint64) *sync.Mutex {
 // is by default): replay must never hit a capacity rejection. K and V
 // follow NewMap's type rule; Open panics for any other type.
 //
+// The snapshot load and the WAL replay run through one recovery
+// pipeline (cmap.Loader). A small recovery is placed by Open itself;
+// past a quota of records, min(GOMAXPROCS, shard count) workers place
+// them, each owning a share of the shards and placing its shards'
+// records in file order, so the recovered map is the one a serial
+// replay builds. Every worker has exited when Open returns, on every
+// path; Recovery reports the two phases' times and the worker count.
+//
 // Options consumed: those of NewMap, plus WithWALSync.
 func Open[K comparable, V any](dir string, opts ...Option) (*DurableMap[K, V], error) {
 	return OpenOf[K, V](dir, HasherFor[K](), CodecFor[K](), CodecFor[V](), opts...)
 }
 
 // OpenOf is Open with an explicit hasher and codecs. K and V follow
-// NewMap's type rule; OpenOf panics for any other type.
+// NewMap's type rule; OpenOf panics for any other type. The codecs may
+// decode views of the bytes they are given: the snapshot's stay valid
+// until its section is placed, and the WAL replay decodes each record
+// from copies that live until the record is placed. A WAL record's key
+// is decoded twice, once to hash it and once from its copy.
 func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[V], opts ...Option) (*DurableMap[K, V], error) {
 	o := buildOptions(opts)
 	if o.maxLoad == 0 {
@@ -213,48 +241,67 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 		MaxLoadFactor:   o.maxLoad,
 		MigrateBatch:    o.migrateBatch,
 	}
-	var m *Map[K, V]
+	start := time.Now()
+	var ld *cmap.Loader[K, V]
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
 		cfg.BucketsPerShard = recoveryBuckets(f, filepath.Join(dir, walFile), cfg)
-		m, err = cmap.LoadKeyed[K, V](f, h, kc, vc, cfg)
+		ld, err = cmap.LoadSnapshot[K, V](f, h, kc, vc, cfg)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("repro: loading %s: %w", snapshotFile, err)
 		}
 	} else if os.IsNotExist(err) {
-		m = cmap.NewKeyed[K, V](h, cfg)
+		ld = cmap.NewLoader(cmap.NewKeyed[K, V](h, cfg))
 	} else {
 		return nil, err
 	}
+	rec := Recovery{SnapshotLoad: time.Since(start)}
 
 	var walMx *persist.WALMetrics
 	if o.durableMetrics != nil {
 		walMx = o.durableMetrics.WAL
 	}
+	m := ld.Map()
 	wal, _, err := persist.OpenWAL(filepath.Join(dir, walFile), persist.WALOptions{NoSync: o.walNoSync, Metrics: walMx},
 		func(op persist.WALOp, kb, vb []byte) error {
 			key, err := kc.Decode(kb)
 			if err != nil {
 				return err
 			}
+			// The record's one hash. The scan reuses kb and vb's buffer
+			// at its next record, while the record may wait in a window
+			// until its worker places it: decode what the map receives
+			// from copies that live as long as the window.
+			digest := cmap.Digest(m, key)
+			if key, err = kc.Decode(ld.Keep(digest, kb)); err != nil {
+				return err
+			}
+			placed := true
 			switch op {
 			case persist.WALPut:
-				val, err := vc.Decode(vb)
+				val, err := vc.Decode(ld.Keep(digest, vb))
 				if err != nil {
 					return err
 				}
-				if !m.Put(key, val) {
-					return errors.New("repro: WAL replay rejected a Put")
-				}
+				placed = ld.Put(digest, key, val)
 			case persist.WALDelete:
-				m.Delete(key)
+				placed = ld.Delete(digest, key)
+			}
+			if !placed {
+				return errReplayRejected
 			}
 			return nil
 		})
+	if placed := ld.Close(); err == nil && !placed {
+		wal.Close()
+		err = errReplayRejected
+	}
 	if err != nil {
 		return nil, fmt.Errorf("repro: recovering %s: %w", walFile, err)
 	}
-	s := &DurableMap[K, V]{m: m, wal: wal, kc: kc, vc: vc, dir: dir, metrics: o.durableMetrics}
+	rec.WALReplay = time.Since(start) - rec.SnapshotLoad
+	rec.Workers = ld.Workers()
+	s := &DurableMap[K, V]{m: m, wal: wal, kc: kc, vc: vc, dir: dir, metrics: o.durableMetrics, recovery: rec}
 	s.buf.New = func() any { return &walScratch{} }
 	return s, nil
 }
@@ -370,6 +417,9 @@ func (s *DurableMap[K, V]) Stats() ContainerStats { return s.m.Stats() }
 
 // Metrics returns the instrumentation attached at Open, nil if none.
 func (s *DurableMap[K, V]) Metrics() *DurableMetrics { return s.metrics }
+
+// Recovery reports how Open recovered the map.
+func (s *DurableMap[K, V]) Recovery() Recovery { return s.recovery }
 
 // Err reports the WAL's sticky poison error, nil while the log is
 // healthy — the readiness signal: a poisoned WAL refuses every durable
