@@ -1,12 +1,12 @@
 package main
 
-// The admin telemetry plane: the metrics registry aggregating every
-// layer's instruments (map, WAL, checkpoint, server), and the optional
-// -admin HTTP listener serving /metrics (Prometheus text), /healthz
-// (readiness: 503 while the WAL is poisoned), and /debug/pprof/*.
-// The same registry snapshot also rides the wire protocol's STATS
-// verb via the server's ExtraStats hook, so a client without HTTP
-// access reads identical telemetry.
+// The admin telemetry plane: the map, WAL and checkpoint series added
+// to the wire server's registry, which already holds the server's own,
+// and the optional -admin HTTP listener serving /metrics (that
+// registry's Prometheus text), /healthz (readiness: 503 while the WAL
+// is poisoned), and /debug/pprof/*. The wire protocol's STATS verb
+// replies with the same registry's exposition, so a client without
+// HTTP access reads the same series in the same order.
 
 import (
 	"io"
@@ -17,18 +17,16 @@ import (
 	"repro"
 	"repro/internal/cmap"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // servedMap is the concrete durable map served by this binary.
 type servedMap = repro.DurableMap[string, []byte]
 
-// buildRegistry wires every layer's instruments into one registry.
-// Gauges pull from live structures at scrape time; counters and
-// histograms share cells with the recording hot paths.
-func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, cs *wire.Counters) *obs.Registry {
-	reg := obs.NewRegistry()
-
+// buildRegistry adds the map's, the WAL's and the checkpoint's
+// instruments to reg, the wire server's registry. Gauges pull from
+// live structures at scrape time; counters and histograms share cells
+// with the recording hot paths.
+func buildRegistry(reg *obs.Registry, m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics) {
 	// Map layer: sampled Put latency, GetBatch call latency (every
 	// served read is a GetBatch), the paper's which-choice-held
 	// probe-depth distribution, and occupancy/resize/seqlock health
@@ -65,30 +63,6 @@ func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, 
 		}
 		return 1
 	})
-
-	// Serving tier: per-op service time, coalescing, conn lifecycle.
-	reg.Counter("repro_server_conns_accepted_total", "connections accepted", &cs.ConnsAccepted)
-	reg.Gauge("repro_server_conns_active", "connections currently open", func() float64 { return float64(cs.ConnsActive.Load()) })
-	reg.Counter("repro_server_frames_in_total", "request frames decoded", &cs.FramesIn)
-	reg.Counter("repro_server_frames_out_total", "reply frames written", &cs.FramesOut)
-	reg.Counter("repro_server_bytes_in_total", "request bytes read", &cs.BytesIn)
-	reg.Counter("repro_server_bytes_out_total", "reply bytes written", &cs.BytesOut)
-	reg.Counter("repro_server_gets_total", "GET requests served", &cs.Gets)
-	reg.Counter("repro_server_get_misses_total", "GET/MGET keys not found", &cs.GetMisses)
-	reg.Counter("repro_server_sets_total", "SET requests served", &cs.Sets)
-	reg.Counter("repro_server_dels_total", "DEL requests served", &cs.Dels)
-	reg.Counter("repro_server_mgets_total", "MGET requests served", &cs.MGets)
-	reg.Counter("repro_server_err_decode_total", "framing/parse failures", &cs.ErrDecode)
-	reg.Counter("repro_server_err_set_total", "backend Set failures", &cs.ErrSet)
-	reg.Counter("repro_server_err_del_total", "backend Delete failures", &cs.ErrDel)
-	reg.Histogram("repro_server_get_seconds", "coalesced GET batch service time (backend call)", &cs.GetNanos, 1e-9)
-	reg.Histogram("repro_server_set_seconds", "SET service time (backend call, includes WAL commit)", &cs.SetNanos, 1e-9)
-	reg.Histogram("repro_server_del_seconds", "DEL service time (backend call, includes WAL commit)", &cs.DelNanos, 1e-9)
-	reg.Histogram("repro_server_mget_seconds", "MGET service time (backend call)", &cs.MGetNanos, 1e-9)
-	reg.Histogram("repro_server_batch_size", "keys per server-side GetBatch call", &cs.BatchSizes, 1)
-	reg.Histogram("repro_server_conn_seconds", "connection lifetimes", &cs.ConnNanos, 1e-9)
-	reg.Histogram("repro_server_drain_seconds", "Shutdown drain durations", &cs.DrainNanos, 1e-9)
-	return reg
 }
 
 // serveAdmin starts the admin HTTP plane on ln: /metrics, /healthz,

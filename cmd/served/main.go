@@ -15,6 +15,9 @@
 //     pipelines recover most of the per-op network framing cost.
 //   - Replies are strictly in request order; a connection observes its
 //     own writes.
+//   - A STATS reply is the Prometheus text the -admin listener's
+//     /metrics serves: the wire server's registry, which holds the
+//     server's, the map's and the WAL's series, each named once.
 //
 // On SIGINT/SIGTERM the server stops accepting, drains in-flight
 // connections (bounded by -drain), checkpoints the map if asked, and
@@ -43,7 +46,6 @@ import (
 
 	"repro"
 	"repro/internal/cmap"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -92,18 +94,14 @@ func main() {
 	mapMx := cmap.NewMetrics()
 	m.Map().SetMetrics(mapMx) // before any traffic: the hot paths read it unsynchronized
 
-	var reg *obs.Registry // assigned below, before the listener exists
 	srv := wire.NewServer(&backend{m: m}, wire.Options{
 		MaxFrameBytes: *maxFrame,
 		MaxPipeline:   *maxPipe,
 		IdleTimeout:   *idle,
 		WriteTimeout:  *wto,
 		Logf:          logger.Printf,
-		// STATS carries the full registry snapshot over the wire — the
-		// same series /metrics serves.
-		ExtraStats: func(dst []byte) []byte { return reg.AppendProm(dst) },
 	})
-	reg = buildRegistry(m, dm, mapMx, srv.Counters())
+	buildRegistry(srv.Registry(), m, dm, mapMx)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -128,7 +126,7 @@ func main() {
 				logger.Fatalf("publish -admin-addr-file: %v", err)
 			}
 		}
-		adminSrv = serveAdmin(adminLn, reg, m, logger.Printf)
+		adminSrv = serveAdmin(adminLn, srv.Registry(), m, logger.Printf)
 		logger.Printf("admin on http://%s/metrics", adminLn.Addr())
 	}
 

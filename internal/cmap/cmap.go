@@ -109,6 +109,7 @@ import (
 	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/mchtable"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -436,9 +437,9 @@ func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) b
 	var buf [maxD]uint32
 	sh, tag := m.routeDigest(digest)
 	if mx := m.metrics; mx != nil && digest&sampleMask == 0 {
-		start := nowNanos()
+		start := obs.NowNanos()
 		ok := m.putRouted(sh, tag, nil, buf[:m.d], key, val)
-		mx.PutNanos.Record(nowNanos() - start)
+		mx.PutNanos.Record(obs.NowNanos() - start)
 		return ok
 	}
 	return m.putRouted(sh, tag, nil, buf[:m.d], key, val)

@@ -13,24 +13,11 @@ package cmap
 // (digest & sampleMask == 0): unbiased across keys, deterministic per
 // key, and free — routing already computed the digest.
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // sampleMask selects the timed sample: operations whose digest's low
 // six bits are zero, i.e. 1 in 64.
 const sampleMask = 63
-
-// baseTime anchors the sampler's monotonic clock.
-var baseTime = time.Now()
-
-// nowNanos reads the monotonic clock as plain nanoseconds, so the
-// timed paths carry int64s instead of time.Time structs.
-//
-//repro:noalloc
-func nowNanos() int64 { return time.Since(baseTime).Nanoseconds() }
 
 // Metrics is the map's optional observability hook. Every field must
 // be non-nil when attached (use NewMetrics); the histograms record
@@ -72,9 +59,9 @@ func (m *Map[K, V]) Metrics() *Metrics { return m.metrics }
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) sampledGet(mx *Metrics, sh *shard[K, V], tag uint64, key K) (V, bool) {
-	start := nowNanos()
+	start := obs.NowNanos()
 	v, depth, ok := m.getRouted(sh, tag, key)
-	mx.GetNanos.Record(nowNanos() - start)
+	mx.GetNanos.Record(obs.NowNanos() - start)
 	if ok {
 		mx.ProbeDepth.Record(int64(depth))
 	}

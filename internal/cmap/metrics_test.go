@@ -92,13 +92,13 @@ func TestMetricsDetached(t *testing.T) {
 	}
 }
 
-// TestNowNanosMonotone: the sampler clock must never run backwards
-// (it is a monotonic-clock difference, not wall time).
+// TestNowNanosMonotone: the sampler's clock, obs.NowNanos, must never
+// run backwards (it is a monotonic-clock difference, not wall time).
 func TestNowNanosMonotone(t *testing.T) {
-	a := nowNanos()
+	a := obs.NowNanos()
 	time.Sleep(time.Millisecond)
-	b := nowNanos()
+	b := obs.NowNanos()
 	if b <= a {
-		t.Fatalf("nowNanos went %d -> %d", a, b)
+		t.Fatalf("obs.NowNanos went %d -> %d", a, b)
 	}
 }

@@ -23,7 +23,10 @@ package cmap
 // phase 2's prefetches close enough to phase 3's probes to still be in
 // cache.
 
-import "repro/internal/keyed"
+import (
+	"repro/internal/keyed"
+	"repro/internal/obs"
+)
 
 // mgetChunk is the batch-pipelining chunk size: large enough to fill the
 // memory system with independent misses, small enough that prefetched
@@ -64,7 +67,7 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	if mx != nil {
 		// Every batch is timed (no sampling): the two clock reads
 		// amortize over the whole batch.
-		start = nowNanos()
+		start = obs.NowNanos()
 	}
 	sc, _ := m.mgetPool.Get().(*mgetScratch[K, V])
 	if sc == nil {
@@ -78,7 +81,7 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	}
 	m.mgetPool.Put(sc)
 	if mx != nil {
-		mx.BatchNanos.Record(nowNanos() - start)
+		mx.BatchNanos.Record(obs.NowNanos() - start)
 	}
 	return hits
 }

@@ -21,7 +21,21 @@
 // are answered from the snapshot, never from the live histogram.
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
+
+// baseTime anchors NowNanos's monotonic clock.
+var baseTime = time.Now()
+
+// NowNanos reads the monotonic clock as plain nanoseconds, so timed
+// paths carry int64s instead of time.Time structs. Only the difference
+// of two readings means anything: that difference is what a latency
+// Histogram records.
+//
+//repro:noalloc
+func NowNanos() int64 { return time.Since(baseTime).Nanoseconds() }
 
 // Gauge is a settable instantaneous value (queue depth, backlog,
 // active connections). For values that are naturally derived from

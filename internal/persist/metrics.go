@@ -6,20 +6,7 @@ package persist
 // (a frame write, usually an fsync wait), so unlike the map's sampled
 // nanosecond paths every operation is recorded in full.
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
-
-// walBaseTime anchors the WAL's monotonic clock.
-var walBaseTime = time.Now()
-
-// nowNanos reads the monotonic clock as plain nanoseconds, so timed
-// paths carry int64s instead of time.Time structs.
-//
-//repro:noalloc
-func nowNanos() int64 { return time.Since(walBaseTime).Nanoseconds() }
+import "repro/internal/obs"
 
 // WALMetrics is the write-ahead log's observability hook. Every field
 // must be non-nil when attached (use NewWALMetrics).

@@ -35,6 +35,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 const (
@@ -338,9 +340,9 @@ func (w *WAL) Append(op WALOp, key, val []byte) error {
 	if mx == nil {
 		return w.appendRecord(op, key, val)
 	}
-	start := nowNanos()
+	start := obs.NowNanos()
 	err := w.appendRecord(op, key, val)
-	mx.AppendNanos.Record(nowNanos() - start)
+	mx.AppendNanos.Record(obs.NowNanos() - start)
 	if err == nil {
 		mx.Appends.Inc()
 	}
@@ -440,11 +442,11 @@ func (w *WAL) waitDurable(seq uint64) error {
 	mx := w.opts.Metrics
 	var start int64
 	if mx != nil {
-		start = nowNanos()
+		start = obs.NowNanos()
 	}
 	err := w.f.Sync()
 	if mx != nil {
-		mx.FsyncNanos.Record(nowNanos() - start)
+		mx.FsyncNanos.Record(obs.NowNanos() - start)
 	}
 
 	w.smu.Lock()
@@ -491,11 +493,11 @@ func (w *WAL) Sync() error {
 	mx := w.opts.Metrics
 	var start int64
 	if mx != nil {
-		start = nowNanos()
+		start = obs.NowNanos()
 	}
 	err := w.f.Sync()
 	if mx != nil {
-		mx.FsyncNanos.Record(nowNanos() - start)
+		mx.FsyncNanos.Record(obs.NowNanos() - start)
 	}
 	w.smu.Lock()
 	if err != nil {

@@ -304,7 +304,8 @@ func (c *Client) MGet(keys [][]byte, vals [][]byte, found []bool) (int, error) {
 	return c.RecvMGet(vals, found)
 }
 
-// Stats is a synchronous STATS, returning the server's counter text.
+// Stats is a synchronous STATS, returning the server registry's
+// Prometheus text exposition (Server.Registry).
 func (c *Client) Stats() (string, error) {
 	if err := c.QueueStats(); err != nil {
 		return "", err

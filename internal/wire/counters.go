@@ -1,37 +1,19 @@
 package wire
 
-// The server-side observability snapshot: lock-free per-op counters,
-// service-time and batch-size histograms, and the STATS text encoding —
-// one "name value" line per counter, the memcached STATS idiom without
-// its framing. Every instrument is an obs type, so the STATS verb and a
-// metrics registry exposing the same Counters cannot drift: both read
-// the same cells.
+// The server-side telemetry: lock-free per-op counters, service-time
+// and batch-size histograms, and their names in the server's metrics
+// registry. Every instrument is an obs type registered once, under its
+// repro_server_* name, and the STATS verb's reply is that registry's
+// Prometheus text exposition, so STATS and any HTTP endpoint serving
+// the same registry read the same cells under the same names.
 
-import (
-	"strconv"
-	"time"
-
-	"repro/internal/obs"
-)
-
-// batchBuckets is the batch_ge_N line count in STATS: log2 buckets
-// 1, 2, 4, …, with everything ≥ 2^(batchBuckets-1) in the last.
-const batchBuckets = 11
-
-// baseTime anchors the server's monotonic service-time clock.
-var baseTime = time.Now()
-
-// nowNanos reads the monotonic clock as plain nanoseconds, so timed
-// paths carry int64s instead of time.Time structs.
-//
-//repro:noalloc
-func nowNanos() int64 { return time.Since(baseTime).Nanoseconds() }
+import "repro/internal/obs"
 
 // Counters is the server's operation telemetry. Every field is an obs
-// instrument: connection goroutines bump them lock-free, and a STATS
-// snapshot reads each one individually (the snapshot is per-counter
-// consistent, not cross-counter atomic — the same contract as the
-// map's Stats). The zero value is ready to use.
+// instrument: connection goroutines bump them lock-free, and an
+// exposition of the server's registry (a STATS reply) reads each one
+// individually (per-counter consistent, not cross-counter atomic — the
+// same contract as the map's Stats). The zero value is ready to use.
 type Counters struct {
 	ConnsAccepted obs.Counter
 	ConnsActive   obs.Counter
@@ -75,6 +57,36 @@ type Counters struct {
 	BatchSizes obs.Histogram
 }
 
+// register adds every instrument to reg under its repro_server_* name.
+// Histograms recording nanoseconds are exposed in seconds.
+func (c *Counters) register(reg *obs.Registry) {
+	reg.Counter("repro_server_conns_accepted_total", "connections accepted", &c.ConnsAccepted)
+	reg.Gauge("repro_server_conns_active", "connections currently open", func() float64 { return float64(c.ConnsActive.Load()) })
+	reg.Counter("repro_server_frames_in_total", "request frames decoded", &c.FramesIn)
+	reg.Counter("repro_server_frames_out_total", "reply frames written", &c.FramesOut)
+	reg.Counter("repro_server_bytes_in_total", "request bytes read", &c.BytesIn)
+	reg.Counter("repro_server_bytes_out_total", "reply bytes written", &c.BytesOut)
+	reg.Counter("repro_server_gets_total", "GET requests served", &c.Gets)
+	reg.Counter("repro_server_get_misses_total", "GET/MGET keys not found", &c.GetMisses)
+	reg.Counter("repro_server_sets_total", "SET requests served", &c.Sets)
+	reg.Counter("repro_server_dels_total", "DEL requests served", &c.Dels)
+	reg.Counter("repro_server_del_misses_total", "DEL requests whose key was absent", &c.DelMisses)
+	reg.Counter("repro_server_mgets_total", "MGET requests served", &c.MGets)
+	reg.Counter("repro_server_mget_keys_total", "keys across all MGET requests", &c.MGetKeys)
+	reg.Counter("repro_server_stats_total", "STATS requests served", &c.StatsOps)
+	reg.Counter("repro_server_err_decode_total", "framing/parse failures", &c.ErrDecode)
+	reg.Counter("repro_server_err_too_big_total", "frames over the size guard", &c.ErrTooBig)
+	reg.Counter("repro_server_err_set_total", "backend Set failures", &c.ErrSet)
+	reg.Counter("repro_server_err_del_total", "backend Delete failures", &c.ErrDel)
+	reg.Histogram("repro_server_get_seconds", "coalesced GET batch service time (backend call)", &c.GetNanos, 1e-9)
+	reg.Histogram("repro_server_set_seconds", "SET service time (backend call, includes WAL commit)", &c.SetNanos, 1e-9)
+	reg.Histogram("repro_server_del_seconds", "DEL service time (backend call, includes WAL commit)", &c.DelNanos, 1e-9)
+	reg.Histogram("repro_server_mget_seconds", "MGET service time (backend call)", &c.MGetNanos, 1e-9)
+	reg.Histogram("repro_server_batch_size", "keys per server-side GetBatch call", &c.BatchSizes, 1)
+	reg.Histogram("repro_server_conn_seconds", "connection lifetimes", &c.ConnNanos, 1e-9)
+	reg.Histogram("repro_server_drain_seconds", "Shutdown drain durations", &c.DrainNanos, 1e-9)
+}
+
 // noteBatch records one coalesced GetBatch call of n keys.
 //
 //repro:noalloc
@@ -83,97 +95,4 @@ func (c *Counters) noteBatch(n int) {
 		return
 	}
 	c.BatchSizes.Record(int64(n))
-}
-
-// Ops returns the total requests served.
-func (c *Counters) Ops() int64 {
-	return c.Gets.Load() + c.Sets.Load() + c.Dels.Load() + c.MGets.Load() + c.StatsOps.Load()
-}
-
-// AppendText appends the STATS reply body: one "name value" line per
-// counter (unit-suffixed names throughout — seconds and nanoseconds are
-// always spelled out), the non-empty batch-size histogram buckets, and
-// a p50/p99/p999/count block per non-empty service-time histogram.
-func (c *Counters) AppendText(dst []byte, uptime time.Duration) []byte {
-	line := func(name string, v int64) {
-		dst = append(dst, name...)
-		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, v, 10)
-		dst = append(dst, '\n')
-	}
-	ops := c.Ops()
-	dst = append(dst, "uptime_seconds "...)
-	dst = strconv.AppendFloat(dst, uptime.Seconds(), 'f', 1, 64)
-	dst = append(dst, '\n')
-	line("ops_total", ops)
-	dst = append(dst, "ops_per_sec "...)
-	rate := 0.0
-	if s := uptime.Seconds(); s > 0 {
-		rate = float64(ops) / s
-	}
-	dst = strconv.AppendFloat(dst, rate, 'f', 1, 64)
-	dst = append(dst, '\n')
-	line("conns_accepted", c.ConnsAccepted.Load())
-	line("conns_active", c.ConnsActive.Load())
-	line("frames_in", c.FramesIn.Load())
-	line("frames_out", c.FramesOut.Load())
-	line("bytes_in", c.BytesIn.Load())
-	line("bytes_out", c.BytesOut.Load())
-	line("get", c.Gets.Load())
-	line("get_miss", c.GetMisses.Load())
-	line("set", c.Sets.Load())
-	line("del", c.Dels.Load())
-	line("del_miss", c.DelMisses.Load())
-	line("mget", c.MGets.Load())
-	line("mget_keys", c.MGetKeys.Load())
-	line("stats", c.StatsOps.Load())
-	line("err_decode", c.ErrDecode.Load())
-	line("err_too_big", c.ErrTooBig.Load())
-	line("err_set", c.ErrSet.Load())
-	line("err_del", c.ErrDel.Load())
-
-	var s obs.HistSnapshot
-	c.BatchSizes.Snapshot(&s)
-	for i := 0; i < batchBuckets; i++ {
-		lo := uint64(1) << i
-		var n uint64
-		if i == batchBuckets-1 {
-			n = s.Count - s.CountLE(lo-1) // open-ended last bucket
-		} else {
-			n = s.CountLE(2*lo-1) - s.CountLE(lo-1)
-		}
-		if n == 0 {
-			continue
-		}
-		dst = append(dst, "batch_ge_"...)
-		dst = strconv.AppendInt(dst, int64(lo), 10)
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, n, 10)
-		dst = append(dst, '\n')
-	}
-
-	appendHist := func(name string, h *obs.Histogram) {
-		h.Snapshot(&s)
-		if s.Count == 0 {
-			return
-		}
-		q := func(suffix string, v uint64) {
-			dst = append(dst, name...)
-			dst = append(dst, suffix...)
-			dst = append(dst, ' ')
-			dst = strconv.AppendUint(dst, v, 10)
-			dst = append(dst, '\n')
-		}
-		q("_p50_ns", s.Quantile(0.5))
-		q("_p99_ns", s.Quantile(0.99))
-		q("_p999_ns", s.Quantile(0.999))
-		q("_count", s.Count)
-	}
-	appendHist("get", &c.GetNanos)
-	appendHist("set", &c.SetNanos)
-	appendHist("del", &c.DelNanos)
-	appendHist("mget", &c.MGetNanos)
-	appendHist("conn", &c.ConnNanos)
-	appendHist("drain", &c.DrainNanos)
-	return dst
 }

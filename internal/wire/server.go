@@ -23,6 +23,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Backend is the key-value store a Server fronts. Keys and values are
@@ -55,10 +57,6 @@ type Options struct {
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level error lines.
 	Logf func(format string, args ...any)
-	// ExtraStats, when set, appends additional telemetry text to every
-	// STATS reply after the built-in counter lines — the hook cmd/served
-	// uses to carry its full metrics-registry snapshot over the wire.
-	ExtraStats func(dst []byte) []byte
 }
 
 // DefaultMaxPipeline is the per-burst request cap when Options leaves
@@ -75,7 +73,7 @@ type Server struct {
 	backend  Backend
 	opts     Options
 	counters Counters
-	start    time.Time
+	reg      *obs.Registry
 
 	//repro:lockclass wire-conns 60
 	mu        sync.Mutex
@@ -93,17 +91,27 @@ func NewServer(backend Backend, opts Options) *Server {
 	if opts.MaxPipeline <= 0 {
 		opts.MaxPipeline = DefaultMaxPipeline
 	}
-	return &Server{
+	s := &Server{
 		backend:   backend,
 		opts:      opts,
-		start:     time.Now(),
+		reg:       obs.NewRegistry(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
+	s.counters.register(s.reg)
+	return s
 }
 
-// Counters exposes the server's telemetry (the STATS verb's source).
+// Counters exposes the server's instruments, each registered in
+// Registry under its repro_server_* name.
 func (s *Server) Counters() *Counters { return &s.counters }
+
+// Registry returns the registry whose Prometheus text exposition is the
+// body of every STATS reply. It holds the server's own series; series a
+// caller adds (cmd/served adds the map's and the WAL's) ride STATS too,
+// and an HTTP /metrics handler serving this registry exposes the same
+// series in the same order.
+func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Serve accepts connections on ln until Shutdown (returning nil) or an
 // accept error (returning it). Safe to call on several listeners
@@ -144,14 +152,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		s.counters.ConnsAccepted.Add(1)
 		s.counters.ConnsActive.Add(1)
-		connStart := nowNanos()
+		connStart := obs.NowNanos()
 		go func() {
 			defer func() {
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
 				s.counters.ConnsActive.Add(-1)
-				s.counters.ConnNanos.Record(nowNanos() - connStart)
+				s.counters.ConnNanos.Record(obs.NowNanos() - connStart)
 				s.wg.Done()
 			}()
 			s.serveConn(conn)
@@ -164,7 +172,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // force-closes whatever remains after timeout. It returns nil if every
 // connection drained voluntarily.
 func (s *Server) Shutdown(timeout time.Duration) error {
-	drainStart := nowNanos()
+	drainStart := obs.NowNanos()
 	s.mu.Lock()
 	s.closed = true
 	for ln := range s.listeners {
@@ -188,7 +196,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	select {
 	case <-done:
-		s.counters.DrainNanos.Record(nowNanos() - drainStart)
+		s.counters.DrainNanos.Record(obs.NowNanos() - drainStart)
 		return nil
 	case <-timer:
 	}
@@ -199,7 +207,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	s.mu.Unlock()
 	<-done
-	s.counters.DrainNanos.Record(nowNanos() - drainStart)
+	s.counters.DrainNanos.Record(obs.NowNanos() - drainStart)
 	return fmt.Errorf("wire: Shutdown force-closed %d connection(s) after %v", n, timeout)
 }
 
@@ -227,7 +235,7 @@ type connState struct {
 	vals  [][]byte
 	found []bool
 
-	stats []byte // STATS text scratch
+	stats []byte // STATS exposition scratch
 }
 
 var connStatePool = sync.Pool{New: func() any { return new(connState) }}
@@ -356,9 +364,9 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 	case OpSet:
 		s.flushGets(cs)
 		s.counters.Sets.Add(1)
-		start := nowNanos()
+		start := obs.NowNanos()
 		err := s.backend.Set(cs.req.Key, cs.req.Val)
-		s.counters.SetNanos.Record(nowNanos() - start)
+		s.counters.SetNanos.Record(obs.NowNanos() - start)
 		if err != nil {
 			s.counters.ErrSet.Add(1)
 			cs.out = AppendErrReply(cs.out, err.Error())
@@ -369,9 +377,9 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 	case OpDel:
 		s.flushGets(cs)
 		s.counters.Dels.Add(1)
-		start := nowNanos()
+		start := obs.NowNanos()
 		present, err := s.backend.Delete(cs.req.Key)
-		s.counters.DelNanos.Record(nowNanos() - start)
+		s.counters.DelNanos.Record(obs.NowNanos() - start)
 		if err != nil {
 			s.counters.ErrDel.Add(1)
 			cs.out = AppendErrReply(cs.out, err.Error())
@@ -391,9 +399,9 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 		n := len(cs.req.Keys)
 		keys, vals, found := cs.batchArgs(n)
 		copy(keys, cs.req.Keys) // views into the current payload: valid through the GetBatch call
-		start := nowNanos()
+		start := obs.NowNanos()
 		hits := s.backend.GetBatch(keys, vals, found)
-		s.counters.MGetNanos.Record(nowNanos() - start)
+		s.counters.MGetNanos.Record(obs.NowNanos() - start)
 		s.counters.noteBatch(n)
 		s.counters.GetMisses.Add(int64(n - hits))
 		cs.out = AppendMGetReply(cs.out, vals, found)
@@ -401,10 +409,7 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 	case OpStats:
 		s.flushGets(cs)
 		s.counters.StatsOps.Add(1)
-		cs.stats = s.counters.AppendText(cs.stats[:0], time.Since(s.start))
-		if s.opts.ExtraStats != nil {
-			cs.stats = s.opts.ExtraStats(cs.stats)
-		}
+		cs.stats = s.reg.AppendProm(cs.stats[:0])
 		cs.out = AppendTextReply(cs.out, cs.stats)
 		return false
 	default:
@@ -428,9 +433,9 @@ func (s *Server) flushGets(cs *connState) {
 		keys[i] = cs.arena[prev:end]
 		prev = end
 	}
-	start := nowNanos()
+	start := obs.NowNanos()
 	hits := s.backend.GetBatch(keys, vals, found)
-	s.counters.GetNanos.Record(nowNanos() - start)
+	s.counters.GetNanos.Record(obs.NowNanos() - start)
 	s.counters.noteBatch(n)
 	s.counters.Gets.Add(int64(n))
 	s.counters.GetMisses.Add(int64(n - hits))

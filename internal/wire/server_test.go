@@ -253,13 +253,17 @@ func TestServerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ops_total", "get 1", "set 1", "conns_active 1", "batch_ge_1 1"} {
-		if !strings.Contains(text, want+"\n") && !strings.Contains(text, want+" ") {
-			// counters are "name value\n"; the want strings embed the value
-			// where it is deterministic.
-			if !strings.Contains(text, want) {
-				t.Errorf("STATS text missing %q:\n%s", want, text)
-			}
+	// Whole "name value" lines: a bare substring match would let
+	// "gets_total 1" pass on "gets_total 12".
+	for _, want := range []string{
+		"repro_server_gets_total 1",
+		"repro_server_sets_total 1",
+		"repro_server_stats_total 1",
+		"repro_server_conns_active 1",
+		"repro_server_batch_size_count 1",
+	} {
+		if !strings.Contains(text, "\n"+want+"\n") {
+			t.Errorf("STATS text lacks the line %q:\n%s", want, text)
 		}
 	}
 }

@@ -28,7 +28,7 @@
 //	  SET   OK: (empty)
 //	  DEL   OK / NOT_FOUND: (empty)
 //	  MGET  OK: count uvarint, then count × (found uint8 [| valLen uvarint | val])
-//	  STATS OK: counter text (verbatim bytes)
+//	  STATS OK: the server registry's Prometheus text exposition
 //	  ERR:  message (verbatim bytes; the connection closes after a
 //	        framing/protocol ERR, stays open after an application ERR)
 //

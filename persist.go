@@ -415,9 +415,6 @@ func (s *DurableMap[K, V]) Len() int { return s.m.Len() }
 // Stats takes the underlying map's occupancy snapshot.
 func (s *DurableMap[K, V]) Stats() ContainerStats { return s.m.Stats() }
 
-// Metrics returns the instrumentation attached at Open, nil if none.
-func (s *DurableMap[K, V]) Metrics() *DurableMetrics { return s.metrics }
-
 // Recovery reports how Open recovered the map.
 func (s *DurableMap[K, V]) Recovery() Recovery { return s.recovery }
 

@@ -109,7 +109,9 @@ for series in \
     repro_map_probe_depth repro_map_put_seconds repro_map_backstop_resizes_total \
     repro_wal_appends_total repro_wal_healthy repro_wal_replay_records_total \
     repro_server_conns_accepted_total repro_server_gets_total \
-    repro_server_sets_total repro_server_batch_size repro_server_get_seconds; do
+    repro_server_sets_total repro_server_batch_size repro_server_get_seconds \
+    repro_server_del_misses_total repro_server_err_too_big_total \
+    repro_server_stats_total repro_server_mget_keys_total; do
     grep -q "^$series" "$DIR/metrics1" || fail "/metrics is missing $series"
 done
 [ "$(metric repro_wal_healthy "$DIR/metrics1")" = "1" ] \
@@ -148,18 +150,22 @@ awk -v g="$GET_OPS" -v m="$MGET_OPS" 'BEGIN { exit !(m >= 1.2 * g) }' \
 
 # Second scrape: the read runs above must have moved the read-side
 # counters strictly forward (monotonicity across scrapes), the MGET run
-# must have produced multi-key server-side batches, and the map must
-# have recorded the live choice distribution: every served GET and MGET
-# reads through GetBatch, which samples probe depths.
+# must have produced multi-key server-side batches (more MGET keys than
+# MGET requests), and the map must have recorded the live choice
+# distribution: every served GET and MGET reads through GetBatch, which
+# samples probe depths.
 fetch "http://$ADMIN/metrics" >"$DIR/metrics2" || fail "second /metrics scrape failed"
 GETS2=$(metric repro_server_gets_total "$DIR/metrics2")
 MGETS2=$(metric repro_server_mgets_total "$DIR/metrics2")
+MGET_KEYS2=$(metric repro_server_mget_keys_total "$DIR/metrics2")
 BATCHES2=$(metric repro_server_batch_size_count "$DIR/metrics2")
 DEPTHS2=$(metric repro_map_probe_depth_count "$DIR/metrics2")
 awk -v a="$GETS1" -v b="$GETS2" 'BEGIN { exit !(b > a) }' \
     || fail "repro_server_gets_total not monotone across scrapes ($GETS1 -> $GETS2)"
 awk -v m="$MGETS2" -v n="$BATCHES2" 'BEGIN { exit !(m > 0 && n > 0) }' \
     || fail "MGET run left no trace: mgets=$MGETS2 batch_count=$BATCHES2"
+awk -v m="$MGETS2" -v k="$MGET_KEYS2" 'BEGIN { exit !(k > m) }' \
+    || fail "repro_server_mget_keys_total $MGET_KEYS2 not above repro_server_mgets_total $MGETS2 after the MGET-16 run"
 awk -v d="$DEPTHS2" 'BEGIN { exit !(d > 0) }' \
     || fail "repro_map_probe_depth_count $DEPTHS2 after the GET and MGET runs"
 echo "serve-smoke: telemetry live and monotone (gets $GETS1 -> $GETS2, map_len $MAP_LEN, probe depths $DEPTHS2)"
