@@ -115,7 +115,8 @@ fuzz-smoke:
 # ephemeral port, drive it with loadgen -net under full verification
 # (shadow maps + final MGET sweep; any lost/divergent pair fails),
 # require batched MGET reads to beat per-key GETs by >= 1.2x, then
-# SIGTERM and prove the restart recovers the checkpointed pairs.
+# SIGTERM and prove the restart recovers the checkpointed pairs, then
+# SIGKILL and prove the WAL replay recovers every pair with no torn tail.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -82,6 +82,11 @@ func FuzzWALRecover(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2])
+	// A killed log keeps its zero-filled region after the last record,
+	// which may itself be torn.
+	zeros := make([]byte, walZeroChunk)
+	f.Add(append(bytes.Clone(seed), zeros...))
+	f.Add(append(bytes.Clone(seed[:len(seed)-2]), zeros...))
 	f.Add([]byte(walMagic))
 	f.Add([]byte{})
 

@@ -32,7 +32,9 @@ type WALMetrics struct {
 	// ReplayRecords counts records replayed by OpenWAL recoveries.
 	ReplayRecords *obs.Counter
 	// ReplayTorn counts OpenWAL recoveries that truncated a torn tail —
-	// the crash-cut bytes past the last intact record.
+	// crash-cut bytes past the last intact record, at least one of them
+	// non-zero. A tail of zeros alone is the zero-filled region a killed
+	// log leaves, and is truncated without being counted.
 	ReplayTorn *obs.Counter
 }
 

@@ -21,14 +21,25 @@ package persist
 //	    keyLen uvarint | key bytes
 //	    valLen uvarint | val bytes   (Put only)
 //
-// Recovery scans records until EOF, a short read, or a CRC mismatch;
-// everything from the first bad frame on is a torn tail — the bytes a
-// crash cut mid-write — and is truncated. Only unacknowledged appends
-// can live there: group commit returns to the caller only after the
-// record's bytes are fsynced.
+// While the log is open, zeros may follow the last record: the appender
+// keeps up to walZeroChunk zero bytes written ahead of its end, so a
+// record overwrites blocks the file already holds and the file's size
+// changes once per chunk, not once per record. An fsync then has data
+// to flush but no size change to commit through the filesystem's
+// journal. Close truncates the zeros, so a cleanly closed log ends at
+// its last record; after a crash they are still there, and recovery
+// truncates them.
+//
+// Recovery scans records until EOF, a short read, a zero length, or a
+// CRC mismatch; everything from the first bad frame on is discarded and
+// truncated. It is a torn tail — the bytes a crash cut mid-write — when
+// any of it is non-zero; zeros alone are the unused region. Only
+// unacknowledged appends can live there: group commit returns to the
+// caller only after the record's bytes are fsynced.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -47,7 +58,15 @@ const (
 	// treats a larger length prefix as a torn/corrupt tail rather than
 	// allocating it.
 	maxWALRecordBytes = 2*MaxRecordBytes + 16
+
+	// walZeroChunk is how far each extension of the zero-filled region
+	// reaches past the region's end.
+	walZeroChunk = 64 << 10
 )
+
+// walZeros is the chunk the appender writes to extend the zero-filled
+// region, and what recovery compares a discarded tail against.
+var walZeros [walZeroChunk]byte
 
 // WALOp is the operation a WAL record logs.
 type WALOp uint8
@@ -87,22 +106,23 @@ type WALOptions struct {
 	Metrics *WALMetrics
 }
 
-// walFile is the file surface the WAL appends through. *os.File
-// satisfies it; tests substitute fsync-failing shims to prove the
+// walFile is the file surface the WAL writes through. *os.File
+// satisfies it; tests substitute failing shims to prove the
 // error-poisoning contract (a durability failure must stick — see
-// writeErr and syncErr below). The state-changing methods are
-// //repro:durable: fsyncorder requires every caller in a
-// //repro:poisons function to poison (or consult) the sticky errors on
-// each path where one of them fails.
+// writeErr and syncErr below) and a recorder to replay crashes. Every
+// write names its offset, so the file must not be opened O_APPEND:
+// (*os.File).WriteAt refuses such a file, and Linux's pwrite would
+// ignore the offset. The state-changing methods are //repro:durable:
+// fsyncorder requires every caller in a //repro:poisons function to
+// poison (or consult) the sticky errors on each path where one of them
+// fails.
 type walFile interface {
-	io.Writer
+	//repro:durable
+	WriteAt(p []byte, off int64) (int, error)
 	//repro:durable
 	Sync() error
 	//repro:durable
 	Truncate(size int64) error
-	//repro:durable
-	Seek(offset int64, whence int) (int64, error)
-	Stat() (os.FileInfo, error)
 	Close() error
 }
 
@@ -113,10 +133,14 @@ type WAL struct {
 	opts WALOptions
 
 	//repro:lockclass wal-append 40
-	mu      sync.Mutex // guards f writes, scratch, seq, writeErr
+	mu      sync.Mutex // guards f writes, scratch, seq, end, zeroEnd, writeErr
 	f       walFile
 	scratch []byte
 	seq     uint64 // records appended
+	end     int64  // the log's end: the offset just past its last record
+	// zeroEnd is the end of the zero-filled region [end, zeroEnd), the
+	// file's length while the log is healthy.
+	zeroEnd int64
 	// writeErr is sticky: a failed (possibly partial) frame write leaves
 	// torn bytes mid-log, and any record appended after them would be
 	// silently discarded by the next recovery's torn-tail truncation —
@@ -147,10 +171,11 @@ func CreateWAL(path string, opts WALOptions) (*WAL, error) {
 }
 
 // OpenWAL opens the log at path, creating it if absent, replaying every
-// intact record through replay in append order, truncating any torn
-// tail, and positioning for appends. It returns the recovered WAL and
-// the number of records replayed. A replay error aborts the open (the
-// caller's state would be inconsistent).
+// intact record through replay in append order, truncating whatever
+// follows the last one (a torn tail or the zero-filled region), and
+// positioning for appends. It returns the recovered WAL and the number
+// of records replayed. A replay error aborts the open (the caller's
+// state would be inconsistent).
 func OpenWAL(path string, opts WALOptions, replay func(op WALOp, key, val []byte) error) (*WAL, int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -174,23 +199,26 @@ func OpenWAL(path string, opts WALOptions, replay func(op WALOp, key, val []byte
 		f.Close()
 		return nil, 0, err
 	}
+	torn := false
 	if good < st.Size() {
-		// Torn tail: a crash cut the final record mid-write. Everything
-		// before it was acknowledged and replays; the tail is discarded.
+		// Everything before good was acknowledged and replays. What
+		// follows is the zero-filled region a crash left, or a torn tail
+		// when a crash cut the final record mid-write; both are discarded.
+		if torn, err = tornTail(f, good, st.Size()); err != nil {
+			f.Close()
+			return nil, 0, err
+		}
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, 0, err
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
 	w.seq = uint64(n)
 	w.durable = uint64(n)
+	w.end, w.zeroEnd = good, good
 	if mx := opts.Metrics; mx != nil {
 		mx.ReplayRecords.Add(int64(n))
-		if good < st.Size() {
+		if torn {
 			mx.ReplayTorn.Inc()
 		}
 	}
@@ -199,7 +227,9 @@ func OpenWAL(path string, opts WALOptions, replay func(op WALOp, key, val []byte
 
 // ReplayWAL reads the log at path without opening it for appends,
 // calling replay for every intact record. It reports the record count
-// and whether a torn tail was skipped (the file is left untouched).
+// and whether a torn tail was skipped: a non-zero byte past the last
+// intact record, where zeros alone are the region an open or crashed
+// log keeps ahead of its end. The file is left untouched.
 func ReplayWAL(path string, replay func(op WALOp, key, val []byte) error) (records int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -211,7 +241,27 @@ func ReplayWAL(path string, replay func(op WALOp, key, val []byte) error) (recor
 		return 0, false, err
 	}
 	n, good, err := scanWAL(f, replay)
-	return n, good < st.Size(), err
+	if err != nil {
+		return n, false, err
+	}
+	torn, err = tornTail(f, good, st.Size())
+	return n, torn, err
+}
+
+// tornTail reports whether any byte of r in [from, to) is non-zero.
+func tornTail(r io.ReaderAt, from, to int64) (bool, error) {
+	buf := make([]byte, min(to-from, walZeroChunk))
+	for from < to {
+		b := buf[:min(to-from, int64(len(buf)))]
+		if _, err := r.ReadAt(b, from); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(b, walZeros[:len(b)]) {
+			return true, nil
+		}
+		from += int64(len(b))
+	}
+	return false, nil
 }
 
 func newWAL(f walFile, opts WALOptions) *WAL {
@@ -224,9 +274,10 @@ func (w *WAL) writeHeader() error {
 	var hdr [walHeaderSize]byte
 	copy(hdr[:8], walMagic)
 	binary.LittleEndian.PutUint16(hdr[8:], Version)
-	if _, err := w.f.Write(hdr[:]); err != nil {
+	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
 		return err
 	}
+	w.end, w.zeroEnd = walHeaderSize, walHeaderSize
 	if w.opts.NoSync {
 		return nil
 	}
@@ -385,16 +436,28 @@ func (w *WAL) appendRecord(op WALOp, key, val []byte) error {
 	payload := buf[8:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	_, err := w.f.Write(buf)
 	w.scratch = buf
+	end := w.end + int64(len(buf))
+	// Extend the zero-filled region before the record would cross its
+	// end, so the record's own write never grows the file. A failed
+	// extension poisons like a failed record write: whatever it left
+	// past the log's end is not what the WAL's counters describe.
+	var err error
+	for err == nil && end > w.zeroEnd {
+		if _, err = w.f.WriteAt(walZeros[:], w.zeroEnd); err == nil {
+			w.zeroEnd += walZeroChunk
+		}
+	}
+	if err == nil {
+		_, err = w.f.WriteAt(buf, w.end)
+	}
 	if err != nil {
 		w.writeErr = err
 		w.mu.Unlock()
-		if mx := w.opts.Metrics; mx != nil {
-			mx.Poisoned.Inc()
-		}
+		w.poisonedInc()
 		return err
 	}
+	w.end = end
 	w.seq++
 	seq := w.seq
 	w.mu.Unlock()
@@ -525,15 +588,13 @@ func (w *WAL) Len() int {
 	return int(w.seq)
 }
 
-// Size returns the log's current byte size.
+// Size returns the log's byte size: the offset just past its last
+// record, not counting the zero-filled region past it. The error is
+// always nil.
 func (w *WAL) Size() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	return w.end, nil
 }
 
 // Reset discards every record, truncating the log back to its header —
@@ -557,11 +618,7 @@ func (w *WAL) Reset() error {
 		w.poisonedInc()
 		return err
 	}
-	if _, err := w.f.Seek(walHeaderSize, io.SeekStart); err != nil {
-		w.writeErr = err
-		w.poisonedInc()
-		return err
-	}
+	w.end, w.zeroEnd = walHeaderSize, walHeaderSize
 	if !w.opts.NoSync {
 		if err := w.f.Sync(); err != nil {
 			w.smu.Lock()
@@ -582,17 +639,27 @@ func (w *WAL) Reset() error {
 	return nil
 }
 
-// Close fsyncs (unless NoSync) and closes the file. A failed final
-// fsync poisons like any other: post-Close appends already fail on the
-// closed file, but a caller retrying Sync must keep seeing the error
-// rather than a silent success against lost pages.
+// Close truncates the zero-filled region, so a cleanly closed log ends
+// at its last record, then fsyncs (unless NoSync) and closes the file.
+// A failed truncate or final fsync poisons like any other: post-Close
+// appends already fail on the closed file, but a caller retrying Sync
+// must keep seeing the error rather than a silent success against lost
+// pages.
 //
-//repro:poisons syncErr
+//repro:poisons writeErr syncErr
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var err error
-	if !w.opts.NoSync {
+	if w.zeroEnd > w.end {
+		if err = w.f.Truncate(w.end); err != nil {
+			w.writeErr = err
+			w.poisonedInc()
+		} else {
+			w.zeroEnd = w.end
+		}
+	}
+	if err == nil && !w.opts.NoSync {
 		if err = w.f.Sync(); err != nil {
 			w.smu.Lock()
 			if w.syncErr == nil {

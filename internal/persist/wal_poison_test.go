@@ -18,15 +18,28 @@ import (
 	"testing"
 )
 
-// flakyFile wraps a real file and fails Sync and/or Truncate on demand:
-// the shim the poisoning tests inject through the walFile seam.
+// flakyFile wraps a real file and fails WriteAt, Sync and/or Truncate
+// on demand: the shim the poisoning tests inject through the walFile
+// seam.
 type flakyFile struct {
 	*os.File
 	failSyncs     int // fail this many Sync calls, then succeed again
 	failTruncates int
+	failWriteAts  int
 	syncCalls     int
+	failedWriteAt int // the length of the last WriteAt that failed
 	errSync       error
 	errTruncate   error
+	errWriteAt    error
+}
+
+func (f *flakyFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.failWriteAts > 0 {
+		f.failWriteAts--
+		f.failedWriteAt = len(p)
+		return 0, f.errWriteAt
+	}
+	return f.File.WriteAt(p, off)
 }
 
 func (f *flakyFile) Sync() error {
@@ -55,7 +68,8 @@ func newFlakyWAL(t *testing.T, opts WALOptions) (*WAL, *flakyFile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := &flakyFile{File: f, errSync: errors.New("injected fsync failure"), errTruncate: errors.New("injected truncate failure")}
+	ff := &flakyFile{File: f, errSync: errors.New("injected fsync failure"),
+		errTruncate: errors.New("injected truncate failure"), errWriteAt: errors.New("injected write failure")}
 	w := newWAL(ff, opts)
 	if err := w.writeHeader(); err != nil {
 		t.Fatalf("writeHeader: %v", err)
@@ -187,5 +201,77 @@ func TestCloseSyncFailurePoisonsWAL(t *testing.T) {
 	}
 	if err := w.Sync(); err == nil {
 		t.Fatal("Sync after a failed Close fsync returned nil")
+	}
+}
+
+// TestZeroFillFailurePoisonsWAL: a failed extension of the zero-filled
+// region poisons exactly as a failed record write does, whether it is
+// the first append's extension or one further into the log, with fsync
+// on or off. The record that needed the extension is refused, and so
+// is everything after it.
+func TestZeroFillFailurePoisonsWAL(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		for _, later := range []bool{false, true} {
+			name := map[bool]string{false: "fsync-on", true: "nosync"}[noSync] +
+				map[bool]string{false: "/first-extension", true: "/later-extension"}[later]
+			t.Run(name, func(t *testing.T) {
+				w, ff := newFlakyWAL(t, WALOptions{NoSync: noSync})
+				val := make([]byte, 1000)
+				if later {
+					// The first Append extends the region; fill the chunk up
+					// to the record that would cross its end.
+					rec := int64(len(encodeWAL([]walRec{{WALPut, []byte("key"), val}})) - walHeaderSize)
+					for w.zeroEnd == walHeaderSize || w.end+rec <= w.zeroEnd {
+						if err := w.Append(WALPut, []byte("key"), val); err != nil {
+							t.Fatalf("healthy Append: %v", err)
+						}
+					}
+				}
+				ff.failWriteAts = 1
+				if err := w.Append(WALPut, []byte("key"), val); err == nil {
+					t.Fatal("Append whose zero-fill failed returned nil")
+				}
+				if ff.failedWriteAt != walZeroChunk {
+					t.Fatalf("the failed WriteAt wrote %d bytes; want the %d-byte zero-fill", ff.failedWriteAt, walZeroChunk)
+				}
+				requirePoisoned(t, w, "after failed zero-fill")
+				if w.Err() == nil {
+					t.Fatal("Err() is nil after a failed zero-fill")
+				}
+			})
+		}
+	}
+}
+
+// TestRecordWriteFailurePoisonsWAL: the record's own write failing
+// inside the zero-filled region poisons too.
+func TestRecordWriteFailurePoisonsWAL(t *testing.T) {
+	w, ff := newFlakyWAL(t, WALOptions{})
+	if err := w.Append(WALPut, []byte("a"), []byte("1")); err != nil {
+		t.Fatalf("healthy Append: %v", err)
+	}
+	ff.failWriteAts = 1
+	if err := w.Append(WALPut, []byte("b"), []byte("2")); err == nil {
+		t.Fatal("Append whose record write failed returned nil")
+	}
+	if ff.failedWriteAt == walZeroChunk {
+		t.Fatal("the failed WriteAt was a zero-fill; want the record's own write")
+	}
+	requirePoisoned(t, w, "after failed record write")
+}
+
+// TestCloseTruncateFailurePoisonsWAL: Close's truncate of the
+// zero-filled region failing must leave the sticky error in place.
+func TestCloseTruncateFailurePoisonsWAL(t *testing.T) {
+	w, ff := newFlakyWAL(t, WALOptions{})
+	if err := w.Append(WALPut, []byte("a"), []byte("1")); err != nil {
+		t.Fatalf("healthy Append: %v", err)
+	}
+	ff.failTruncates = 1
+	if err := w.Close(); err == nil {
+		t.Fatal("Close with a failing truncate returned nil")
+	}
+	if w.Err() == nil {
+		t.Fatal("Err() is nil after a failed Close truncate")
 	}
 }

@@ -290,15 +290,19 @@ func AppendMGetReply(dst []byte, vals [][]byte, found []bool) []byte {
 //repro:noalloc
 //repro:boundedinput
 func ReadFrame(br *bufio.Reader, buf []byte, maxFrame int) (payload, newBuf []byte, err error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return nil, buf, err // io.EOF here is a clean close
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+	// Peek reads the header in br's own buffer: a local array passed to
+	// io.ReadFull would escape through its io.Reader and cost one heap
+	// allocation per frame.
+	hdr, err := br.Peek(FrameHeaderSize)
+	if err != nil {
+		if len(hdr) == 0 {
+			return nil, buf, err // io.EOF here is a clean close
+		}
 		return nil, buf, unexpectedEOF(err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:])
 	crc := binary.LittleEndian.Uint32(hdr[4:])
+	_, _ = br.Discard(FrameHeaderSize) // cannot fail: Peek buffered these bytes
 	if int64(length) > int64(maxFrame) {
 		return nil, buf, ErrTooBig
 	}

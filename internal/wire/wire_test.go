@@ -336,6 +336,37 @@ func TestFrameBuffered(t *testing.T) {
 	}
 }
 
+// TestReadFrameAllocFree pins ReadFrame's //repro:noalloc promise where
+// the syntactic noalloc analyzer cannot see: decoding a frame already in
+// br's buffer into a buffer large enough for it allocates nothing. A
+// header read through io.ReadFull into a local array escapes to the
+// heap and costs one allocation per frame.
+func TestReadFrameAllocFree(t *testing.T) {
+	frame := AppendSetRequest(nil, []byte("key"), []byte("value"))
+	br := bufio.NewReaderSize(cycleReader{frame: frame}, 4096)
+	buf := make([]byte, 0, len(frame))
+	allocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		if _, buf, err = ReadFrame(br, buf, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrame of a buffered frame: %v allocs/op, want 0", allocs)
+	}
+}
+
+// cycleReader repeats frame forever, whole frames per Read.
+type cycleReader struct{ frame []byte }
+
+func (r cycleReader) Read(p []byte) (int, error) {
+	n := 0
+	for len(p)-n >= len(r.frame) {
+		n += copy(p[n:], r.frame)
+	}
+	return n, nil
+}
+
 // neverReader blocks forever — any read from it fails the test by
 // hanging, proving the caller never reads past the buffered bytes.
 type neverReader struct{}

@@ -7,8 +7,9 @@
 # report ready, counters must be monotone across scrapes), compare
 # batched MGET reads against per-key GETs, then shut down gracefully and
 # prove a restart recovers every pair into a map sized to its records,
-# which new keys then grow by the watermark alone. Used by
-# `make serve-smoke` and the CI serve-smoke job.
+# which new keys then grow by the watermark alone, and finally SIGKILL
+# served and prove the WAL replay recovers every pair with no torn
+# tail. Used by `make serve-smoke` and the CI serve-smoke job.
 #
 # Env knobs:
 #   SMOKE_OPS   ops for the verified run        (default 60000)
@@ -197,6 +198,28 @@ echo "serve-smoke: restarted map occupancy $OCC3"
 fetch "http://$ADMIN/metrics" >"$DIR/metrics4" || fail "post-restart-run /metrics scrape failed"
 [ "$(metric repro_map_backstop_resizes_total "$DIR/metrics4")" = "0" ] \
     || fail "repro_map_backstop_resizes_total != 0 after the post-restart run: a presized shard grew by a backstop"
+
+# Crash recovery: SIGKILL leaves no checkpoint, so the restart replays
+# the post-restart run's writes from the WAL, which ends in its
+# zero-filled region. loadgen has finished, so no write was in flight:
+# every pair must come back and nothing counts as a torn tail.
+MAP_LEN4=$(metric repro_map_len "$DIR/metrics4")
+echo "serve-smoke: SIGKILL with $MAP_LEN4 pairs + crash recovery"
+kill -KILL "$SERVED_PID"
+wait "$SERVED_PID" 2>/dev/null || true
+SERVED_PID=""
+start_served
+RECOVERED5=$(grep -o "recovered [0-9]* pairs" "$LOG" | tail -1 | awk '{print $2}')
+awk -v r="$RECOVERED5" -v m="$MAP_LEN4" 'BEGIN { exit !(r != "" && r == m + 0) }' \
+    || fail "restart after SIGKILL recovered $RECOVERED5 pairs, repro_map_len before it was $MAP_LEN4"
+fetch "http://$ADMIN/metrics" >"$DIR/metrics5" || fail "post-crash /metrics scrape failed"
+REPLAYED5=$(metric repro_wal_replay_records_total "$DIR/metrics5")
+TORN5=$(metric repro_wal_replay_torn_total "$DIR/metrics5")
+awk -v r="$REPLAYED5" 'BEGIN { exit !(r > 0) }' \
+    || fail "repro_wal_replay_records_total $REPLAYED5 after a SIGKILL: the restart replayed no WAL"
+awk -v t="$TORN5" 'BEGIN { exit !(t != "" && t == 0) }' \
+    || fail "repro_wal_replay_torn_total $TORN5 after a SIGKILL with no write in flight: the zero-filled tail read as torn"
+echo "serve-smoke: crash restart recovered $RECOVERED5 pairs ($REPLAYED5 WAL records replayed, 0 torn)"
 stop_served
 
 echo "serve-smoke: PASS"
