@@ -116,7 +116,9 @@ fuzz-smoke:
 # (shadow maps + final MGET sweep; any lost/divergent pair fails),
 # require batched MGET reads to beat per-key GETs by >= 1.2x, then
 # SIGTERM and prove the restart recovers the checkpointed pairs, then
-# SIGKILL and prove the WAL replay recovers every pair with no torn tail.
+# SIGKILL and prove the WAL replay recovers every pair with no torn tail,
+# then start on a fresh directory whose only file is a 16-byte zero WAL
+# (a crash before the header's fsync) and require every GET not-found.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -262,7 +262,7 @@ type loadWindow[K comparable, V any] struct {
 // placement has been rejected, it only empties w. It runs in three
 // phases, as GetBatch does: plan every record (route it, derive its
 // candidates with its shard's deriver), touch each candidate bucket's
-// slot and tag lines in one volley so the window's cache misses overlap,
+// slot lines (PrefetchPut) in one volley so the window's cache misses overlap,
 // then place each record through putRouted with its planned candidates,
 // or delete it through deleteRouted. The goroutine placing w owns every
 // shard of its records, so planning needs no lock, and putRouted derives

@@ -6,6 +6,7 @@
 // A pair whose K is a string kind, or whose V is a string kind or
 // []byte, is stored as one record appended to the arena:
 //
+//	[tag]                the pair's 64-bit tag, little-endian
 //	[uvarint len(key)]   if K is in the arena
 //	[uvarint len(value)] if V is in the arena
 //	[key bytes][value bytes]
@@ -14,7 +15,9 @@
 // bits 63–48 (refTag), the chunk index plus one in bits 47–32 and the
 // record's offset in the low 32. Ref 0 marks an empty slot. Fields of
 // the other kind (pointer-free, size a multiple of 4) stay inline in the
-// slot arrays.
+// slot arrays. The full tag is for writers, which re-derive a pair's
+// candidates from it (migration, the stash drain); a lookup filters on
+// the ref's tag bits and reads the record from its length fields on.
 //
 // The arena is append-only. A record's bytes are written before the ref
 // that names them is published with one atomic 64-bit store, and they
@@ -65,6 +68,9 @@ const (
 	refTagMask   = 0xffff << 48
 	refChunkMask = 0xffff
 )
+
+// tagLen is the bytes of the tag that starts every record.
+const tagLen = 8
 
 // refTag returns the tag bits a ref carries for a pair whose tag is tag:
 // 16 bits of it, mixed so every tag bit contributes, in the ref's top 16
@@ -168,16 +174,18 @@ func newArena() *arena {
 // dead returns the bytes of records no slot names any more.
 func (a *arena) dead() int64 { return a.used - a.live }
 
-// put appends a record holding the arena fields of a pair — k when lay
-// holds keyInArena, v when it holds valInArena — and returns its ref.
+// put appends a record holding the tag and the arena fields of a pair —
+// k when lay holds keyInArena, v when it holds valInArena — and returns
+// its ref.
 //
 //repro:noalloc
-func (a *arena) put(lay layout, k, v string) uint64 {
+func (a *arena) put(lay layout, tag uint64, k, v string) uint64 {
 	n := recordLen(lay, len(k), len(v))
 	ref, buf := a.alloc(n)
-	p := 0
+	binary.LittleEndian.PutUint64(buf, tag)
+	p := tagLen
 	if lay&keyInArena != 0 {
-		p += binary.PutUvarint(buf, uint64(len(k)))
+		p += binary.PutUvarint(buf[p:], uint64(len(k)))
 	}
 	if lay&valInArena != 0 {
 		p += binary.PutUvarint(buf[p:], uint64(len(v)))
@@ -232,6 +240,15 @@ func (a *arena) grow(n int) {
 	a.size.Add(int64(size))
 }
 
+// tag returns the tag stored in the record ref names (writer-side: ref
+// is a live slot's, so it names a record of t).
+//
+//repro:noalloc
+func (t *chunkTable) tag(ref uint64) uint64 {
+	p := uint32(ref)
+	return binary.LittleEndian.Uint64(t.chunks[ref>>32&refChunkMask-1][p : p+tagLen])
+}
+
 // fields returns views of the key and value bytes of the record ref
 // names (a nil view for a field the layout keeps inline), or ok=false if
 // ref does not name a record of t. Every offset is checked against the
@@ -245,7 +262,7 @@ func (t *chunkTable) fields(lay layout, ref uint64) (k, v []byte, ok bool) {
 		return nil, nil, false
 	}
 	c := t.chunks[i]
-	p := uint64(uint32(ref))
+	p := uint64(uint32(ref)) + tagLen // the length fields follow the tag
 	var kl, vl uint64
 	if lay&keyInArena != 0 {
 		if kl, p, ok = uvarintAt(c, p); !ok {
@@ -293,7 +310,7 @@ func uvarintLen(n int) int {
 // recordLen is the arena bytes of a record holding kl key bytes and vl
 // value bytes under lay.
 func recordLen(lay layout, kl, vl int) int {
-	n := kl + vl
+	n := tagLen + kl + vl
 	if lay&keyInArena != 0 {
 		n += uvarintLen(kl)
 	}

@@ -12,38 +12,36 @@ import (
 // occupied, with no arena record. Arena refs are at least 1<<32.
 const inlineRef = 1
 
-// slots is a run of pair storage: the control words, the tags, and the
-// key and value arrays of fields stored inline (nil for a field kept in
-// the arena). A geometry's buckets and each stash block are one slots
-// each, so the same accessors serve both.
+// slots is a run of pair storage: the control words, and the key and
+// value arrays of fields stored inline (nil for a field kept in the
+// arena). A geometry's buckets and each stash block are one slots each,
+// so the same accessors serve both.
 //
 // A slot's control word takes one of two shapes, fixed by the layout.
 // With arena fields, refs holds the slot's 64-bit ref: 0 for an empty
 // slot, otherwise the pair's arena record with 16 bits of the pair's tag
 // in its top bits (see refTag), so one load both filters the slot on the
 // tag and finds its record, and a 4-slot bucket's refs are half a cache
-// line. With K and V both inline, used holds a 32-bit occupancy flag per
+// line. The full tag is the record's first 8 bytes, so a slot is its ref
+// alone. With K and V both inline, used holds a 32-bit occupancy flag per
 // slot — one cache line covers four 4-slot buckets — and the probe
-// compares the key in place, where a tag compare would only add a load.
-// Either way the full tags sit apart, read only by writers (migration
-// and the stash drain re-derive candidates from them).
+// compares the key in place, where a tag compare would only add a load;
+// the full tags sit apart, in the tags array. Either way only writers
+// read the full tag (migration and the stash drain re-derive candidates
+// from it).
 type slots[K comparable, V any] struct {
 	refs []uint64 // arena layouts
 	used []uint32 // inline layouts: 1 = occupied
-	tags []uint64
-	keys []K // nil when K lives in the arena
-	vals []V // nil when V lives in the arena
+	tags []uint64 // inline layouts
+	keys []K      // nil when K lives in the arena
+	vals []V      // nil when V lives in the arena
 }
 
-// makeSlots allocates n empty slots for lay. With arena fields, refs and
-// tags share one allocation: as two half-size arrays per shard they moved
-// where the collector's cycles land in a presized recovery, and served's
-// peak RSS after recovering 2M pairs measured 11 MiB higher.
+// makeSlots allocates n empty slots for lay.
 func makeSlots[K comparable, V any](n int, lay layout) slots[K, V] {
 	var s slots[K, V]
 	if lay.inArena() {
-		words := make([]uint64, 2*n)
-		s.refs, s.tags = words[:n:n], words[n:]
+		s.refs = make([]uint64, n)
 	} else {
 		s.tags = make([]uint64, n)
 		s.used = make([]uint32, n)
@@ -85,8 +83,8 @@ type stashBlock[K comparable, V any] struct {
 	slots[K, V]
 }
 
-// cap returns the block's slot count.
-func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
+// cap returns the block's slot count: its refs, or its used flags.
+func (b *stashBlock[K, V]) cap() int { return len(b.refs) + len(b.used) }
 
 // Core is the bucket/stash placement engine of the multiple-choice hash
 // table: fixed-slot buckets, least-loaded placement over caller-supplied
@@ -97,7 +95,8 @@ func (b *stashBlock[K, V]) cap() int { return len(b.tags) }
 // internal/cmap share one placement implementation.
 //
 // Every stored pair carries an opaque 64-bit tag from which the caller can
-// re-derive the pair's candidate buckets without touching the key again:
+// re-derive the pair's candidate buckets without touching the key again
+// (in its arena record, or in the tags array when K and V are inline):
 // internal/cmap stores the in-shard SipHash digest (so candidates for a
 // new geometry come from the same single hash evaluation, the paper's
 // one-hash discipline), while the uint64 Table simply stores the key.
@@ -277,13 +276,17 @@ func (c *Core[K, V]) load(b int) int {
 	return n
 }
 
-// entryAt reads slot i of s (writer-side, plain reads).
+// entryAt reads slot i of s (writer-side, plain reads), taking the tag
+// from the slot's record when it has one.
 //
 //repro:noalloc
 func (c *Core[K, V]) entryAt(s *slots[K, V], i int) entry[K, V] {
-	e := entry[K, V]{tag: s.tags[i], ref: inlineRef}
+	var e entry[K, V]
 	if c.lay.inArena() {
 		e.ref = s.refs[i]
+		e.tag = c.arena.table.Load().tag(e.ref)
+	} else {
+		e.tag, e.ref = s.tags[i], inlineRef
 	}
 	if c.lay&keyInArena == 0 {
 		e.key = s.keys[i]
@@ -330,7 +333,7 @@ func (c *Core[K, V]) encode(key K, val V, tag uint64) entry[K, V] {
 		vs = valString(c.lay, &val)
 	}
 	if c.lay.inArena() {
-		e.ref = c.arena.put(c.lay, ks, vs) | refTag(tag)
+		e.ref = c.arena.put(c.lay, tag, ks, vs) | refTag(tag)
 	}
 	return e
 }

@@ -27,7 +27,8 @@
 //     field offset is 4-aligned on every platform (32-bit included, which
 //     is why inline fields move as 32-bit and not 64-bit words);
 //   - a string-kind K or V, or a []byte V, lives in the geometry's arena,
-//     and the slot holds only its 64-bit ref (and, for writers, its tag).
+//     and the slot holds only its 64-bit ref (the record holds the tag,
+//     for writers).
 //
 // The publication invariant: a record's bytes are written before the ref
 // that names them is stored with one atomic 64-bit store, and never
@@ -77,9 +78,10 @@ func loadWords[T any](dst, src *T) {
 	}
 }
 
-// putSlot writes e into slot i of s in publication order: the tag, which
-// readers never read, and inline fields word by word, then the ref (or,
-// for an inline layout, the used flag) with one atomic store.
+// putSlot writes e into slot i of s in publication order: inline fields
+// word by word, then the ref with one atomic store — the tag is already
+// in the record the ref names — or, for an inline layout, the tag, which
+// readers never read, then the used flag.
 //
 //repro:noalloc
 func (c *Core[K, V]) putSlot(s *slots[K, V], i int, e *entry[K, V]) {
@@ -89,10 +91,10 @@ func (c *Core[K, V]) putSlot(s *slots[K, V], i int, e *entry[K, V]) {
 	if c.lay&valInArena == 0 {
 		storeWords(&s.vals[i], &e.val)
 	}
-	s.tags[i] = e.tag
 	if c.lay.inArena() {
 		atomic.StoreUint64(&s.refs[i], e.ref)
 	} else {
+		s.tags[i] = e.tag
 		atomic.StoreUint32(&s.used[i], 1)
 	}
 }
@@ -297,11 +299,13 @@ func (v *SeqView[K, V]) Prefetch(cands []uint32) uint32 {
 	return sum
 }
 
-// PrefetchPut is Prefetch for a writer about to place keys in c: it
-// touches the lines Prefetch touches in c's geometry, plus the first
-// word of each candidate bucket's tag line, which putSlot stores into,
-// so the misses of a batch of placements overlap instead of serializing
-// placement by placement. It reads the writer-only tags, so the caller
+// PrefetchPut is Prefetch for a writer about to place keys in c, so the
+// misses of a batch of placements overlap instead of serializing
+// placement by placement. With arena fields it touches the lines
+// Prefetch touches in c's geometry and no more: the record a placement
+// writes, tag included, goes to the arena's tail. An inline layout also
+// touches the first word of each candidate bucket's tag line, which
+// putSlot stores into; that reads the writer-only tags, so the caller
 // must exclude writers (each worker of cmap's recovery loader owns its
 // shards until the load returns). It returns a checksum for a
 // non-inlined sink, as Prefetch does.
@@ -309,6 +313,9 @@ func (v *SeqView[K, V]) Prefetch(cands []uint32) uint32 {
 //repro:noalloc
 func (c *Core[K, V]) PrefetchPut(cands []uint32) uint32 {
 	sum := c.View().Prefetch(cands)
+	if c.lay.inArena() {
+		return sum
+	}
 	for _, b := range cands {
 		if int(b) < c.buckets {
 			sum += uint32(atomic.LoadUint64(&c.tags[int(b)*c.slotsPerBucket]))

@@ -1,6 +1,13 @@
 package mchtable
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // TestCoreTagCollision gives two distinct keys the same caller-chosen
 // tag, first side by side in one bucket and then in the stash: Put, Get,
@@ -95,4 +102,150 @@ func TestCoreTagCollision(t *testing.T) {
 			t.Fatalf("Len %d, stash %d; want only y left", c.Len(), c.StashLen())
 		}
 	})
+}
+
+// TestTagLivesInRecord pins where a pair's tag is kept. A layout with
+// arena fields stores it as the first 8 bytes of the pair's record, so
+// its bucket and stash slots hold refs alone; an inline layout keeps a
+// tags array beside its used flags. Either way every pair's tag must come
+// back through Range unchanged after each path that moves or rewrites a
+// slot: settled placement, a forced stash, a doubling migrated one entry
+// at a time, a same-size rebuild after overwrites, and a stash drain
+// after a delete.
+func TestTagLivesInRecord(t *testing.T) {
+	strKey := func(i int) string { return fmt.Sprintf("key-%04d", i) }
+	u64Key := func(i int) uint64 { return uint64(i)*0x9e3779b9 + 1 }
+	bytesVal := func(i, gen int) []byte { return []byte(strings.Repeat("v", i%7) + fmt.Sprint(i, ".", gen)) }
+	u64Val := func(i, gen int) uint64 { return uint64(i)<<8 | uint64(gen) }
+	// Slot bytes: an 8-byte ref plus any inline field, or, inline, a
+	// 4-byte used flag, an 8-byte tag and both fields.
+	t.Run("string-bytes", func(t *testing.T) { checkTagRoundTrip(t, strKey, bytesVal, 8) })
+	t.Run("string-uint64", func(t *testing.T) { checkTagRoundTrip(t, strKey, u64Val, 8+8) })
+	t.Run("uint64-bytes", func(t *testing.T) { checkTagRoundTrip(t, u64Key, bytesVal, 8+8) })
+	t.Run("uint64-uint64", func(t *testing.T) { checkTagRoundTrip(t, u64Key, u64Val, 4+8+8+8) })
+}
+
+func checkTagRoundTrip[K comparable, V any](t *testing.T, key func(i int) K, val func(i, gen int) V, slotBytes int64) {
+	const (
+		buckets   = 31
+		perBucket = 4
+		d         = 3
+		pairs     = 60
+		collapsed = 16 // pairs sharing one tag, so they share their candidates in every geometry
+	)
+	tagOf := func(i int) uint64 {
+		if i >= pairs {
+			return rng.Mix64(0xC0111DE)
+		}
+		return rng.Mix64(uint64(i) + 1)
+	}
+	c := NewCore[K, V](buckets, perBucket, 32)
+	index := make(map[K]int)
+	gen := make([]int, pairs+collapsed) // each pair's value generation
+	deleted := make(map[int]bool)
+
+	checkLayout := func(phase string) {
+		t.Helper()
+		for _, s := range []*slots[K, V]{&c.slots, &c.stash.Load().slots} {
+			n := len(s.refs) + len(s.used)
+			wantTags := n
+			if c.lay.inArena() {
+				wantTags = 0
+			}
+			if len(s.tags) != wantTags {
+				t.Fatalf("%s: %d slots hold %d tag words, want %d", phase, n, len(s.tags), wantTags)
+			}
+			if s.bytes() != int64(n)*slotBytes {
+				t.Fatalf("%s: %d slots take %d bytes, want %d per slot", phase, n, s.bytes(), slotBytes)
+			}
+		}
+	}
+	checkTags := func(phase string) {
+		t.Helper()
+		seen := 0
+		c.Range(func(k K, v V, tag uint64) bool {
+			i, ok := index[k]
+			switch {
+			case !ok || deleted[i]:
+				t.Fatalf("%s: Range yields key %v, which is not stored", phase, k)
+			case tag != tagOf(i):
+				t.Fatalf("%s: pair %d has tag %#x, want %#x", phase, i, tag, tagOf(i))
+			case !reflect.DeepEqual(v, val(i, gen[i])):
+				t.Fatalf("%s: pair %d has value %v, want %v", phase, i, v, val(i, gen[i]))
+			}
+			seen++
+			return true
+		})
+		if want := len(index) - len(deleted); seen != want {
+			t.Fatalf("%s: Range yields %d pairs, want %d", phase, seen, want)
+		}
+	}
+	migrate := func(phase string) {
+		t.Helper()
+		drain := geom(c.Next().Buckets(), d)
+		for steps := 1; c.Resizing(); steps++ {
+			if c.Migrate(1, drain) == 0 && c.Resizing() {
+				t.Fatalf("%s: migration stalled", phase)
+			}
+			if steps == pairs/2 {
+				checkTags(phase + ", mid-migration")
+			}
+		}
+	}
+
+	op := geom(buckets, d)
+	for i := range pairs + collapsed {
+		index[key(i)] = i
+		if !c.Put(op(tagOf(i)), nil, key(i), val(i, 0), tagOf(i)) {
+			t.Fatalf("Put(%d) rejected", i)
+		}
+	}
+	if c.StashLen() == 0 {
+		t.Fatal("the collapsed pairs never overflowed into the stash")
+	}
+	checkLayout("placed")
+	checkTags("placed")
+
+	c.StartResize(2 * buckets)
+	migrate("doubling")
+	checkLayout("doubled")
+	checkTags("doubled")
+
+	op = geom(c.Buckets(), d)
+	for i := range gen {
+		gen[i]++
+		if !c.Put(op(tagOf(i)), nil, key(i), val(i, gen[i]), tagOf(i)) {
+			t.Fatalf("overwrite of %d rejected", i)
+		}
+	}
+	c.StartRebuild()
+	migrate("rebuild")
+	checkTags("rebuilt")
+
+	// Free a bucket slot of a collapsed pair: a stashed one, sharing its
+	// candidates, must drain into it.
+	stashed := c.StashLen()
+	victim := -1
+	for i := pairs; i < pairs+collapsed && victim < 0; i++ {
+		if _, depth, ok := get(c, op(tagOf(i)), nil, key(i), tagOf(i)); ok && depth < d {
+			victim = i
+		}
+	}
+	if stashed == 0 || victim < 0 {
+		t.Fatalf("after the rebuild: %d stashed, collapsed pair in a bucket %d", stashed, victim)
+	}
+	if !c.Delete(op(tagOf(victim)), nil, key(victim), tagOf(victim), geom(c.Buckets(), d)) {
+		t.Fatalf("Delete(%d) missed", victim)
+	}
+	deleted[victim] = true
+	if c.StashLen() != stashed-1 {
+		t.Fatalf("the delete left %d stashed, want %d", c.StashLen(), stashed-1)
+	}
+	checkLayout("drained")
+	checkTags("drained")
+	for k, i := range index {
+		if v, _, ok := get(c, op(tagOf(i)), nil, k, tagOf(i)); ok == deleted[i] || !deleted[i] && !reflect.DeepEqual(v, val(i, gen[i])) {
+			t.Fatalf("Get(%v) = (%v, %v) after the drain", k, v, ok)
+		}
+	}
 }

@@ -36,6 +36,11 @@ package persist
 // any of it is non-zero; zeros alone are the unused region. Only
 // unacknowledged appends can live there: group commit returns to the
 // caller only after the record's bytes are fsynced.
+//
+// The header is fsynced before any append can run, so a crash between
+// the log's create and that fsync leaves a file that never held a
+// record: zeros throughout, or a prefix of the header. Recovery starts
+// such a log afresh. Any other bad header is refused as corrupt.
 
 import (
 	"bufio"
@@ -45,6 +50,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
@@ -156,6 +162,13 @@ type WAL struct {
 	syncErr  error // sticky: an fsync failure poisons the WAL
 }
 
+// corruptWALError is a WAL integrity failure: its message names the
+// log, and it wraps ErrCorrupt.
+type corruptWALError string
+
+func (e corruptWALError) Error() string { return "persist: corrupt WAL: " + string(e) }
+func (corruptWALError) Unwrap() error   { return ErrCorrupt }
+
 // CreateWAL creates (or truncates) the log at path and writes its header.
 func CreateWAL(path string, opts WALOptions) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -163,7 +176,7 @@ func CreateWAL(path string, opts WALOptions) (*WAL, error) {
 		return nil, err
 	}
 	w := newWAL(f, opts)
-	if err := w.writeHeader(); err != nil {
+	if err := w.create(path); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -173,9 +186,10 @@ func CreateWAL(path string, opts WALOptions) (*WAL, error) {
 // OpenWAL opens the log at path, creating it if absent, replaying every
 // intact record through replay in append order, truncating whatever
 // follows the last one (a torn tail or the zero-filled region), and
-// positioning for appends. It returns the recovered WAL and the number
-// of records replayed. A replay error aborts the open (the caller's
-// state would be inconsistent).
+// positioning for appends. An empty log, or one whose header a crash
+// left unwritten (see unwritten), gets a fresh header. It returns the
+// recovered WAL and the number of records replayed. A replay error
+// aborts the open (the caller's state would be inconsistent).
 func OpenWAL(path string, opts WALOptions, replay func(op WALOp, key, val []byte) error) (*WAL, int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -187,11 +201,17 @@ func OpenWAL(path string, opts WALOptions, replay func(op WALOp, key, val []byte
 		f.Close()
 		return nil, 0, err
 	}
-	if st.Size() == 0 {
-		if err := w.writeHeader(); err != nil {
-			f.Close()
-			return nil, 0, err
+	fresh, err := unwritten(f, st.Size())
+	if err == nil && fresh {
+		if err = f.Truncate(0); err == nil {
+			err = w.create(path)
 		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	if fresh {
 		return w, 0, nil
 	}
 	n, good, err := scanWAL(f, replay)
@@ -248,6 +268,26 @@ func ReplayWAL(path string, replay func(op WALOp, key, val []byte) error) (recor
 	return n, torn, err
 }
 
+// unwritten reports whether the size-byte log r holds what a crash
+// between the log's create and its header's fsync can leave, and no
+// more: nothing, zeros throughout, or a proper prefix of the header
+// writeHeader writes. No record was ever appended to such a log.
+func unwritten(r io.ReaderAt, size int64) (bool, error) {
+	var hdr [walHeaderSize]byte
+	n := min(size, walHeaderSize)
+	if _, err := r.ReadAt(hdr[:n], 0); err != nil {
+		return false, err
+	}
+	if want := walHeader(); n < walHeaderSize && bytes.Equal(hdr[:n], want[:n]) {
+		return true, nil
+	}
+	if hdr != [walHeaderSize]byte{} {
+		return false, nil
+	}
+	nonzero, err := tornTail(r, n, size)
+	return !nonzero, err
+}
+
 // tornTail reports whether any byte of r in [from, to) is non-zero.
 func tornTail(r io.ReaderAt, from, to int64) (bool, error) {
 	buf := make([]byte, min(to-from, walZeroChunk))
@@ -270,10 +310,43 @@ func newWAL(f walFile, opts WALOptions) *WAL {
 	return w
 }
 
-func (w *WAL) writeHeader() error {
+// create writes the header of a log just created at path and, unless
+// NoSync, fsyncs the log's directory, so the new entry survives a crash
+// as the header does.
+func (w *WAL) create(path string) error {
+	if err := w.writeHeader(); err != nil {
+		return err
+	}
+	if w.opts.NoSync {
+		return nil
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory, so an entry just created or renamed in it
+// is on stable storage.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// walHeader returns the header that starts every log.
+func walHeader() [walHeaderSize]byte {
 	var hdr [walHeaderSize]byte
 	copy(hdr[:8], walMagic)
 	binary.LittleEndian.PutUint16(hdr[8:], Version)
+	return hdr
+}
+
+func (w *WAL) writeHeader() error {
+	hdr := walHeader()
 	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
 		return err
 	}
@@ -295,13 +368,13 @@ func scanWAL(r io.Reader, replay func(op WALOp, key, val []byte) error) (records
 	br := bufio.NewReader(r)
 	var hdr [walHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: short WAL header: %v", ErrCorrupt, err)
+		return 0, 0, corruptWALError(fmt.Sprintf("short header: %v", err))
 	}
 	if string(hdr[:8]) != walMagic {
-		return 0, 0, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, hdr[:8])
+		return 0, 0, corruptWALError(fmt.Sprintf("bad magic %q", hdr[:8]))
 	}
 	if v := binary.LittleEndian.Uint16(hdr[8:]); v != Version {
-		return 0, 0, fmt.Errorf("%w: WAL version %d, reader speaks %d", ErrCorrupt, v, Version)
+		return 0, 0, corruptWALError(fmt.Sprintf("version %d, reader speaks %d", v, Version))
 	}
 	good = walHeaderSize
 	var frame [8]byte

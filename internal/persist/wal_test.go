@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -232,5 +234,64 @@ func TestWALNoSyncStillReplays(t *testing.T) {
 	w.Close()
 	if got := collectWAL(t, path); len(got) != 100 {
 		t.Fatalf("replayed %d records, want 100", len(got))
+	}
+}
+
+// TestWALUnwrittenHeaderOpensEmpty opens the files a crash between the
+// log's create and its header's fsync can leave, none of which ever held
+// an acknowledged record: each must open as an empty log, take an
+// Append, and reopen with that record. A header with a non-zero wrong
+// magic is damage, not a crash of the create, and is still refused.
+func TestWALUnwrittenHeaderOpensEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"8 zero bytes", make([]byte, 8)},
+		{"16 zero bytes", make([]byte, walHeaderSize)},
+		{"7-byte header prefix", []byte(walMagic[:7])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal")
+			if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mx := NewWALMetrics()
+			w, n, err := OpenWAL(path, WALOptions{Metrics: mx}, nil)
+			if err != nil {
+				t.Fatalf("OpenWAL: %v", err)
+			}
+			if n != 0 || mx.ReplayTorn.Load() != 0 {
+				t.Fatalf("OpenWAL replayed %d records, %d torn tails; want an empty log", n, mx.ReplayTorn.Load())
+			}
+			if err := w.Append(WALPut, []byte("k"), []byte("v")); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			w, n, err = OpenWAL(path, WALOptions{}, func(op WALOp, key, val []byte) error {
+				got = append(got, fmt.Sprintf("%v %s=%s", op, key, val))
+				return nil
+			})
+			if err != nil || n != 1 || len(got) != 1 || got[0] != "Put k=v" {
+				t.Fatalf("reopen: %d records %q, err %v; want [Put k=v]", n, got, err)
+			}
+			w.Close()
+		})
+	}
+
+	path := filepath.Join(t.TempDir(), "wal")
+	bad := bytes.Repeat([]byte{'x'}, walHeaderSize)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenWAL(path, WALOptions{}, nil)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "WAL") || strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("OpenWAL of a wrong magic: %v; want an ErrCorrupt that names the WAL", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, bad) {
+		t.Fatal("the refused log was rewritten")
 	}
 }

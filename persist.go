@@ -493,7 +493,7 @@ func (s *DurableMap[K, V]) checkpoint() (int64, error) {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := persist.SyncDir(s.dir); err != nil {
 		return 0, err
 	}
 	return cw.n, s.wal.Reset()
@@ -522,18 +522,4 @@ func (s *DurableMap[K, V]) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.wal.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is on stable storage.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -7,9 +7,11 @@
 # report ready, counters must be monotone across scrapes), compare
 # batched MGET reads against per-key GETs, then shut down gracefully and
 # prove a restart recovers every pair into a map sized to its records,
-# which new keys then grow by the watermark alone, and finally SIGKILL
-# served and prove the WAL replay recovers every pair with no torn
-# tail. Used by `make serve-smoke` and the CI serve-smoke job.
+# which new keys then grow by the watermark alone, SIGKILL served and
+# prove the WAL replay recovers every pair with no torn tail, and
+# finally start on a fresh directory whose only file is a WAL a crash
+# left with no header. Used by `make serve-smoke` and the CI serve-smoke
+# job.
 #
 # Env knobs:
 #   SMOKE_OPS   ops for the verified run        (default 60000)
@@ -221,5 +223,24 @@ awk -v t="$TORN5" 'BEGIN { exit !(t != "" && t == 0) }' \
     || fail "repro_wal_replay_torn_total $TORN5 after a SIGKILL with no write in flight: the zero-filled tail read as torn"
 echo "serve-smoke: crash restart recovered $RECOVERED5 pairs ($REPLAYED5 WAL records replayed, 0 torn)"
 stop_served
+
+# A crash between the WAL's create and its header's fsync leaves a log
+# with no header: here 16 zero bytes. No write was ever acknowledged to
+# it, so served must start on it as on an empty directory, and every
+# GET must answer not-found.
+echo "serve-smoke: start on a crash-torn WAL image (16 zero bytes, no header)"
+DATA="$DIR/torn"
+mkdir -p "$DATA"
+dd if=/dev/zero of="$DATA/wal" bs=16 count=1 2>/dev/null
+start_served
+"$DIR/loadgen" -net "$ADDR" -ops 200 -conns 1 -read 1 -delete 0 >/dev/null \
+    || fail "GETs against the torn-WAL instance failed"
+fetch "http://$ADMIN/metrics" >"$DIR/metrics6" || fail "torn-WAL /metrics scrape failed"
+GETS6=$(metric repro_server_gets_total "$DIR/metrics6")
+MISSES6=$(metric repro_server_get_misses_total "$DIR/metrics6")
+awk -v g="$GETS6" -v m="$MISSES6" 'BEGIN { exit !(g > 0 && m == g) }' \
+    || fail "on the torn-WAL instance $MISSES6 of $GETS6 GETs answered not-found, want all"
+stop_served
+echo "serve-smoke: torn-WAL start answered all $GETS6 GETs not-found"
 
 echo "serve-smoke: PASS"
