@@ -24,7 +24,7 @@ BENCH_GET_CPUS ?= 1,$(shell nproc)
 BENCH_GET_TIME ?= 0.5s
 BENCH_GET_JSON ?= BENCH_get.json
 
-.PHONY: all build vet lint lint-gate test race check bench bench-json bench-smoke bench-module fuzz-smoke serve-smoke clean
+.PHONY: all build vet lint lint-gate test race check bench bench-json bench-smoke bench-module fuzz-smoke serve-smoke durable-smoke clean
 
 all: check
 
@@ -121,6 +121,18 @@ fuzz-smoke:
 # (a crash before the header's fsync) and require every GET not-found.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Durable stress smoke (used by CI, beside serve-smoke): loadgen -dir
+# drives repro.DurableMap in process, first on a fresh directory under
+# the -verify oracle, then as a contended run on shared hot keys that
+# recovers the first run's map at another shape. After each run loadgen
+# closes and reopens the directory, checkpoints and reopens it again,
+# and fails unless both recovered maps equal the live one pair for pair.
+durable-smoke:
+	$(GO) build -o $(CURDIR)/bin/loadgen ./cmd/loadgen
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; set -e; \
+	$(CURDIR)/bin/loadgen -keytype string -buckets 256 -grow 0.75 -ops 400000 -dir "$$d" -verify; \
+	$(CURDIR)/bin/loadgen -keytype string -grow 0.75 -keys 1024 -shards 64 -ops 400000 -dir "$$d"
 
 clean:
 	rm -f $(BENCH_OUT)

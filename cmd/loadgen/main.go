@@ -32,20 +32,21 @@
 //	        mode: its op mix differs from the contended benchmark, so
 //	        read its Mops/sec as indicative only)
 //
-// Persistence knobs (the internal/persist subsystem under load):
+// Persistence (the durable map under load):
 //
-//	-restore path  start from a snapshot instead of an empty map, loaded
-//	               at whatever geometry the other flags describe (the
-//	               snapshot's geometry is irrelevant; its seed wins)
-//	-snapshot path write a snapshot after the run and report MB/s; with
-//	               -verify the snapshot is reloaded and compared against
-//	               the live map pair by pair
-//	-wal path      append every write to a write-ahead log during the
-//	               run (fsync off — this is a throughput harness); with
-//	               -verify the log is replayed onto the starting state
-//	               and the replayed map must match the live one exactly
-//	               (-verify keeps per-key op order single-writer, which
-//	               is what makes the replay comparison sound)
+//	-dir DIR  drive repro.DurableMap, the map cmd/served serves, kept in
+//	          DIR: every Put and Delete takes its per-key stripe lock and
+//	          its group-committed WAL (fsync off: this is a throughput
+//	          harness, so Mops/sec includes the log's work), and growth
+//	          and -drain run its online resize. A DIR that already holds
+//	          a snapshot or a WAL is recovered first, at the flags' shape
+//	          (the bucket count follows the records). After every run the
+//	          map is closed and DIR reopened, and the recovered map must
+//	          equal the live one pair for pair; then it is checkpointed,
+//	          reopened and compared again. That holds for contended runs
+//	          too: the stripe lock orders each key's log record and map
+//	          write. Needs one -keytype and -grow > 0; -verify needs a
+//	          DIR that recovers empty, since the oracle starts empty.
 //
 // Examples:
 //
@@ -57,28 +58,27 @@
 //	                                         # typed keys + live growth
 //	                                         # crossing the watermark
 //	                                         # mid-stream, checked
-//	loadgen -verify -wal /tmp/l.wal -snapshot /tmp/l.snap
-//	                                         # durability under load, both
-//	                                         # artifacts cross-checked
-//	loadgen -restore /tmp/l.snap -shards 64 -buckets 128
-//	                                         # reload at a different
-//	                                         # geometry and keep driving
+//	loadgen -keytype string -grow 0.75 -dir /tmp/lg -verify
+//	                                         # durability under load: the
+//	                                         # recovered map checked twice
+//	loadgen -keytype string -grow 0.75 -dir /tmp/lg -keys 1024 -shards 64
+//	                                         # recover at another shape and
+//	                                         # keep driving shared hot keys
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cmap"
+	"repro"
 	"repro/internal/keyed"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/rng"
 	"repro/internal/table"
 	"repro/internal/testutil"
@@ -104,15 +104,15 @@ type config struct {
 	latency                          bool
 	bg, verify                       bool
 	seed                             uint64
-	snapPath, restorePath, walPath   string
+	dir                              string
 }
 
-// cmapConfig is the map shape the flags describe.
-func (c config) cmapConfig() cmap.Config {
-	return cmap.Config{
-		Shards: c.shards, BucketsPerShard: c.buckets, SlotsPerBucket: c.slots,
-		D: c.d, Seed: c.seed, StashPerShard: c.stash,
-		MaxLoadFactor: c.grow, MigrateBatch: c.batch,
+// options is the map shape the flags describe.
+func (c config) options() []repro.Option {
+	return []repro.Option{
+		repro.WithShards(c.shards), repro.WithBuckets(c.buckets), repro.WithSlots(c.slots),
+		repro.WithD(c.d), repro.WithSeed(c.seed), repro.WithStash(c.stash),
+		repro.WithMaxLoadFactor(c.grow), repro.WithMigrateBatch(c.batch),
 	}
 }
 
@@ -136,9 +136,7 @@ func main() {
 		bg      = flag.Bool("drain", false, "run a background migration drainer alongside the workers")
 		verify  = flag.Bool("verify", false, "per-worker shadow maps; fail on any lost/duplicated/corrupted key")
 		seed    = flag.Uint64("seed", 1, "base random seed")
-		snap    = flag.String("snapshot", "", "write a snapshot to this path after the run (reload-checked with -verify)")
-		restore = flag.String("restore", "", "load this snapshot before the run, at the flags' geometry")
-		wal     = flag.String("wal", "", "append writes to a write-ahead log at this path (replay-checked with -verify)")
+		dir     = flag.String("dir", "", "drive the durable map kept in this directory, recovering what it holds; its recovery is checked after the run")
 		netAddr = flag.String("net", "", "drive a served instance at this address over the wire protocol instead of the in-process map")
 		conns   = flag.Int("conns", 0, "network mode: concurrent client connections (0 = GOMAXPROCS)")
 		rate    = flag.Float64("rate", 0, "network mode: open-loop target ops/sec across all connections (0 = closed loop)")
@@ -177,10 +175,10 @@ func main() {
 	}
 	if *netAddr != "" {
 		// Network mode: the map lives in the served process; every other
-		// in-process knob (geometry, snapshot/WAL artifacts) is its
+		// in-process knob (geometry, the durable directory) is its
 		// concern, not loadgen's.
-		if *snap != "" || *restore != "" || *wal != "" {
-			fmt.Fprintln(os.Stderr, "-net drives a remote map; -snapshot/-restore/-wal do not apply")
+		if *dir != "" {
+			fmt.Fprintln(os.Stderr, "-net drives a remote map; -dir does not apply")
 			os.Exit(2)
 		}
 		if *conns == 0 {
@@ -207,18 +205,14 @@ func main() {
 		workers: *workers, ops: *ops, keys: *keys,
 		read: *read, del: *del, grow: *grow, batch: *batch,
 		mget: *mget, latency: latency,
-		bg: *bg, verify: *verify, seed: *seed,
-		snapPath: *snap, restorePath: *restore, walPath: *wal,
+		bg: *bg, verify: *verify, seed: *seed, dir: *dir,
 	}
-	if *keytype == "all" && (*snap != "" || *restore != "" || *wal != "") {
-		fmt.Fprintln(os.Stderr, "-snapshot/-restore/-wal need a single -keytype (the artifact is keyed to it)")
+	if *dir != "" && *keytype == "all" {
+		fmt.Fprintln(os.Stderr, "-dir needs a single -keytype (the directory's records are keyed to it)")
 		os.Exit(2)
 	}
-	if *restore != "" && *verify {
-		// The concurrent oracle's per-worker shadows start empty, so a
-		// preloaded map would read as thousands of divergences (and its
-		// pairs would trip the Len-vs-shadows duplication check).
-		fmt.Fprintln(os.Stderr, "-restore cannot be combined with -verify: the shadow oracle starts from an empty map")
+	if *dir != "" && *grow <= 0 {
+		fmt.Fprintln(os.Stderr, "-dir needs -grow > 0: a durable map must grow, or its WAL replay could hit a capacity rejection")
 		os.Exit(2)
 	}
 
@@ -269,40 +263,27 @@ func main() {
 // measured Mops/sec. keyOf must be injective (the -verify shadow maps
 // rely on it).
 func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Codec[K], keyOf func(uint64) K) float64 {
-	var m *cmap.Map[K, uint64]
-	if cfg.restorePath != "" {
-		f, err := os.Open(cfg.restorePath)
-		if err != nil {
-			fatalf("open -restore: %v", err)
-		}
-		start := time.Now()
-		m, err = cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(f, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-		f.Close()
-		if err != nil {
-			fatalf("restore: %v", err)
-		}
-		fmt.Printf("restored %d pairs from %s in %v (snapshot seed adopted; geometry is this run's flags)\n",
-			m.Len(), cfg.restorePath, time.Since(start).Round(time.Millisecond))
+	// The container the workload drives: the map, or with -dir the
+	// durable map, whose Map is the one the workload reads and grows.
+	var (
+		m      *repro.Map[K, uint64]
+		dm     *repro.DurableMap[K, uint64]
+		target store[K]
+	)
+	if cfg.dir == "" {
+		m = repro.NewMapOf[K, uint64](h, cfg.options()...)
+		target = m
 	} else {
-		m = cmap.NewKeyed[K, uint64](h, cfg.cmapConfig())
-	}
-
-	// The write-side container the workload drives: with -wal every
-	// Put/Delete is logged before it is applied.
-	var wal *persist.WAL
-	target := store[K](m)
-	if cfg.walPath != "" {
-		var err error
-		wal, err = persist.CreateWAL(cfg.walPath, persist.WALOptions{NoSync: true})
-		if err != nil {
-			fatalf("create -wal: %v", err)
+		dm = openDurable(cfg, h, kc)
+		if cfg.verify && dm.Len() > 0 {
+			fmt.Fprintf(os.Stderr, "-verify needs an empty map, and %s recovered %d pairs: the shadow oracle starts empty\n", cfg.dir, dm.Len())
+			os.Exit(2)
 		}
-		defer wal.Close()
-		target = &walMap[K]{m: m, wal: wal, kc: kc}
+		m, target = dm.Map(), durable[K]{dm}
 	}
-	capacity := cfg.shards * cfg.buckets * cfg.slots
+	capacity := m.Stats().Capacity // a recovered map is sized to its records
 	fmt.Printf("cmap[%s]: %d shards × %d buckets × %d slots (capacity %d), d=%d, one SipHash per op\n",
-		kind, m.Shards(), cfg.buckets, cfg.slots, capacity, cfg.d)
+		kind, m.Shards(), capacity/(m.Shards()*cfg.slots), cfg.slots, capacity, cfg.d)
 	if cfg.grow > 0 {
 		fmt.Printf("online resize: watermark %.2f, migrate batch %d, background drainer %v\n", cfg.grow, cfg.batch, cfg.bg)
 	}
@@ -452,11 +433,8 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 		}
 	}
 
-	if cfg.walPath != "" {
-		verifyWAL(cfg, m, h, kc, keyOf)
-	}
-	if cfg.snapPath != "" {
-		writeSnapshot(cfg, m, h, kc)
+	if dm != nil {
+		checkRecovery(cfg, m, dm, h, kc)
 	}
 	return mops
 }
@@ -548,109 +526,58 @@ func (ws *workerState[K]) flush() {
 	ws.batch = ws.batch[:0]
 }
 
-// writeSnapshot persists the post-run map, reports throughput, and with
-// -verify reloads the file at the same geometry and compares it against
-// the live map pair by pair.
-func writeSnapshot[K comparable](cfg config, m *cmap.Map[K, uint64], h keyed.Hasher[K], kc keyed.Codec[K]) {
-	f, err := os.Create(cfg.snapPath)
-	if err != nil {
-		fatalf("create -snapshot: %v", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+// openDurable opens the durable map kept in cfg.dir at the flags'
+// shape, with WAL fsync off, recovering what the directory holds, and
+// prints how it recovered.
+func openDurable[K comparable](cfg config, h keyed.Hasher[K], kc keyed.Codec[K]) *repro.DurableMap[K, uint64] {
 	start := time.Now()
-	if err := m.Snapshot(bw, kc, keyed.Uint64Codec); err != nil {
-		fatalf("snapshot: %v", err)
-	}
-	if err := bw.Flush(); err != nil {
-		fatalf("snapshot flush: %v", err)
-	}
-	elapsed := time.Since(start)
-	st, err := f.Stat()
+	dm, err := repro.OpenOf[K, uint64](cfg.dir, h, kc, keyed.Uint64Codec, append(cfg.options(), repro.WithWALSync(false))...)
 	if err != nil {
-		fatalf("snapshot stat: %v", err)
+		fatalf("open -dir: %v", err)
 	}
-	if err := f.Close(); err != nil {
-		fatalf("snapshot close: %v", err)
-	}
-	mb := float64(st.Size()) / (1 << 20)
-	fmt.Printf("\nsnapshot: %d pairs, %.1f MiB to %s in %v (%.0f MB/s)\n",
-		m.Len(), mb, cfg.snapPath, elapsed.Round(time.Millisecond), mb/elapsed.Seconds())
-
-	if !cfg.verify {
-		return
-	}
-	rf, err := os.Open(cfg.snapPath)
-	if err != nil {
-		fatalf("reopen snapshot: %v", err)
-	}
-	defer rf.Close()
-	got, err := cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(rf, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-	if err != nil {
-		fatalf("snapshot reload: %v", err)
-	}
-	if n := diffMaps(m, got); n > 0 {
-		fatalf("snapshot reload diverged from the live map on %d pairs", n)
-	}
-	fmt.Printf("snapshot verify: reload matches the live map exactly (%d pairs)\n", got.Len())
+	rec := dm.Recovery()
+	fmt.Printf("recovered %d pairs from %s in %v (snapshot load %v, wal replay %v, workers %d)\n",
+		dm.Len(), cfg.dir, time.Since(start).Round(time.Millisecond), rec.SnapshotLoad.Round(time.Millisecond),
+		rec.WALReplay.Round(time.Millisecond), rec.Workers)
+	return dm
 }
 
-// verifyWAL replays the run's log onto the starting state (the -restore
-// snapshot or empty) and, with -verify, requires the replayed map to
-// equal the live one — per-key op order is single-writer there, so the
-// log linearizes per key exactly as the map applied it.
-func verifyWAL[K comparable](cfg config, m *cmap.Map[K, uint64], h keyed.Hasher[K], kc keyed.Codec[K], keyOf func(uint64) K) {
-	var base *cmap.Map[K, uint64]
-	if cfg.restorePath != "" {
-		f, err := os.Open(cfg.restorePath)
-		if err != nil {
-			fatalf("reopen -restore for replay: %v", err)
+// checkRecovery closes the run's durable map and requires the map
+// recovered from its directory to equal the live one, pair for pair:
+// once from the log the run wrote, and once more from the snapshot a
+// Checkpoint of the recovered map writes.
+func checkRecovery[K comparable](cfg config, live *repro.Map[K, uint64], dm *repro.DurableMap[K, uint64], h keyed.Hasher[K], kc keyed.Codec[K]) {
+	reopen := func() {
+		if err := dm.Close(); err != nil {
+			fatalf("close -dir: %v", err)
 		}
-		base, err = cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(f, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-		f.Close()
-		if err != nil {
-			fatalf("replay base restore: %v", err)
+		dm = openDurable(cfg, h, kc)
+		if n := diffMaps(live, dm.Map()); n > 0 {
+			fatalf("recovery diverged from the live map on %d pairs", n)
 		}
-	} else {
-		base = cmap.NewKeyed[K, uint64](h, cfg.cmapConfig())
+		fmt.Printf("recovery matches the live map exactly (%d pairs)\n", dm.Len())
 	}
+	fmt.Println()
+	reopen()
 	start := time.Now()
-	n, torn, err := persist.ReplayWAL(cfg.walPath, func(op persist.WALOp, key, val []byte) error {
-		k, err := kc.Decode(key)
-		if err != nil {
-			return err
-		}
-		switch op {
-		case persist.WALPut:
-			v, err := keyed.Uint64Codec.Decode(val)
-			if err != nil {
-				return err
-			}
-			base.Put(k, v)
-		case persist.WALDelete:
-			base.Delete(k)
-		}
-		return nil
-	})
+	if err := dm.Checkpoint(); err != nil {
+		fatalf("checkpoint: %v", err)
+	}
+	elapsed := time.Since(start)
+	st, err := os.Stat(filepath.Join(cfg.dir, "snapshot"))
 	if err != nil {
-		fatalf("wal replay: %v", err)
+		fatalf("checkpoint: %v", err)
 	}
-	fmt.Printf("\nwal: %d records replayed from %s in %v (torn tail: %v)\n",
-		n, cfg.walPath, time.Since(start).Round(time.Millisecond), torn)
-	if !cfg.verify {
-		return
+	fmt.Printf("checkpoint: %d pairs, %d snapshot bytes in %v\n", dm.Len(), st.Size(), elapsed.Round(time.Millisecond))
+	reopen()
+	if err := dm.Close(); err != nil {
+		fatalf("close -dir: %v", err)
 	}
-	if torn {
-		fatalf("wal verify: torn tail in a log that was never crash-cut")
-	}
-	if n := diffMaps(m, base); n > 0 {
-		fatalf("wal replay diverged from the live map on %d pairs", n)
-	}
-	fmt.Printf("wal verify: replay reconstructs the live map exactly (%d pairs)\n", base.Len())
 }
 
 // diffMaps counts pairs on which the two maps disagree (either
 // direction, via the Len cross-check).
-func diffMaps[K comparable](a, b *cmap.Map[K, uint64]) int {
+func diffMaps[K comparable](a, b *repro.Map[K, uint64]) int {
 	diff := 0
 	a.Range(func(k K, v uint64) bool {
 		if bv, ok := b.Get(k); !ok || bv != v {
@@ -667,63 +594,33 @@ func diffMaps[K comparable](a, b *cmap.Map[K, uint64]) int {
 	return diff
 }
 
-// store is the container the workload drives: the map itself, or walMap
-// in front of it. Both forward GetBatch to cmap's pipelined tier.
+// store is the container the workload drives: the map itself, or the
+// durable map through durable. Both forward GetBatch to cmap's
+// pipelined tier.
 type store[K comparable] interface {
 	testutil.Container[K, uint64]
 	GetBatch(keys []K, vals []uint64, found []bool) int
 }
 
-// walMap interposes the write-ahead log between the workload and the
-// map: every Put/Delete is appended to the log, then applied.
-type walMap[K comparable] struct {
-	m   *cmap.Map[K, uint64]
-	wal *persist.WAL
-	kc  keyed.Codec[K]
-	buf sync.Pool // *walScratch
-}
+// durable is the workload's view of a DurableMap. A write the log
+// refuses ends the run: from then on the live map and its directory
+// would disagree.
+type durable[K comparable] struct{ *repro.DurableMap[K, uint64] }
 
-type walScratch struct{ k, v []byte }
-
-func (w *walMap[K]) scratch() *walScratch {
-	if sc, ok := w.buf.Get().(*walScratch); ok {
-		return sc
+func (d durable[K]) Put(key K, val uint64) bool {
+	if err := d.DurableMap.Put(key, val); err != nil {
+		fatalf("durable put: %v", err)
 	}
-	return &walScratch{}
+	return true
 }
 
-func (w *walMap[K]) Put(key K, val uint64) bool {
-	sc := w.scratch()
-	sc.k = w.kc.Append(sc.k[:0], key)
-	sc.v = keyed.Uint64Codec.Append(sc.v[:0], val)
-	err := w.wal.Append(persist.WALPut, sc.k, sc.v)
-	w.buf.Put(sc)
+func (d durable[K]) Delete(key K) bool {
+	present, err := d.DurableMap.Delete(key)
 	if err != nil {
-		fatalf("wal append: %v", err)
+		fatalf("durable delete: %v", err)
 	}
-	return w.m.Put(key, val)
+	return present
 }
-
-func (w *walMap[K]) Delete(key K) bool {
-	sc := w.scratch()
-	sc.k = w.kc.Append(sc.k[:0], key)
-	err := w.wal.Append(persist.WALDelete, sc.k, nil)
-	w.buf.Put(sc)
-	if err != nil {
-		fatalf("wal append: %v", err)
-	}
-	return w.m.Delete(key)
-}
-
-func (w *walMap[K]) Get(key K) (uint64, bool) { return w.m.Get(key) }
-
-// GetBatch forwards to the map's pipelined batch tier — reads are not
-// logged, so the interposer adds nothing.
-func (w *walMap[K]) GetBatch(keys []K, vals []uint64, found []bool) int {
-	return w.m.GetBatch(keys, vals, found)
-}
-func (w *walMap[K]) Len() int                      { return w.m.Len() }
-func (w *walMap[K]) Range(fn func(K, uint64) bool) { w.m.Range(fn) }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -8,17 +8,19 @@ package cmap
 // The records store each pair's FULL keyed digest, not the in-shard tag
 // the cores hold: the tag has already had the shard-routing bits split
 // off (hashes.ShardSplit), so it can re-derive candidates at any bucket
-// count but only within the shard count it was split for. The writer
-// therefore spends one hash evaluation per record to recover the full
-// digest — on the write path, where the cost is buried in I/O — and the
-// loader re-splits it for the new shard count and streams the result
-// straight into the same digest-tag placement path Put uses, never
-// re-hashing a key at load time.
+// count but only within the shard count it was split for. The split is
+// a bijection, so the writer rebuilds the full digest from the shard
+// index and the stored tag (hashes.ShardJoin) without hashing a key, and
+// the loader re-splits it for the new shard count and streams the result
+// straight into the same digest-tag placement path Put uses. Neither
+// side evaluates a keyed hash: the one a pair's Put spent carries it
+// through every snapshot and load.
 
 import (
 	"fmt"
 	"io"
 
+	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/persist"
 )
@@ -48,9 +50,11 @@ func (m *Map[K, V]) Range(fn func(key K, val V) bool) {
 // into the section buffer — writes to every other shard proceed, and
 // I/O to w happens between locks — so the snapshot is per-shard
 // consistent, the same consistency every cross-shard read of this map
-// has. Records carry full digests: the snapshot reloads at any shard
-// and bucket geometry (see LoadKeyed) as long as the seed and hasher
-// are the ones recorded here.
+// has. Records carry full digests, joined from each pair's shard and
+// stored tag: the snapshot reloads at any shard and bucket geometry (see
+// LoadKeyed) as long as the seed and hasher are the ones recorded here.
+//
+//repro:digestcarried
 func (m *Map[K, V]) Snapshot(w io.Writer, kc keyed.Codec[K], vc keyed.Codec[V]) error {
 	sw, err := persist.NewSnapshotWriter(w, persist.Header{
 		Sections: uint32(len(m.shards)),
@@ -72,10 +76,10 @@ func (m *Map[K, V]) Snapshot(w io.Writer, kc keyed.Codec[K], vc keyed.Codec[V]) 
 			return err
 		}
 		sh.mu.RLock()
-		sh.core.Range(func(k K, v V, _ uint64) bool {
+		sh.core.Range(func(k K, v V, tag uint64) bool {
 			keyBuf = kc.Append(keyBuf[:0], k)
 			valBuf = vc.Append(valBuf[:0], v)
-			err = sw.Record(keyBuf, valBuf, m.digest(k))
+			err = sw.Record(keyBuf, valBuf, hashes.ShardJoin(uint32(i), tag, m.shardBits))
 			return err == nil
 		})
 		sh.mu.RUnlock()

@@ -198,6 +198,23 @@ func ShardSplit(digest uint64, shardBits int) (shard uint32, inShard uint64) {
 	return shard, rng.Mix64(digest << uint(shardBits))
 }
 
+// ShardJoin is the inverse of ShardSplit: it returns the digest that
+// ShardSplit(digest, shardBits) splits into (shard, inShard). A holder
+// of a pair's in-shard digest and its shard, such as a snapshot writer
+// reading stored tags, recovers the full digest with it instead of
+// hashing the key again. With shardBits == 0 it returns inShard.
+//
+//repro:noalloc
+func ShardJoin(shard uint32, inShard uint64, shardBits int) uint64 {
+	if shardBits < 0 || shardBits > 32 {
+		panic(fmt.Sprintf("hashes: shardBits = %d outside [0, 32]", shardBits))
+	}
+	if shardBits == 0 {
+		return inShard
+	}
+	return uint64(shard)<<(64-uint(shardBits)) | rng.Unmix64(inShard)>>uint(shardBits)
+}
+
 // CandidateBins writes the key's d candidate bins into dst, deriving them
 // from a single digest and expanding with the engine's shared progression.
 // Candidates are distinct whenever len(dst) < n.

@@ -286,3 +286,29 @@ func TestShardSplit(t *testing.T) {
 		}()
 	}
 }
+
+// TestShardJoinInvertsShardSplit: a snapshot writer rebuilds each pair's
+// full digest from its shard and stored tag with ShardJoin, so the join
+// must return exactly the digest ShardSplit split, at every split width.
+func TestShardJoinInvertsShardSplit(t *testing.T) {
+	src := rng.NewXoshiro256(78)
+	for bits := 0; bits <= 32; bits++ {
+		for i := 0; i < 20000; i++ {
+			digest := src.Uint64()
+			shard, inShard := ShardSplit(digest, bits)
+			if got := ShardJoin(shard, inShard, bits); got != digest {
+				t.Fatalf("bits=%d: ShardJoin(ShardSplit(%#x)) = %#x", bits, digest, got)
+			}
+		}
+	}
+	for _, bad := range []int{-1, 33} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shardBits=%d: no panic", bad)
+				}
+			}()
+			ShardJoin(0, 1, bad)
+		}()
+	}
+}

@@ -132,7 +132,7 @@ func (b *stashBlock[K, V]) cap() int { return len(b.refs) + len(b.used) }
 // lookup has just read, and an insert or a delete stores one word.
 //
 // A Core optionally resizes online: StartResize allocates a second Core
-// with a different bucket count, and StartRebuild one with the same count,
+// with more buckets, and StartRebuild one with the same count,
 // which compacts the arena (see NeedsRebuild); Migrate moves entries
 // across in small batches, Put and Delete write through both geometries
 // given a key's candidates in each, and a lookup keeps every key
@@ -508,8 +508,9 @@ func (c *Core[K, V]) remove(s *slots[K, V], i int) {
 }
 
 // place inserts a pair the caller knows is absent, with no lookup. The
-// stash capacity check is optional: growth migrations pass capped=false
-// so forward progress never depends on stash headroom (see Migrate).
+// stash capacity check is optional: migrations pass capped=false, so
+// their placements never fail and forward progress never depends on
+// stash headroom (see Migrate).
 //
 //repro:noalloc
 func (c *Core[K, V]) place(cands []uint32, key K, val V, tag uint64, capped bool) bool {
@@ -652,14 +653,15 @@ func (c *Core[K, V]) NeedsRebuild() bool {
 	return a.dead() > a.live && a.dead() > min(c.slots.bytes(), maxChunk)
 }
 
-// StartResize begins an online resize to newBuckets buckets (same slots
+// StartResize begins an online growth to newBuckets buckets (same slots
 // per bucket and stash capacity): it allocates the new-geometry Core that
 // Migrate drains entries into. It panics if a resize is already in flight
-// or the shape is invalid. Until the resize completes, Put and Delete
-// need a key's candidates in both geometries, and a lookup that misses
-// the old geometry probes Next's.
+// or newBuckets is not more than the current count: a Core never shrinks.
+// Until the resize completes, Put and Delete need a key's candidates in
+// both geometries, and a lookup that misses the old geometry probes
+// Next's.
 func (c *Core[K, V]) StartResize(newBuckets int) {
-	if newBuckets <= 0 || newBuckets == c.buckets {
+	if newBuckets <= c.buckets {
 		panic(fmt.Sprintf("mchtable: resize %d -> %d buckets", c.buckets, newBuckets))
 	}
 	c.startMigration(newBuckets)
@@ -706,24 +708,20 @@ func (c *Core[K, V]) Resizes() int { return int(c.resizes.Load()) }
 // tag via candsOf. Sweeps count against the budget so the caller's
 // lock-hold time per call stays O(n) even on a sparse shard whose resize
 // was armed by stash pressure. It returns the work performed; 0 means
-// there is nothing left to do or the new geometry rejected an entry.
+// there is nothing left to do.
 //
 // Entries are placed with no lookup in the new geometry: mid-resize an
 // entry lives in exactly one geometry (Put moves a key across before
 // writing it), so a migrating key cannot already be there.
 //
-// A growth migration (more buckets) or a rebuild (the same count) always
-// makes progress: an entry whose new-geometry candidates are all full goes
-// to the new stash even past its capacity, so a resize can never wedge
-// behind one unplaceable entry while chained doublings are blocked. After
-// a doubling the overflow is temporary, since the promoted geometry's
-// stash pressure immediately re-arms the next doubling, which re-places
-// it; after a rebuild with growth disabled it stays until deletes drain
-// it, and meanwhile Put rejects a new pair whose candidates are full. A
-// shrink migration keeps the stash cap:
-// if the smaller geometry cannot hold the backlog, Migrate reports no
-// progress and every entry stays reachable in the old geometry rather
-// than being lost.
+// A migration — a growth or a same-size rebuild — always makes progress:
+// an entry whose new-geometry candidates are all full goes to the new
+// stash even past its capacity, so a resize can never wedge behind one
+// unplaceable entry while chained doublings are blocked. After a doubling
+// the overflow is temporary, since the promoted geometry's stash pressure
+// immediately re-arms the next doubling, which re-places it; after a
+// rebuild with growth disabled it stays until deletes drain it, and
+// meanwhile Put rejects a new pair whose candidates are full.
 //
 // When the old geometry empties, the new Core is promoted in place and
 // Resizing becomes false; the receiver pointer remains valid throughout.
@@ -735,7 +733,6 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 	if next == nil {
 		return 0
 	}
-	capped := next.buckets < c.buckets // only shrinks may stall
 	work := 0
 	for work < n && c.size.Load() > 0 {
 		if c.cursor < c.buckets {
@@ -754,9 +751,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 			}
 			e := c.entryAt(&c.slots, idx)
 			k, v := c.pair(&e)
-			if !next.place(candsOf(e.tag), k, v, e.tag, capped) {
-				return work
-			}
+			next.place(candsOf(e.tag), k, v, e.tag, false)
 			c.clearSlot(idx)
 			work++
 			continue
@@ -769,9 +764,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 		last := int(blk.n.Load()) - 1
 		e := c.entryAt(&blk.slots, last)
 		k, v := c.pair(&e)
-		if !next.place(candsOf(e.tag), k, v, e.tag, capped) {
-			return work
-		}
+		next.place(candsOf(e.tag), k, v, e.tag, false)
 		blk.n.Store(int32(last))
 		c.size.Add(-1)
 		work++

@@ -224,6 +224,7 @@ func TestCoreResizeGuards(t *testing.T) {
 		fn()
 	}
 	mustPanic("same size", func() { c.StartResize(8) })
+	mustPanic("shrink", func() { c.StartResize(4) })
 	mustPanic("non-positive", func() { c.StartResize(0) })
 	if c.Migrate(10, nil) != 0 {
 		t.Error("Migrate on an idle core moved entries")
@@ -328,38 +329,5 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 	}
 	if c.StashLen() != before {
 		t.Fatal("rejected Put changed the stash")
-	}
-}
-
-func TestCoreShrinkStallsInsteadOfLosing(t *testing.T) {
-	// Shrinking into a geometry that cannot hold the backlog must stall
-	// (Migrate reports no progress) rather than drop entries — the
-	// no-key-ever-lost contract holds even for a misjudged shrink.
-	const d = 2
-	c := NewCore[uint64, uint64](32, 1, 0)
-	oldOp := geom(32, d)
-	var stored []uint64
-	for k := uint64(1); k <= 20; k++ {
-		if c.Put(oldOp(k), nil, k, k, k) {
-			stored = append(stored, k)
-		}
-	}
-	c.StartResize(4) // 4 slots + no stash cannot hold len(stored) keys
-	newDrain, newOp := geom(4, d), geom(4, d)
-	for i := 0; i < 100 && c.Resizing(); i++ {
-		if c.Migrate(4, newDrain) == 0 {
-			break
-		}
-	}
-	if !c.Resizing() {
-		t.Fatal("impossible shrink completed")
-	}
-	for _, k := range stored {
-		if v, _, ok := get(c, oldOp(k), newOp(k), k, k); !ok || v != k {
-			t.Fatalf("key %d lost in a stalled shrink", k)
-		}
-	}
-	if c.Len() != len(stored) {
-		t.Fatalf("Len = %d, want %d", c.Len(), len(stored))
 	}
 }

@@ -398,3 +398,15 @@ func TestUint64nQuickInRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestUnmix64InvertsMix64(t *testing.T) {
+	for _, x := range []uint64{0, 1, math.MaxUint64, 0x9E3779B97F4A7C15} {
+		if got := Unmix64(Mix64(x)); got != x {
+			t.Fatalf("Unmix64(Mix64(%#x)) = %#x", x, got)
+		}
+	}
+	roundTrip := func(x uint64) bool { return Unmix64(Mix64(x)) == x && Mix64(Unmix64(x)) == x }
+	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Fatal(err)
+	}
+}

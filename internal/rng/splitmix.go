@@ -51,6 +51,25 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Unmix64 is the inverse of Mix64: Unmix64(Mix64(x)) == x for every x.
+// It undoes Mix64's steps in reverse order, each xorshift by unxorshift
+// and each multiplication by its constant's inverse mod 2^64.
+func Unmix64(x uint64) uint64 {
+	x = unxorshift(x, 31) * 0x319642b2d24d8ec3 // inverse of 0x94D049BB133111EB
+	x = unxorshift(x, 27) * 0x96de1b173f119089 // inverse of 0xBF58476D1CE4E5B9
+	return unxorshift(x, 30) - 0x9E3779B97F4A7C15
+}
+
+// unxorshift returns the x with y == x ^ (x >> s), for 0 < s < 64: the
+// top s bits of y are x's, and each round recovers the next s.
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := s; i < 64; i += s {
+		x = y ^ (x >> s)
+	}
+	return x
+}
+
 // Stream derives a statistically independent sub-seed for stream i of the
 // experiment identified by base. Distinct (base, i) pairs map to distinct
 // seeds scattered by two rounds of mixing, so parallel trials never share

@@ -78,17 +78,8 @@ func Load[K comparable, V any](r io.Reader, opts ...Option) (*Map[K, V], error) 
 // LoadOf is Load with an explicit hasher and codecs. K and V follow
 // NewMap's type rule; LoadOf panics for any other type.
 func LoadOf[K comparable, V any](r io.Reader, h Hasher[K], kc Codec[K], vc Codec[V], opts ...Option) (*Map[K, V], error) {
-	o := buildOptions(opts)
-	return cmap.LoadKeyed[K, V](r, h, kc, vc, cmap.Config{
-		Shards:          o.shards,
-		BucketsPerShard: o.buckets,
-		SlotsPerBucket:  o.slots,
-		D:               o.d,
-		Seed:            o.seed, // overridden by the snapshot header
-		StashPerShard:   o.stash,
-		MaxLoadFactor:   o.maxLoad,
-		MigrateBatch:    o.migrateBatch,
-	})
+	// The snapshot header's seed overrides the options'.
+	return cmap.LoadKeyed[K, V](r, h, kc, vc, buildOptions(opts).config())
 }
 
 // DurableMetrics is the durable map's observability hook, attached at
@@ -231,16 +222,7 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	// rename — never valid, always safe to discard.
 	os.Remove(filepath.Join(dir, snapshotTmpFile))
 
-	cfg := cmap.Config{
-		Shards:          o.shards,
-		BucketsPerShard: o.buckets,
-		SlotsPerBucket:  o.slots,
-		D:               o.d,
-		Seed:            o.seed,
-		StashPerShard:   o.stash,
-		MaxLoadFactor:   o.maxLoad,
-		MigrateBatch:    o.migrateBatch,
-	}
+	cfg := o.config()
 	start := time.Now()
 	var ld *cmap.Loader[K, V]
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {

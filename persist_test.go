@@ -257,6 +257,62 @@ func TestDurableMapConcurrent(t *testing.T) {
 	}
 }
 
+// TestDurableMapSharedKeysRecover: writers that share keys must leave a
+// log whose replay rebuilds the live map. The stripe lock orders each
+// key's WAL record and map write; without it, group commit wakes a batch
+// of writers at once and their map writes land in another order than
+// their records, so recovery resurrects a superseded value or a deleted
+// key. The WAL fsyncs, as by default: the batched wake-up is what
+// reorders the writes, and without fsync it almost never happens.
+func TestDurableMapSharedKeysRecover(t *testing.T) {
+	const writers, perWriter, keys, rounds = 16, 500, 2, 5
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		s, err := repro.Open[uint64, uint64](dir, repro.WithShards(2), repro.WithBuckets(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					k := uint64(i % keys)
+					var err error
+					if (w+i)%4 == 0 {
+						_, err = s.Delete(k)
+					} else {
+						err = s.Put(k, uint64(w)<<32|uint64(i))
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := repro.Open[uint64, uint64](dir, repro.WithShards(2), repro.WithBuckets(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < keys; k++ {
+			lv, lok := s.Get(k)
+			if rv, rok := s2.Get(k); rv != lv || rok != lok {
+				t.Fatalf("round %d: key %d recovered as (%#x, %v), live (%#x, %v)", round, k, rv, rok, lv, lok)
+			}
+		}
+		if s2.Len() != s.Len() {
+			t.Fatalf("round %d: recovered %d pairs, live %d", round, s2.Len(), s.Len())
+		}
+		s2.Close()
+	}
+}
+
 // TestOpenRequiresGrowth: a fixed-capacity durable map is a recovery
 // hazard (replay could reject) and must be refused up front.
 func TestOpenRequiresGrowth(t *testing.T) {

@@ -95,6 +95,20 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
+// config is the map shape the options describe.
+func (o options) config() cmap.Config {
+	return cmap.Config{
+		Shards:          o.shards,
+		BucketsPerShard: o.buckets,
+		SlotsPerBucket:  o.slots,
+		D:               o.d,
+		Seed:            o.seed,
+		StashPerShard:   o.stash,
+		MaxLoadFactor:   o.maxLoad,
+		MigrateBatch:    o.migrateBatch,
+	}
+}
+
 // WithShards sets Map's shard count (rounded up to a power of two;
 // default 16). More shards mean less write contention.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
@@ -175,15 +189,5 @@ func NewMap[K comparable, V any](opts ...Option) *Map[K, V] {
 // built-in hasher, or to override the encoding. K and V follow NewMap's
 // type rule; NewMapOf panics for any other type.
 func NewMapOf[K comparable, V any](h Hasher[K], opts ...Option) *Map[K, V] {
-	o := buildOptions(opts)
-	return cmap.NewKeyed[K, V](h, cmap.Config{
-		Shards:          o.shards,
-		BucketsPerShard: o.buckets,
-		SlotsPerBucket:  o.slots,
-		D:               o.d,
-		Seed:            o.seed,
-		StashPerShard:   o.stash,
-		MaxLoadFactor:   o.maxLoad,
-		MigrateBatch:    o.migrateBatch,
-	})
+	return cmap.NewKeyed[K, V](h, buildOptions(opts).config())
 }
