@@ -39,7 +39,7 @@ import (
 // toolVersion feeds the go vet build cache via -V=full: changing any
 // analyzer's behaviour must bump this, or cached clean verdicts from
 // the old analyzers keep suppressing new findings.
-const toolVersion = "10"
+const toolVersion = "11"
 
 // selectedAnalyzers honours the LINT_ANALYZERS environment variable: a
 // comma-separated list of analyzer names restricts the run to that

@@ -346,14 +346,12 @@ func isPoisonAction(p *Pass, n ast.Node, targets poisonTargets, decls map[*types
 	return false
 }
 
+// refsTargetField reports whether e is a sticky field named in targets,
+// reached through a selector (w.err). A bare identifier is a variable:
+// a local err is not the sticky err field it shares a name with.
 func refsTargetField(e ast.Expr, targets poisonTargets) bool {
-	switch e := unparen(e).(type) {
-	case *ast.SelectorExpr:
-		return nameIn(e.Sel.Name, targets.names)
-	case *ast.Ident:
-		return nameIn(e.Name, targets.names)
-	}
-	return false
+	sel, ok := unparen(e).(*ast.SelectorExpr)
+	return ok && nameIn(sel.Sel.Name, targets.names)
 }
 
 func refsTargetFieldNode(exprs []ast.Expr, targets poisonTargets) bool {

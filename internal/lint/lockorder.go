@@ -11,9 +11,9 @@ package lint
 // acquisition graph is reported at its first site.
 //
 // The held-set analysis is flow-sensitive (an Unlock before the next
-// Lock removes the class — the WAL's group-commit hand-off acquires its
-// two mutexes strictly sequentially and must not be flagged) and models
-// the repository's idioms:
+// Lock removes the class — the WAL's appendRecord unlocks its mutex
+// before commit locks it again, and must not be flagged) and models the
+// repository's idioms:
 //
 //   - x.mu.Lock()/RLock()/Unlock()/RUnlock() on an annotated field;
 //   - sh.lock()/sh.unlock() seqlock wrappers: a method named
@@ -23,15 +23,16 @@ package lint
 //     accessor function (or from &classedField / classedArray[i])
 //     carries the class;
 //   - deferred unlocks do NOT release (the lock is held to function
-//     exit), which is exactly what makes Reset's mu-held-then-smu
-//     acquisition an edge;
+//     exit), so DurableMap.Put, which read-locks the map with a
+//     deferred unlock and then locks the key's stripe, holds both: an
+//     edge;
 //   - calls of same-package functions add their transitively-acquired
 //     classes as edges from everything currently held.
 //
 // Classes are per-package (ranks live with the fields), and the rank
 // bands are a module-wide convention documented in ANNOTATIONS.md so
 // cross-package nesting — DurableMap(10,20) → cmap shard(30) → WAL
-// (40,50) → wire server(60) — stays increasing by construction.
+// (40) → wire server(60) — stays increasing by construction.
 //
 // The same held-set answers //repro:requires-lock: a function so marked
 // (the shard's *Locked resize helpers) mutates state only its caller's

@@ -32,6 +32,7 @@ type log struct {
 	durable  uint64
 	writeErr error
 	syncErr  error
+	err      error
 }
 
 // Sync is the pre-fix WAL.Sync: a failed fsync is returned without
@@ -144,4 +145,17 @@ func (w *log) syncAll() error {
 		}
 	}
 	return nil // want `success ack \(nil error\) in //repro:poisons syncAll is not dominated`
+}
+
+// checkedLocal acknowledges success after checking only a local that
+// shares the sticky field's name: the local is not the sticky error,
+// and nothing on the path synced.
+//
+//repro:poisons err
+func (w *log) checkedLocal(check func() error) error {
+	err := check()
+	if err != nil {
+		return err
+	}
+	return nil // want `success ack \(nil error\) in //repro:poisons checkedLocal is not dominated`
 }

@@ -21,7 +21,9 @@ type WALMetrics struct {
 	FsyncNanos *obs.Histogram
 	// CommitBatch records how many appended records each successful
 	// group-commit fsync newly made durable — the batching win: under
-	// concurrent writers one fsync covers many appends.
+	// concurrent writers one fsync covers many appends. A Sync's fsync
+	// records its batch too; one that made no new record durable
+	// records nothing.
 	CommitBatch *obs.Histogram
 	// Appends counts records acknowledged (successfully appended).
 	Appends *obs.Counter

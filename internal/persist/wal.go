@@ -114,14 +114,13 @@ type WALOptions struct {
 
 // walFile is the file surface the WAL writes through. *os.File
 // satisfies it; tests substitute failing shims to prove the
-// error-poisoning contract (a durability failure must stick — see
-// writeErr and syncErr below) and a recorder to replay crashes. Every
-// write names its offset, so the file must not be opened O_APPEND:
-// (*os.File).WriteAt refuses such a file, and Linux's pwrite would
-// ignore the offset. The state-changing methods are //repro:durable:
-// fsyncorder requires every caller in a //repro:poisons function to
-// poison (or consult) the sticky errors on each path where one of them
-// fails.
+// error-poisoning contract (a durability failure must stick — see err
+// below) and a recorder to replay crashes. Every write names its
+// offset, so the file must not be opened O_APPEND: (*os.File).WriteAt
+// refuses such a file, and Linux's pwrite would ignore the offset. The
+// state-changing methods are //repro:durable: fsyncorder requires every
+// caller in a //repro:poisons function to poison (or consult) the
+// sticky error on each path where one of them fails.
 type walFile interface {
 	//repro:durable
 	WriteAt(p []byte, off int64) (int, error)
@@ -133,33 +132,31 @@ type walFile interface {
 }
 
 // WAL is an append-only write-ahead log. Append is safe for concurrent
-// use; a single mutex orders the record frames and the group-commit
-// machinery batches the fsyncs.
+// use; one mutex orders the record frames and guards the group-commit
+// state, and commit batches the fsyncs.
 type WAL struct {
 	opts WALOptions
 
-	//repro:lockclass wal-append 40
-	mu      sync.Mutex // guards f writes, scratch, seq, end, zeroEnd, writeErr
+	//repro:lockclass wal 40
+	mu      sync.Mutex // guards every field below
+	cond    *sync.Cond // on mu: broadcast when commit's fsync ends
 	f       walFile
 	scratch []byte
 	seq     uint64 // records appended
+	durable uint64 // highest seq known fsynced
+	syncing bool   // commit's fsync is in flight, with mu released
 	end     int64  // the log's end: the offset just past its last record
 	// zeroEnd is the end of the zero-filled region [end, zeroEnd), the
 	// file's length while the log is healthy.
 	zeroEnd int64
-	// writeErr is sticky: a failed (possibly partial) frame write leaves
-	// torn bytes mid-log, and any record appended after them would be
-	// silently discarded by the next recovery's torn-tail truncation —
-	// so after one write error the WAL refuses all further appends
-	// rather than acknowledging writes that cannot survive a crash.
-	writeErr error
-
-	//repro:lockclass wal-commit 50
-	smu      sync.Mutex // guards the group-commit state below
-	scond    *sync.Cond
-	durable  uint64 // highest seq known fsynced
-	flushing bool
-	syncErr  error // sticky: an fsync failure poisons the WAL
+	// err is sticky: after a failed write, the torn bytes it left
+	// mid-log would make the next recovery's torn-tail truncation
+	// silently discard any record appended after them; after a failed
+	// fsync, the kernel may have dropped the dirty pages it could not
+	// write, and a later successful fsync does not bring them back.
+	// Either way the WAL refuses every further append and sync rather
+	// than acknowledge writes that cannot survive a crash.
+	err error
 }
 
 // corruptWALError is a WAL integrity failure: its message names the
@@ -306,7 +303,7 @@ func tornTail(r io.ReaderAt, from, to int64) (bool, error) {
 
 func newWAL(f walFile, opts WALOptions) *WAL {
 	w := &WAL{opts: opts, f: f}
-	w.scond = sync.NewCond(&w.smu)
+	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
@@ -474,10 +471,10 @@ func (w *WAL) Append(op WALOp, key, val []byte) error {
 }
 
 // appendRecord is Append's uninstrumented body: frame, write, and
-// (unless NoSync) wait for a covering group-commit fsync.
+// (unless NoSync) commit the record.
 //
 //repro:noalloc
-//repro:poisons writeErr syncErr
+//repro:poisons err
 func (w *WAL) appendRecord(op WALOp, key, val []byte) error {
 	if op != WALPut && op != WALDelete {
 		return fmt.Errorf("persist: Append op %d", op) //repro:allocok invalid-op error path: the append was rejected, not logged
@@ -485,17 +482,10 @@ func (w *WAL) appendRecord(op WALOp, key, val []byte) error {
 	if len(key) > MaxRecordBytes || len(val) > MaxRecordBytes {
 		return fmt.Errorf("persist: WAL record of %d/%d bytes exceeds MaxRecordBytes", len(key), len(val)) //repro:allocok oversized-record error path: the append was rejected, not logged
 	}
-	w.smu.Lock()
-	if err := w.syncErr; err != nil {
-		w.smu.Unlock()
-		return fmt.Errorf("persist: WAL poisoned by an earlier fsync failure: %w", err) //repro:allocok poisoned-log error path: the WAL already refuses all appends
-	}
-	w.smu.Unlock()
 	w.mu.Lock()
-	if w.writeErr != nil {
-		err := w.writeErr
+	if err := w.err; err != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("persist: WAL poisoned by an earlier write error: %w", err) //repro:allocok poisoned-log error path: the WAL already refuses all appends
+		return fmt.Errorf("persist: WAL poisoned by an earlier write or fsync failure: %w", err) //repro:allocok poisoned-log error path: the WAL already refuses all appends
 	}
 	buf := w.scratch[:0]
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame placeholder
@@ -525,9 +515,8 @@ func (w *WAL) appendRecord(op WALOp, key, val []byte) error {
 		_, err = w.f.WriteAt(buf, w.end)
 	}
 	if err != nil {
-		w.writeErr = err
+		w.poison(err)
 		w.mu.Unlock()
-		w.poisonedInc()
 		return err
 	}
 	w.end = end
@@ -537,42 +526,36 @@ func (w *WAL) appendRecord(op WALOp, key, val []byte) error {
 	if w.opts.NoSync {
 		return nil
 	}
-	return w.waitDurable(seq)
+	return w.commit(seq, false)
 }
 
-// waitDurable blocks until record seq is fsynced, sharing fsyncs among
-// concurrent appenders: whoever arrives while no flush is in flight
-// becomes the flusher and syncs everything appended so far; everyone
-// else waits for a flush that covers their record.
+// commit returns once record seq is on stable storage. Callers share
+// fsyncs (group commit): one that finds no fsync in flight issues one
+// covering every record appended so far, with mu released so appends
+// keep landing meanwhile (the next fsync covers them); the others wait
+// for an fsync that covers their record. With force (Sync) the caller
+// issues an fsync of its own even when seq is already durable. Reset
+// and Close wait for the fsync in flight before they touch the file.
 //
 //repro:noalloc
-//repro:poisons syncErr
-func (w *WAL) waitDurable(seq uint64) error {
-	w.smu.Lock()
+//repro:poisons err
+func (w *WAL) commit(seq uint64, force bool) error {
+	w.mu.Lock()
 	for {
-		if w.syncErr != nil {
-			err := w.syncErr
-			w.smu.Unlock()
+		if err := w.err; err != nil {
+			w.mu.Unlock()
 			return err
 		}
-		if w.durable >= seq {
-			w.smu.Unlock()
+		if w.durable >= seq && !force {
+			w.mu.Unlock()
 			return nil
 		}
-		if !w.flushing {
+		if !w.syncing {
 			break
 		}
-		w.scond.Wait()
+		w.cond.Wait()
 	}
-	w.flushing = true
-	w.smu.Unlock()
-
-	// Snapshot the appended count, then fsync without holding the append
-	// lock: appends keep landing while the disk syncs (they will be
-	// covered by the next flush), which is where group commit's batching
-	// comes from. Records written after flushedTo may or may not hit the
-	// platter with this sync — they are simply not counted durable yet.
-	w.mu.Lock()
+	w.syncing = true
 	flushedTo := w.seq
 	w.mu.Unlock()
 	mx := w.opts.Metrics
@@ -585,74 +568,46 @@ func (w *WAL) waitDurable(seq uint64) error {
 		mx.FsyncNanos.Record(obs.NowNanos() - start)
 	}
 
-	w.smu.Lock()
-	w.flushing = false
+	w.mu.Lock()
+	w.syncing = false
 	if err != nil {
-		w.syncErr = err
-		if mx != nil {
-			mx.Poisoned.Inc()
-		}
+		w.poison(err)
 	} else if flushedTo > w.durable {
 		if mx != nil {
 			mx.CommitBatch.Record(int64(flushedTo - w.durable))
 		}
 		w.durable = flushedTo
 	}
-	w.scond.Broadcast()
-	w.smu.Unlock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	return err
 }
 
+// poison makes err the WAL's sticky error, unless an earlier one
+// already is, and counts the event.
+//
+//repro:noalloc
+//repro:requires-lock
+//repro:poisons err
+func (w *WAL) poison(err error) {
+	if w.err != nil {
+		return
+	}
+	w.err = err
+	if mx := w.opts.Metrics; mx != nil {
+		mx.Poisoned.Inc()
+	}
+}
+
 // Sync forces an fsync of everything appended so far (useful with
-// NoSync, or before handing the file to another process). A failed
+// NoSync, or before handing the file to another process); it takes its
+// turn with group commit's fsyncs, never overlapping one. A failed
 // fsync poisons the WAL exactly as one inside Append would: the kernel
 // may have dropped the dirty pages it could not write, so no later
 // Append or Sync may claim durability over the hole — all of them
 // return the sticky error until Reset truncates the log back to a
 // state the disk verifiably holds.
-//
-//repro:poisons syncErr
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	if err := w.writeErr; err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("persist: WAL poisoned by an earlier write error: %w", err)
-	}
-	seq := w.seq
-	w.mu.Unlock()
-	w.smu.Lock()
-	if err := w.syncErr; err != nil {
-		w.smu.Unlock()
-		return err
-	}
-	w.smu.Unlock()
-	mx := w.opts.Metrics
-	var start int64
-	if mx != nil {
-		start = obs.NowNanos()
-	}
-	err := w.f.Sync()
-	if mx != nil {
-		mx.FsyncNanos.Record(obs.NowNanos() - start)
-	}
-	w.smu.Lock()
-	if err != nil {
-		if w.syncErr == nil {
-			w.syncErr = err
-			if mx != nil {
-				mx.Poisoned.Inc()
-			}
-		}
-	} else if w.syncErr != nil {
-		// A concurrent group-commit flush failed while ours ran: its
-		// pages may be lost regardless of our success — honor the poison.
-		err = w.syncErr
-	} else if seq > w.durable {
-		w.durable = seq
-	}
-	w.smu.Unlock()
-	return err
-}
+func (w *WAL) Sync() error { return w.commit(0, true) }
 
 // Len returns the number of records appended (including replayed ones).
 func (w *WAL) Len() int {
@@ -672,9 +627,11 @@ func (w *WAL) Size() (int64, error) {
 
 // Reset discards every record, truncating the log back to its header —
 // the post-checkpoint step: once a snapshot durably covers the WAL's
-// state, its records are dead weight.
+// state, its records are dead weight. It waits for commit's fsync in
+// flight first, so no fsync that started before it can mark records
+// durable after it.
 //
-// A successful Reset also heals a poisoned WAL: both sticky errors are
+// A successful Reset also heals a poisoned WAL: the sticky error is
 // cleared, because the truncated (and, unless NoSync, fsynced) log no
 // longer contains any record whose durability was in doubt — the
 // checkpoint's snapshot covers everything that was ever acknowledged.
@@ -682,64 +639,55 @@ func (w *WAL) Size() (int64, error) {
 // counters that no longer match its contents must refuse appends, or a
 // later recovery would silently discard them as a torn tail.
 //
-//repro:poisons writeErr syncErr
+//repro:poisons err
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for w.syncing {
+		w.cond.Wait()
+	}
 	if err := w.f.Truncate(walHeaderSize); err != nil {
-		w.writeErr = err
-		w.poisonedInc()
+		w.poison(err)
 		return err
 	}
 	w.end, w.zeroEnd = walHeaderSize, walHeaderSize
 	if !w.opts.NoSync {
 		if err := w.f.Sync(); err != nil {
-			w.smu.Lock()
-			if w.syncErr == nil {
-				w.syncErr = err
-				w.poisonedInc()
-			}
-			w.smu.Unlock()
+			w.poison(err)
 			return err
 		}
 	}
-	w.seq = 0
-	w.writeErr = nil // any torn bytes were just truncated away
-	w.smu.Lock()
-	w.durable = 0
-	w.syncErr = nil // the empty log holds nothing whose durability is in doubt
-	w.smu.Unlock()
+	// The empty log holds nothing whose durability is in doubt, and any
+	// torn bytes were just truncated away.
+	w.seq, w.durable, w.err = 0, 0, nil
 	return nil
 }
 
-// Close truncates the zero-filled region, so a cleanly closed log ends
-// at its last record, then fsyncs (unless NoSync) and closes the file.
-// A failed truncate or final fsync poisons like any other: post-Close
-// appends already fail on the closed file, but a caller retrying Sync
-// must keep seeing the error rather than a silent success against lost
-// pages.
+// Close waits for commit's fsync in flight, truncates the zero-filled
+// region, so a cleanly closed log ends at its last record, then fsyncs
+// (unless NoSync) and closes the file. A failed truncate or final fsync
+// poisons like any other: post-Close appends already fail on the closed
+// file, but a caller retrying Sync must keep seeing the error rather
+// than a silent success against lost pages.
 //
-//repro:poisons writeErr syncErr
+//repro:poisons err
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for w.syncing {
+		w.cond.Wait()
+	}
 	var err error
 	if w.zeroEnd > w.end {
 		if err = w.f.Truncate(w.end); err != nil {
-			w.writeErr = err
-			w.poisonedInc()
+			w.poison(err)
 		} else {
 			w.zeroEnd = w.end
 		}
 	}
 	if err == nil && !w.opts.NoSync {
 		if err = w.f.Sync(); err != nil {
-			w.smu.Lock()
-			if w.syncErr == nil {
-				w.syncErr = err
-				w.poisonedInc()
-			}
-			w.smu.Unlock()
+			w.poison(err)
 		}
 	}
 	if cerr := w.f.Close(); err == nil {
@@ -748,28 +696,12 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// poisonedInc bumps the sticky-poison counter if metrics are attached.
-//
-//repro:noalloc
-func (w *WAL) poisonedInc() {
-	if mx := w.opts.Metrics; mx != nil {
-		mx.Poisoned.Inc()
-	}
-}
-
 // Err reports the WAL's sticky poison — the write or fsync error that
 // switched it into its refuse-all-appends state — or nil while the log
 // is healthy. This is the readiness signal: a process serving writes
 // from a poisoned WAL is acknowledging nothing durably.
 func (w *WAL) Err() error {
 	w.mu.Lock()
-	werr := w.writeErr
-	w.mu.Unlock()
-	w.smu.Lock()
-	serr := w.syncErr
-	w.smu.Unlock()
-	if werr != nil {
-		return werr
-	}
-	return serr
+	defer w.mu.Unlock()
+	return w.err
 }

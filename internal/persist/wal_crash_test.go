@@ -1,12 +1,13 @@
 package persist
 
 // Crash prefixes of the WAL, after ALICE (Pillai et al., OSDI 2014): a
-// recording walFile logs every WriteAt, Sync and Truncate two appenders
-// cause, with a marker where each Append returned. Every prefix of that
-// log is a moment a crash could strike. The disk then holds every write
-// that a completed fsync covers, and of the writes after it none, all,
-// or all with the last one torn. Each such file must reopen with every
-// record acknowledged in the prefix, in the order the log wrote them.
+// recording walFile logs every WriteAt, Sync and Truncate that two
+// appenders and a third goroutine calling Sync cause, with a marker
+// where each Append returned. Every prefix of that log is a moment a
+// crash could strike. The disk then holds every write that a completed
+// fsync covers, and of the writes after it none, all, or all with the
+// last one torn. Each such file must reopen with every record
+// acknowledged in the prefix, in the order the log wrote them.
 
 import (
 	"bytes"
@@ -139,11 +140,47 @@ func TestWALCrashPrefixes(t *testing.T) {
 			}
 		}()
 	}
+	// Sync throughout the appenders' run: its fsyncs must take turns
+	// with the group commit's.
+	done := make(chan struct{})
+	var syncer sync.WaitGroup
+	syncer.Add(1)
+	go func() {
+		defer syncer.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := w.Sync(); err != nil {
+				t.Errorf("Sync: %v", err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	syncer.Wait()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ops := rec.ops
+
+	// The prefix model below takes each fsync to cover the writes logged
+	// before its start, so no fsync may start while another is in flight.
+	syncing := false
+	for i, op := range ops {
+		switch op.kind {
+		case crashSyncStart:
+			if syncing {
+				t.Fatalf("op %d/%d: an fsync started while another was in flight", i, len(ops))
+			}
+			syncing = true
+		case crashSyncDone:
+			syncing = false
+		}
+	}
 
 	// The records in the order the log wrote them. Each must overwrite
 	// bytes the file already holds: only a zero-fill grows the file.

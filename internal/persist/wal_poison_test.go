@@ -1,14 +1,18 @@
 package persist
 
-// Regression tests for the sticky-error ("poisoning") contract: an
-// fsync failure anywhere — inside Append's group commit, in a manual
-// Sync, in Reset, in Close — must make every subsequent Append and Sync
-// fail, because the kernel may have dropped the dirty pages the failed
-// fsync could not write and a later "successful" fsync does not bring
-// them back. Before the fix, WAL.Sync returned a failed fsync without
-// setting syncErr (a later Append could acknowledge durability after a
-// known-lost fsync) and a failed Reset left the WAL's counters
-// disagreeing with its bytes without poisoning anything.
+// Regression tests for the sticky-error ("poisoning") contract: a write
+// or fsync failure anywhere — a record's write or the zero-fill ahead of
+// it, the fsync that commit issues for Append's group commit or for a
+// manual Sync, Reset's truncate or fsync, Close's — must make every
+// subsequent Append and Sync fail. The kernel may have dropped the
+// dirty pages a failed fsync could not write, and a later "successful"
+// fsync does not bring them back; a failed write leaves bytes the next
+// recovery truncates together with every record after them. The WAL
+// keeps one sticky error, err, which only poison stores and only a
+// successful Reset clears. The tests date from when Sync returned a
+// failed fsync without poisoning (a later Append could acknowledge
+// durability after a known-lost fsync) and a failed Reset left the
+// WAL's counters disagreeing with its bytes without poisoning anything.
 
 import (
 	"errors"
@@ -111,8 +115,8 @@ func TestSyncFailurePoisonsWAL(t *testing.T) {
 	}
 }
 
-// TestAppendFsyncFailurePoisonsWAL pins the contract waitDurable already
-// enforced: a group-commit fsync failure refuses all later appends even
+// TestAppendFsyncFailurePoisonsWAL pins the contract group commit
+// enforces: a group-commit fsync failure refuses all later appends even
 // after the device heals.
 func TestAppendFsyncFailurePoisonsWAL(t *testing.T) {
 	w, ff := newFlakyWAL(t, WALOptions{})

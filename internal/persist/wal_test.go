@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 type walRec struct {
@@ -150,6 +152,89 @@ func TestWALReset(t *testing.T) {
 	got := collectWAL(t, path)
 	if len(got) != 1 || string(got[0].key) != "k2" {
 		t.Fatalf("after Reset the log holds %+v", got)
+	}
+}
+
+// parkingFile parks the first Sync through it until release is closed,
+// closing parked once that Sync is waiting. Later Syncs pass straight
+// through.
+type parkingFile struct {
+	*flakyFile
+	used            atomic.Bool
+	parked, release chan struct{}
+}
+
+func (f *parkingFile) Sync() error {
+	if !f.used.Swap(true) {
+		close(f.parked)
+		<-f.release
+	}
+	return f.flakyFile.Sync()
+}
+
+// whileSyncParked calls op while a Sync's fsync is parked, requires op
+// not to return before that fsync ends, and returns op's error once
+// both have returned.
+func whileSyncParked(t *testing.T, w *WAL, ff *flakyFile, name string, op func() error) error {
+	t.Helper()
+	pf := &parkingFile{flakyFile: ff, parked: make(chan struct{}), release: make(chan struct{})}
+	w.f = pf
+	synced := make(chan error, 1)
+	go func() { synced <- w.Sync() }()
+	<-pf.parked
+
+	var opErr error
+	done := make(chan struct{})
+	go func() {
+		opErr = op()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Errorf("%s returned while a Sync's fsync was in flight", name)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(pf.release)
+	<-done
+	if err := <-synced; err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	return opErr
+}
+
+// TestWALSyncDuringReset: a Reset called while a Sync's fsync is in
+// flight must wait for that fsync to end. Were it not to wait, the late
+// fsync would mark the pre-Reset record count durable, and the next
+// Append, whose own record that count covers, would be acknowledged
+// with no fsync at all; here that fsync fails, so the Append must
+// return its error.
+func TestWALSyncDuringReset(t *testing.T) {
+	w, ff := newFlakyWAL(t, WALOptions{})
+	for _, k := range []string{"a", "b", "c"} {
+		if err := w.Append(WALPut, []byte(k), []byte("v")); err != nil {
+			t.Fatalf("healthy Append: %v", err)
+		}
+	}
+	if err := whileSyncParked(t, w, ff, "Reset", w.Reset); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	ff.failSyncs = 1
+	before := ff.syncCalls
+	if err := w.Append(WALPut, []byte("d"), []byte("v")); err == nil {
+		t.Fatalf("the first Append after Reset was acknowledged with %d fsyncs of its own, the failing one not among them",
+			ff.syncCalls-before)
+	}
+}
+
+// TestWALSyncDuringClose: Close, too, waits for a Sync's fsync in
+// flight before it truncates, fsyncs and closes the file.
+func TestWALSyncDuringClose(t *testing.T) {
+	w, ff := newFlakyWAL(t, WALOptions{})
+	if err := w.Append(WALPut, []byte("a"), []byte("v")); err != nil {
+		t.Fatalf("healthy Append: %v", err)
+	}
+	if err := whileSyncParked(t, w, ff, "Close", w.Close); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -224,6 +224,7 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 
 	cfg := o.config()
 	start := time.Now()
+	var rec Recovery
 	var ld *cmap.Loader[K, V]
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
 		cfg.BucketsPerShard = recoveryBuckets(f, filepath.Join(dir, walFile), cfg)
@@ -232,18 +233,19 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 		if err != nil {
 			return nil, fmt.Errorf("repro: loading %s: %w", snapshotFile, err)
 		}
+		rec.SnapshotLoad = time.Since(start)
 	} else if os.IsNotExist(err) {
 		ld = cmap.NewLoader(cmap.NewKeyed[K, V](h, cfg))
 	} else {
 		return nil, err
 	}
-	rec := Recovery{SnapshotLoad: time.Since(start)}
 
 	var walMx *persist.WALMetrics
 	if o.durableMetrics != nil {
 		walMx = o.durableMetrics.WAL
 	}
 	m := ld.Map()
+	start = time.Now()
 	wal, _, err := persist.OpenWAL(filepath.Join(dir, walFile), persist.WALOptions{NoSync: o.walNoSync, Metrics: walMx},
 		func(op persist.WALOp, kb, vb []byte) error {
 			key, err := kc.Decode(kb)
@@ -281,7 +283,7 @@ func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[
 	if err != nil {
 		return nil, fmt.Errorf("repro: recovering %s: %w", walFile, err)
 	}
-	rec.WALReplay = time.Since(start) - rec.SnapshotLoad
+	rec.WALReplay = time.Since(start)
 	rec.Workers = ld.Workers()
 	s := &DurableMap[K, V]{m: m, wal: wal, kc: kc, vc: vc, dir: dir, metrics: o.durableMetrics, recovery: rec}
 	s.buf.New = func() any { return &walScratch{} }

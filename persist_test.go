@@ -611,3 +611,44 @@ func TestRecoveryWALOnlyNotPresized(t *testing.T) {
 		t.Errorf("recovered capacity %d, want %d", st.Capacity, grown.Capacity)
 	}
 }
+
+// TestRecoverySnapshotLoadZeroWithoutSnapshot: Recovery.SnapshotLoad
+// times the snapshot's load alone, so a directory with no snapshot,
+// empty or holding only a WAL, reports 0, and one with a snapshot
+// reports the load.
+func TestRecoverySnapshotLoadZeroWithoutSnapshot(t *testing.T) {
+	opts := servedFlags()
+	dir := t.TempDir()
+	open := func(what string) *repro.DurableMap[string, uint64] {
+		t.Helper()
+		s, err := repro.Open[string, uint64](dir, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return s
+	}
+	s := open("empty directory")
+	if rec := s.Recovery(); rec.SnapshotLoad != 0 {
+		t.Errorf("empty directory: SnapshotLoad = %v, want 0", rec.SnapshotLoad)
+	}
+	putRange(t, s, 0, 1000, 0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open("WAL-only directory")
+	if rec := s.Recovery(); rec.SnapshotLoad != 0 || rec.WALReplay <= 0 {
+		t.Errorf("WAL-only directory: SnapshotLoad = %v, WALReplay = %v; want 0 and the replay's time",
+			rec.SnapshotLoad, rec.WALReplay)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open("directory with a snapshot")
+	defer s.Close()
+	if rec := s.Recovery(); rec.SnapshotLoad <= 0 {
+		t.Errorf("directory with a snapshot: SnapshotLoad = %v, want the load's time", rec.SnapshotLoad)
+	}
+}
