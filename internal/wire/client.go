@@ -24,9 +24,10 @@ func (e RemoteError) Error() string { return "wire: server error: " + string(e) 
 type Client struct {
 	conn     net.Conn
 	br       *bufio.Reader
-	bw       *bufio.Writer
+	out      []byte // queued request frames, written by Flush
 	rbuf     []byte // frame read buffer (replies are views into it)
-	pending  []Op   // queued, unanswered request ops in order
+	pending  []Op   // queued request ops in order; pending[next:] are unanswered
+	next     int
 	maxFrame int
 	err      error // sticky: a framing fault poisons the connection
 }
@@ -45,7 +46,6 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn:     conn,
 		br:       bufio.NewReaderSize(conn, connBufSize),
-		bw:       bufio.NewWriterSize(conn, connBufSize),
 		maxFrame: DefaultMaxFrame,
 	}
 }
@@ -68,17 +68,17 @@ func (c *Client) fail(err error) error {
 
 // QueueGet pipelines a GET without flushing.
 func (c *Client) QueueGet(key []byte) error {
-	return c.queue(OpGet, AppendGetRequest(nil, key))
+	return c.queue(OpGet, AppendGetRequest(c.out, key))
 }
 
 // QueueSet pipelines a SET without flushing.
 func (c *Client) QueueSet(key, val []byte) error {
-	return c.queue(OpSet, AppendSetRequest(nil, key, val))
+	return c.queue(OpSet, AppendSetRequest(c.out, key, val))
 }
 
 // QueueDelete pipelines a DEL without flushing.
 func (c *Client) QueueDelete(key []byte) error {
-	return c.queue(OpDel, AppendDelRequest(nil, key))
+	return c.queue(OpDel, AppendDelRequest(c.out, key))
 }
 
 // QueueMGet pipelines an MGET without flushing.
@@ -86,48 +86,55 @@ func (c *Client) QueueMGet(keys [][]byte) error {
 	if len(keys) > MaxMGetKeys {
 		return fmt.Errorf("wire: MGET of %d keys exceeds MaxMGetKeys (%d)", len(keys), MaxMGetKeys)
 	}
-	return c.queue(OpMGet, AppendMGetRequest(nil, keys))
+	return c.queue(OpMGet, AppendMGetRequest(c.out, keys))
 }
 
 // QueueStats pipelines a STATS without flushing.
 func (c *Client) QueueStats() error {
-	return c.queue(OpStats, AppendStatsRequest(nil))
+	return c.queue(OpStats, AppendStatsRequest(c.out))
 }
 
-func (c *Client) queue(op Op, frame []byte) error {
+// queue keeps out, the queued frames with one more appended, and
+// records that the new frame owes an op reply.
+func (c *Client) queue(op Op, out []byte) error {
 	if c.err != nil {
 		return c.err
 	}
-	if _, err := c.bw.Write(frame); err != nil {
-		return c.fail(err)
-	}
+	c.out = out
 	c.pending = append(c.pending, op)
 	return nil
 }
 
 // Flush writes every queued request to the socket.
 func (c *Client) Flush() error {
-	if c.err != nil {
+	if c.err != nil || len(c.out) == 0 {
 		return c.err
 	}
-	if err := c.bw.Flush(); err != nil {
+	_, err := c.conn.Write(c.out)
+	c.out = c.out[:0]
+	if err != nil {
 		return c.fail(err)
 	}
 	return nil
 }
 
 // Pending returns how many replies are owed.
-func (c *Client) Pending() int { return len(c.pending) }
+func (c *Client) Pending() int { return len(c.pending) - c.next }
 
 // recv reads the next reply frame, checking it answers op.
 func (c *Client) recv(op Op) ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if len(c.pending) == 0 || c.pending[0] != op {
-		return nil, c.fail(fmt.Errorf("wire: Recv%v out of order (pending %d, head %v)", op, len(c.pending), c.head()))
+	if c.Pending() == 0 || c.pending[c.next] != op {
+		return nil, c.fail(fmt.Errorf("wire: Recv%v out of order (pending %d, head %v)", op, c.Pending(), c.head()))
 	}
-	c.pending = c.pending[1:]
+	if c.next++; 2*c.next >= len(c.pending) {
+		// Half or more answered: slide the rest to the front, so queueing
+		// reuses the array however the pipeline is kept full.
+		n := copy(c.pending, c.pending[c.next:])
+		c.pending, c.next = c.pending[:n], 0
+	}
 	payload, buf, err := ReadFrame(c.br, c.rbuf, c.maxFrame)
 	c.rbuf = buf
 	if err != nil {
@@ -137,10 +144,10 @@ func (c *Client) recv(op Op) ([]byte, error) {
 }
 
 func (c *Client) head() Op {
-	if len(c.pending) == 0 {
+	if c.Pending() == 0 {
 		return 0
 	}
-	return c.pending[0]
+	return c.pending[c.next]
 }
 
 // RecvGet receives the next reply, which must answer a queued GET. val

@@ -5,14 +5,21 @@ package wire
 // decoding as long as complete frames are already buffered (one socket
 // read's worth of pipelining, bounded by MaxPipeline), batching every
 // run of consecutive GETs — and each MGET — through one Backend.GetBatch
-// call before the burst's replies are flushed in request order.
+// call, then write the burst's replies in request order with one
+// conn.Write. A burst holds one buffer per direction: the frames it
+// read, appended to one input slice that every request (a pending GET's
+// key included) is a view into, and the replies it owes, appended to
+// one output slice. The input holds at most the burst's first frame
+// plus the 64 KiB the connection's reader had buffered after it.
 //
 // Error discipline: a framing error (oversized frame, CRC mismatch,
 // malformed payload) sends one ERR reply and closes the connection —
 // past a framing fault the stream's record boundaries are untrustworthy.
 // An application error (backend Set/Delete failure) sends an ERR reply
 // for that request and keeps the connection: framing is intact and
-// later pipelined requests are still answerable.
+// later pipelined requests are still answerable. EOF or a timeout
+// before a burst's first frame is a close, not a fault: nothing is
+// counted or answered.
 
 import (
 	"bufio"
@@ -22,6 +29,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -63,7 +71,7 @@ type Options struct {
 // MaxPipeline zero.
 const DefaultMaxPipeline = 1024
 
-// connBufSize is the per-connection bufio read/write buffer size: large
+// connBufSize is the per-connection bufio read buffer size: large
 // enough that one socket read carries a deep pipeline.
 const connBufSize = 64 << 10
 
@@ -75,11 +83,14 @@ type Server struct {
 	counters Counters
 	reg      *obs.Registry
 
+	// closed is set, under mu, when Shutdown begins; connections read
+	// it once per burst without the lock.
+	closed atomic.Bool
+
 	//repro:lockclass wire-conns 60
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
-	closed    bool
 	wg        sync.WaitGroup
 }
 
@@ -118,7 +129,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // concurrently.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("wire: Serve on a shut-down Server")
@@ -133,16 +144,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return nil
@@ -174,7 +182,7 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) Shutdown(timeout time.Duration) error {
 	drainStart := obs.NowNanos()
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	for ln := range s.listeners {
 		ln.Close()
 	}
@@ -211,64 +219,27 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return fmt.Errorf("wire: Shutdown force-closed %d connection(s) after %v", n, timeout)
 }
 
-// closing reports whether Shutdown has begun.
-func (s *Server) closing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // connState is one connection's reusable scratch, pooled across
-// connections so the steady-state decode loop allocates nothing.
+// connections so the steady-state burst loop allocates nothing.
 type connState struct {
-	buf []byte  // frame read buffer (ReadFrame reuses it)
-	out []byte  // reply frames accumulate here until the burst flushes
-	req Request // decoded request (Keys scratch rides along)
+	// The burst's two buffers: in, every frame it read, and out, the
+	// replies it owes in request order. Each request is a view into in
+	// until out is written, so in is reset only when the next burst
+	// starts. A burst reads on only while a whole frame is already
+	// buffered, so in holds at most its first frame (MaxFrameBytes)
+	// plus the connBufSize bytes the reader had buffered after it.
+	in  []byte
+	out []byte
 
-	// The coalesced-GET batch. Key bytes are copied into arena (the
-	// frame buffer is reused across a burst's requests, so views would
-	// tear); offs marks each key's end, keys/vals/found are the
-	// materialized GetBatch arguments.
-	arena []byte
-	offs  []int
-	keys  [][]byte
+	req  Request  // the request being served (Keys scratch rides along)
+	gets [][]byte // the pending coalesced GET run's keys, views into in
+
+	// GetBatch results, for a coalesced GET run or an MGET.
 	vals  [][]byte
 	found []bool
-
-	stats []byte // STATS exposition scratch
 }
 
 var connStatePool = sync.Pool{New: func() any { return new(connState) }}
-
-// pushGet copies key into the pending coalesced batch.
-//
-//repro:noalloc
-func (cs *connState) pushGet(key []byte) {
-	cs.arena = append(cs.arena, key...)      //repro:allocok amortized burst arena growth, bounded by MaxPipeline × MaxFrameBytes
-	cs.offs = append(cs.offs, len(cs.arena)) //repro:allocok amortized burst scratch growth, bounded by MaxPipeline
-}
-
-// pendingGets returns how many GETs are queued for the next flush.
-//
-//repro:noalloc
-func (cs *connState) pendingGets() int { return len(cs.offs) }
-
-// batchArgs materializes the pending batch into keys/vals/found slices
-// sized n (n = len(offs) for the coalesced run, or the MGET key count).
-//
-//repro:noalloc
-func (cs *connState) batchArgs(n int) ([][]byte, [][]byte, []bool) {
-	if cap(cs.keys) < n {
-		cs.keys = make([][]byte, n) //repro:allocok amortized batch scratch growth
-		cs.vals = make([][]byte, n) //repro:allocok amortized batch scratch growth
-		cs.found = make([]bool, n)  //repro:allocok amortized batch scratch growth
-	}
-	found := cs.found[:n]
-	for i := range found {
-		found[i] = false // stale hits from the previous batch must not leak
-	}
-	return cs.keys[:n], cs.vals[:n], found
-}
 
 // serveConn runs one connection to completion.
 func (s *Server) serveConn(conn net.Conn) {
@@ -276,16 +247,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	cs := connStatePool.Get().(*connState)
 	defer connStatePool.Put(cs)
 	br := newConnReader(conn)
-	bw := newConnWriter(conn)
-	defer func() {
-		putConnReader(br)
-		putConnWriter(bw)
-	}()
+	defer putConnReader(br)
 
-	for {
-		if s.closing() {
-			return // drained: the previous burst's replies are flushed
-		}
+	for !s.closed.Load() { // Shutdown drains a connection between bursts
 		if s.opts.IdleTimeout > 0 {
 			// Also the drain backstop: if Shutdown's immediate-deadline
 			// nudge races with this reset, the idle timeout still bounds
@@ -293,74 +257,64 @@ func (s *Server) serveConn(conn net.Conn) {
 			// timeout force-closes regardless).
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		payload, buf, err := ReadFrame(br, cs.buf, s.opts.MaxFrameBytes)
-		cs.buf = buf
-		if err != nil {
-			if err == io.EOF || s.closing() && isTimeout(err) {
-				return // clean close, or drained out during Shutdown
-			}
-			s.replyFatal(conn, bw, err)
-			return
-		}
-		s.counters.FramesIn.Add(1)
-		s.counters.BytesIn.Add(FrameHeaderSize + int64(len(payload)))
-
-		// One burst: this request plus every complete frame already
-		// buffered, capped by MaxPipeline. GET runs coalesce; replies
-		// accumulate in cs.out in request order.
-		cs.out = cs.out[:0]
-		cs.arena, cs.offs = cs.arena[:0], cs.offs[:0]
-		fatal := false
-		for n := 1; ; n++ {
-			if err := ParseRequest(payload, &cs.req); err != nil {
-				s.flushGets(cs)
-				s.counters.ErrDecode.Add(1)
-				cs.out = AppendErrReply(cs.out, err.Error())
-				fatal = true
-				break
-			}
-			if done := s.handle(cs); done {
-				fatal = true
-				break
-			}
-			if n >= s.opts.MaxPipeline || !FrameBuffered(br) {
-				break
-			}
-			payload, buf, err = ReadFrame(br, cs.buf, s.opts.MaxFrameBytes)
-			cs.buf = buf
-			if err != nil {
-				// The frame was fully buffered, so only framing faults
-				// land here — fatal after the burst's replies go out.
-				s.flushGets(cs)
-				s.countFrameError(err)
-				cs.out = AppendErrReply(cs.out, err.Error())
-				fatal = true
+		// One burst: a blocking read of one request, then every complete
+		// frame already buffered, capped by MaxPipeline. GET runs
+		// coalesce; each request handled owes one reply.
+		cs.in, cs.out = cs.in[:0], cs.out[:0]
+		replies := 0
+		var err error
+		for replies < s.opts.MaxPipeline && (replies == 0 || FrameBuffered(br)) {
+			var payload []byte
+			if payload, cs.in, err = appendFrame(br, cs.in, s.opts.MaxFrameBytes); err != nil {
 				break
 			}
 			s.counters.FramesIn.Add(1)
 			s.counters.BytesIn.Add(FrameHeaderSize + int64(len(payload)))
+			if err = ParseRequest(payload, &cs.req); err != nil {
+				break
+			}
+			s.handle(cs)
+			replies++
 		}
-		s.flushGets(cs)
-		if err := s.writeOut(conn, bw, cs.out); err != nil {
-			s.logf("wire: %s: writing replies: %v", conn.RemoteAddr(), err)
+		if err != nil && (err == io.EOF || isTimeout(err)) {
+			// Only a burst's first read waits on the socket, so no reply
+			// is owed: the peer closed, went idle, or Shutdown nudged it.
+			if isTimeout(err) && !s.closed.Load() {
+				s.logf("wire: %s: idle timeout", conn.RemoteAddr())
+			}
 			return
 		}
-		if fatal {
+		s.flushGets(cs)
+		if err != nil {
+			// A framing fault: past it the stream's record boundaries are
+			// untrustworthy, so it is answered and the connection closes.
+			if errors.Is(err, ErrTooBig) {
+				s.counters.ErrTooBig.Add(1)
+			} else {
+				s.counters.ErrDecode.Add(1)
+			}
+			s.logf("wire: %s: %v", conn.RemoteAddr(), err)
+			cs.out = AppendErrReply(cs.out, err.Error())
+			replies++
+		}
+		if werr := s.writeOut(conn, cs.out, replies); werr != nil {
+			s.logf("wire: %s: writing replies: %v", conn.RemoteAddr(), werr)
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// handle serves one parsed request, appending its reply (or, for GETs,
-// deferring it to the pending coalesced batch). It reports whether the
-// connection must close (a guard tripped).
-func (s *Server) handle(cs *connState) (fatal bool) {
+// handle serves one parsed request, appending its reply to cs.out (or,
+// for a GET, deferring it to the pending coalesced run).
+func (s *Server) handle(cs *connState) {
 	switch cs.req.Op {
 	case OpGet:
 		// Deferred: coalesced with neighboring GETs, flushed before the
 		// next non-GET (read-your-writes per connection) or at burst end.
-		cs.pushGet(cs.req.Key)
-		return false
+		cs.gets = append(cs.gets, cs.req.Key)
 	case OpSet:
 		s.flushGets(cs)
 		s.counters.Sets.Add(1)
@@ -370,10 +324,9 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 		if err != nil {
 			s.counters.ErrSet.Add(1)
 			cs.out = AppendErrReply(cs.out, err.Error())
-			return false
+			return
 		}
 		cs.out = AppendStatusReply(cs.out, StatusOK)
-		return false
 	case OpDel:
 		s.flushGets(cs)
 		s.counters.Dels.Add(1)
@@ -383,7 +336,7 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 		if err != nil {
 			s.counters.ErrDel.Add(1)
 			cs.out = AppendErrReply(cs.out, err.Error())
-			return false
+			return
 		}
 		st := StatusOK
 		if !present {
@@ -391,119 +344,77 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 			st = StatusNotFound
 		}
 		cs.out = AppendStatusReply(cs.out, st)
-		return false
 	case OpMGet:
 		s.flushGets(cs)
 		s.counters.MGets.Add(1)
 		s.counters.MGetKeys.Add(int64(len(cs.req.Keys)))
-		n := len(cs.req.Keys)
-		keys, vals, found := cs.batchArgs(n)
-		copy(keys, cs.req.Keys) // views into the current payload: valid through the GetBatch call
-		start := obs.NowNanos()
-		hits := s.backend.GetBatch(keys, vals, found)
-		s.counters.MGetNanos.Record(obs.NowNanos() - start)
-		s.counters.noteBatch(n)
-		s.counters.GetMisses.Add(int64(n - hits))
+		vals, found := s.getBatch(cs, cs.req.Keys, &s.counters.MGetNanos)
 		cs.out = AppendMGetReply(cs.out, vals, found)
-		return false
 	case OpStats:
 		s.flushGets(cs)
 		s.counters.StatsOps.Add(1)
-		cs.stats = s.reg.AppendProm(cs.stats[:0])
-		cs.out = AppendTextReply(cs.out, cs.stats)
-		return false
+		// AppendTextReply, with the exposition appended in place.
+		out, m := beginFrame(cs.out)
+		out = s.reg.AppendProm(append(out, byte(StatusOK)))
+		cs.out = endFrame(out, m)
 	default:
-		// ParseRequest rejects unknown ops; unreachable.
-		s.counters.ErrDecode.Add(1)
-		cs.out = AppendErrReply(cs.out, errOp.Error())
-		return true
+		panic("wire: ParseRequest admitted " + cs.req.Op.String())
 	}
 }
 
 // flushGets resolves the pending coalesced GET run through one
 // Backend.GetBatch call and appends its replies in request order.
 func (s *Server) flushGets(cs *connState) {
-	n := cs.pendingGets()
-	if n == 0 {
+	if len(cs.gets) == 0 {
 		return
 	}
-	keys, vals, found := cs.batchArgs(n)
-	prev := 0
-	for i, end := range cs.offs {
-		keys[i] = cs.arena[prev:end]
-		prev = end
-	}
-	start := obs.NowNanos()
-	hits := s.backend.GetBatch(keys, vals, found)
-	s.counters.GetNanos.Record(obs.NowNanos() - start)
-	s.counters.noteBatch(n)
-	s.counters.Gets.Add(int64(n))
-	s.counters.GetMisses.Add(int64(n - hits))
-	for i := 0; i < n; i++ {
-		if found[i] {
+	vals, found := s.getBatch(cs, cs.gets, &s.counters.GetNanos)
+	s.counters.Gets.Add(int64(len(cs.gets)))
+	for i, ok := range found {
+		if ok {
 			cs.out = AppendValueReply(cs.out, vals[i])
 		} else {
 			cs.out = AppendStatusReply(cs.out, StatusNotFound)
 		}
 	}
-	cs.arena, cs.offs = cs.arena[:0], cs.offs[:0]
+	cs.gets = cs.gets[:0]
 }
 
-// writeOut flushes a burst's accumulated reply frames under the write
-// deadline. The deadline stays armed after the flush and may lapse while
-// the connection idles: every write on a connection goes through here
-// and arms a fresh one first.
-func (s *Server) writeOut(conn net.Conn, bw *connWriter, out []byte) error {
-	if len(out) == 0 {
-		return nil
+// getBatch looks keys up through one Backend.GetBatch call, timed into
+// h, and returns the per-key results; they stay valid until the next
+// Backend call.
+//
+//repro:noalloc
+func (s *Server) getBatch(cs *connState, keys [][]byte, h *obs.Histogram) ([][]byte, []bool) {
+	n := len(keys)
+	if cap(cs.vals) < n {
+		cs.vals = make([][]byte, n) //repro:allocok amortized batch scratch growth, bounded by MaxMGetKeys and MaxPipeline
+		cs.found = make([]bool, n)  //repro:allocok amortized batch scratch growth
 	}
+	vals, found := cs.vals[:n], cs.found[:n]
+	clear(found) // stale hits from the previous batch must not leak
+	start := obs.NowNanos()
+	hits := s.backend.GetBatch(keys, vals, found)
+	h.Record(obs.NowNanos() - start)
+	s.counters.noteBatch(n)
+	s.counters.GetMisses.Add(int64(n - hits))
+	return vals, found
+}
+
+// writeOut writes a burst's reply frames, out, in one conn.Write under
+// the write deadline. The deadline stays armed after the write and
+// may lapse while the connection idles: every write on a connection goes
+// through here and arms a fresh one first.
+func (s *Server) writeOut(conn net.Conn, out []byte, frames int) error {
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
-	if _, err := bw.Write(out); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := conn.Write(out); err != nil {
 		return err
 	}
 	s.counters.BytesOut.Add(int64(len(out)))
-	s.counters.FramesOut.Add(countFrames(out))
+	s.counters.FramesOut.Add(int64(frames))
 	return nil
-}
-
-// countFrames counts the frames in a well-formed reply buffer (for the
-// frames_out counter; the buffer was built by the Append helpers).
-func countFrames(out []byte) int64 {
-	var n int64
-	for off := 0; off+FrameHeaderSize <= len(out); n++ {
-		length := int(uint32(out[off]) | uint32(out[off+1])<<8 | uint32(out[off+2])<<16 | uint32(out[off+3])<<24)
-		off += FrameHeaderSize + length
-	}
-	return n
-}
-
-// replyFatal answers a framing fault on the first frame of a burst with
-// a single ERR frame; the caller closes the connection.
-func (s *Server) replyFatal(conn net.Conn, bw *connWriter, err error) {
-	s.countFrameError(err)
-	if isTimeout(err) {
-		s.logf("wire: %s: idle timeout", conn.RemoteAddr())
-		return // nothing useful to say to a silent peer
-	}
-	s.logf("wire: %s: %v", conn.RemoteAddr(), err)
-	out := AppendErrReply(nil, err.Error())
-	if werr := s.writeOut(conn, bw, out); werr != nil {
-		s.logf("wire: %s: writing error reply: %v", conn.RemoteAddr(), werr)
-	}
-}
-
-// countFrameError attributes a framing fault to its counter.
-func (s *Server) countFrameError(err error) {
-	if errors.Is(err, ErrTooBig) {
-		s.counters.ErrTooBig.Add(1)
-	} else {
-		s.counters.ErrDecode.Add(1)
-	}
 }
 
 // isTimeout reports whether err is a deadline expiry.
@@ -518,14 +429,9 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Pooled per-connection bufio wrappers: their 64 KiB buffers dominate a
+// Pooled per-connection bufio readers: their 64 KiB buffers dominate a
 // connection's footprint, so churny accept loops reuse them.
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufSize) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, connBufSize) }}
-)
-
-type connWriter = bufio.Writer
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufSize) }}
 
 func newConnReader(c net.Conn) *bufio.Reader {
 	br := readerPool.Get().(*bufio.Reader)
@@ -536,15 +442,4 @@ func newConnReader(c net.Conn) *bufio.Reader {
 func putConnReader(br *bufio.Reader) {
 	br.Reset(nil)
 	readerPool.Put(br)
-}
-
-func newConnWriter(c net.Conn) *connWriter {
-	bw := writerPool.Get().(*connWriter)
-	bw.Reset(c)
-	return bw
-}
-
-func putConnWriter(bw *connWriter) {
-	bw.Reset(io.Discard)
-	writerPool.Put(bw)
 }

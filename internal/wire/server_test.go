@@ -176,6 +176,12 @@ func TestServerPipelining(t *testing.T) {
 	if got := cs.Gets.Load(); got != n {
 		t.Errorf("Gets counter = %d, want %d", got, n)
 	}
+	// One reply per request: the server counts its replies once their
+	// write returns, which may be after the client has read them.
+	waitCounter(t, &cs.FramesOut, 2*n, "frames_out")
+	if got := cs.FramesIn.Load(); got != 2*n {
+		t.Errorf("frames_in = %d, want %d", got, 2*n)
+	}
 }
 
 func TestServerReadYourWrites(t *testing.T) {
@@ -297,12 +303,13 @@ func TestServerApplicationErrorKeepsConnection(t *testing.T) {
 
 func TestServerFramingErrorClosesConnection(t *testing.T) {
 	cases := []struct {
-		name  string
-		frame func() []byte
+		name     string
+		frame    func() []byte
+		framesIn int64 // a frame whose CRC fails is not decoded
 	}{
-		{"bad-crc", func() []byte { return corrupt(AppendGetRequest(nil, []byte("k")), 1) }},
-		{"unknown-op", func() []byte { return reframe([]byte{99}) }},
-		{"garbage-payload", func() []byte { return reframe([]byte{byte(OpSet), 0xFF, 0xFF}) }},
+		{"bad-crc", func() []byte { return corrupt(AppendGetRequest(nil, []byte("k")), 1) }, 0},
+		{"unknown-op", func() []byte { return reframe([]byte{99}) }, 1},
+		{"garbage-payload", func() []byte { return reframe([]byte{byte(OpSet), 0xFF, 0xFF}) }, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,6 +336,11 @@ func TestServerFramingErrorClosesConnection(t *testing.T) {
 			// And the fault is attributed: decode errors land in err_decode.
 			if srv.Counters().ErrDecode.Load() == 0 {
 				t.Error("err_decode counter not bumped")
+			}
+			// The ERR is the one reply written.
+			waitCounter(t, &srv.Counters().FramesOut, 1, "frames_out")
+			if got := srv.Counters().FramesIn.Load(); got != tc.framesIn {
+				t.Errorf("frames_in = %d, want %d", got, tc.framesIn)
 			}
 		})
 	}
@@ -534,7 +546,8 @@ func TestServerReplyAfterIdleLongerThanWriteTimeout(t *testing.T) {
 }
 
 // TestServerIdleTimeoutClosesSilentConnection: a connection that sends
-// nothing is closed, with no reply, once IdleTimeout lapses.
+// nothing is closed, with no reply and no fault counted, once
+// IdleTimeout lapses.
 func TestServerIdleTimeoutClosesSilentConnection(t *testing.T) {
 	srv, addr := startServer(t, newMemBackend(), Options{IdleTimeout: 100 * time.Millisecond})
 	conn, err := net.Dial("tcp", addr)
@@ -555,4 +568,34 @@ func TestServerIdleTimeoutClosesSilentConnection(t *testing.T) {
 		t.Errorf("closed after %v, before the idle timeout", elapsed)
 	}
 	waitCounter(t, &srv.Counters().ConnsActive, 0, "conns_active")
+	if n := srv.Counters().ErrDecode.Load(); n != 0 {
+		t.Errorf("err_decode = %d after an idle close, want 0", n)
+	}
+	if n := srv.Counters().ErrTooBig.Load(); n != 0 {
+		t.Errorf("err_too_big = %d after an idle close, want 0", n)
+	}
+}
+
+// TestRoundTripAllocFree: once warm, a GET and a 3-key MGET round trip
+// allocate nothing. AllocsPerRun counts the whole process, so this
+// covers the client, the server's burst loop and the backend together.
+func TestRoundTripAllocFree(t *testing.T) {
+	b := newMemBackend()
+	b.m["k0"], b.m["k1"] = []byte("v0"), []byte("v1")
+	_, addr := startServer(t, b, Options{})
+	c := dialT(t, addr)
+	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("missing")}
+	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
+	roundTrip := func() {
+		if v, ok, err := c.Get(keys[0]); err != nil || !ok || string(v) != "v0" {
+			t.Fatalf("Get = %q ok %v err %v", v, ok, err)
+		}
+		if hits, err := c.MGet(keys, vals, found); err != nil || hits != 2 {
+			t.Fatalf("MGet = %d hits, err %v", hits, err)
+		}
+	}
+	roundTrip() // grows every buffer on both ends to its steady size
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("GET + MGET round trip: %v allocs/run, want 0", allocs)
+	}
 }

@@ -278,18 +278,30 @@ func AppendMGetReply(dst []byte, vals [][]byte, found []bool) []byte {
 	return endFrame(dst, m)
 }
 
-// ReadFrame reads one frame from br, reusing buf (growing it only up to
-// maxFrame), and returns the payload as a view of the returned buffer —
-// valid until the next ReadFrame with the same buffer. A clean EOF at a
-// frame boundary is io.EOF; an EOF inside a frame is
-// io.ErrUnexpectedEOF; an oversized length is ErrTooBig; a CRC mismatch
-// is ErrMalformed. None of these paths allocate proportionally to
-// attacker-controlled lengths: growth is capped by maxFrame before the
-// first payload byte is read.
+// ReadFrame reads one frame from br, reusing buf (growing it only for a
+// frame within maxFrame), and returns the payload as a view of the
+// returned buffer — valid until the next ReadFrame with the same
+// buffer. A clean EOF at a frame boundary is io.EOF; an EOF inside a
+// frame is io.ErrUnexpectedEOF; an oversized length is ErrTooBig; a CRC
+// mismatch is ErrMalformed. None of these paths allocate proportionally
+// to attacker-controlled lengths: growth is capped by maxFrame before
+// the first payload byte is read.
 //
 //repro:noalloc
 //repro:boundedinput
 func ReadFrame(br *bufio.Reader, buf []byte, maxFrame int) (payload, newBuf []byte, err error) {
+	return appendFrame(br, buf[:0], maxFrame)
+}
+
+// appendFrame is ReadFrame appending: the payload lands after buf's
+// bytes, and is a view of newBuf's tail. Views of bytes appended before
+// stay valid even when growth moves buf, since nothing writes to a
+// backing array once a larger one has replaced it. On error newBuf
+// holds buf's bytes alone.
+//
+//repro:noalloc
+//repro:boundedinput
+func appendFrame(br *bufio.Reader, buf []byte, maxFrame int) (payload, newBuf []byte, err error) {
 	// Peek reads the header in br's own buffer: a local array passed to
 	// io.ReadFull would escape through its io.Reader and cost one heap
 	// allocation per frame.
@@ -306,17 +318,18 @@ func ReadFrame(br *bufio.Reader, buf []byte, maxFrame int) (payload, newBuf []by
 	if int64(length) > int64(maxFrame) {
 		return nil, buf, ErrTooBig
 	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length) //repro:allocok amortized frame buffer growth, capped by maxFrame
+	n := len(buf)
+	if cap(buf)-n < int(length) {
+		buf = append(buf, make([]byte, length)...)[:n] //repro:allocok amortized buffer growth, at most maxFrame per frame
 	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(br, buf); err != nil {
+	payload = buf[n : n+int(length)]
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, buf, unexpectedEOF(err)
 	}
-	if crc32.Checksum(buf, castagnoli) != crc {
+	if crc32.Checksum(payload, castagnoli) != crc {
 		return nil, buf, errCRC
 	}
-	return buf, buf, nil
+	return payload, buf[:n+int(length)], nil
 }
 
 // unexpectedEOF maps a mid-frame EOF to io.ErrUnexpectedEOF (other read

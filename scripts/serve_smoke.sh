@@ -156,8 +156,17 @@ awk -v g="$GET_OPS" -v m="$MGET_OPS" 'BEGIN { exit !(m >= 1.2 * g) }' \
 # must have produced multi-key server-side batches (more MGET keys than
 # MGET requests), and the map must have recorded the live choice
 # distribution: every served GET and MGET reads through GetBatch, which
-# samples probe depths.
+# samples probe depths. Every request the three clean runs sent was
+# decoded and answered exactly once: no decode error, and as many reply
+# frames out as request frames in.
 fetch "http://$ADMIN/metrics" >"$DIR/metrics2" || fail "second /metrics scrape failed"
+DECODE2=$(metric repro_server_err_decode_total "$DIR/metrics2")
+FRAMES_IN2=$(metric repro_server_frames_in_total "$DIR/metrics2")
+FRAMES_OUT2=$(metric repro_server_frames_out_total "$DIR/metrics2")
+awk -v d="$DECODE2" 'BEGIN { exit !(d != "" && d == 0) }' \
+    || fail "repro_server_err_decode_total $DECODE2 after clean runs, want 0"
+awk -v i="$FRAMES_IN2" -v o="$FRAMES_OUT2" 'BEGIN { exit !(i > 0 && o == i) }' \
+    || fail "repro_server_frames_out_total $FRAMES_OUT2 != repro_server_frames_in_total $FRAMES_IN2: a request went unanswered or was answered twice"
 GETS2=$(metric repro_server_gets_total "$DIR/metrics2")
 MGETS2=$(metric repro_server_mgets_total "$DIR/metrics2")
 MGET_KEYS2=$(metric repro_server_mget_keys_total "$DIR/metrics2")
@@ -171,7 +180,7 @@ awk -v m="$MGETS2" -v k="$MGET_KEYS2" 'BEGIN { exit !(k > m) }' \
     || fail "repro_server_mget_keys_total $MGET_KEYS2 not above repro_server_mgets_total $MGETS2 after the MGET-16 run"
 awk -v d="$DEPTHS2" 'BEGIN { exit !(d > 0) }' \
     || fail "repro_map_probe_depth_count $DEPTHS2 after the GET and MGET runs"
-echo "serve-smoke: telemetry live and monotone (gets $GETS1 -> $GETS2, map_len $MAP_LEN, probe depths $DEPTHS2)"
+echo "serve-smoke: telemetry live and monotone (gets $GETS1 -> $GETS2, map_len $MAP_LEN, probe depths $DEPTHS2, frames $FRAMES_IN2 in = out, 0 decode errors)"
 
 echo "serve-smoke: graceful shutdown + restart recovery"
 stop_served
