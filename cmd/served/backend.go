@@ -10,14 +10,12 @@ import (
 )
 
 // keyCodec and bytesCodec encode keys and values verbatim. Decode
-// returns a view of the loader's buffer without copying, so recovery
+// returns a view of the bytes it is given without copying, so recovery
 // allocates nothing per record: the snapshot load and the WAL replay
-// pass a decoded key and value only to the map's put body and Delete
-// (and the load's one-time hasher check), and the map copies what it
-// keeps into its arena before the buffer is reused: the recovery places
-// a snapshot section's records before it reads the next section, and
-// decodes a WAL record from a copy that lives in the record's window
-// until the record is placed.
+// both decode a record from copies that live in the record's window
+// until the record is placed, and pass the decoded key and value only
+// to the map's put body and Delete (and the load's one-time hasher
+// check), and the map copies what it keeps into its arena.
 var (
 	keyCodec = repro.Codec[string]{
 		Append: func(dst []byte, k string) []byte { return append(dst, k...) },
@@ -50,7 +48,7 @@ type backend struct {
 
 // view returns b's bytes as a string without copying. The string is
 // valid only while the buffer is: for the length of one backend call,
-// of one replayed WAL record, or of one snapshot section.
+// or while a recovered record waits in its window to be placed.
 //
 //repro:noalloc
 //repro:gated a byte slice has no pointer fields to hide; the view is used only while its buffer is live

@@ -445,20 +445,32 @@ func PutDigest[K comparable, V any](m *Map[K, V], digest uint64, key K, val V) b
 	return m.putRouted(sh, tag, nil, buf[:m.d], key, val)
 }
 
-// putRouted is the put body, shared by Put and the recovery loader: it
-// stores key → val in sh, key's shard, where key's tag is tag. cands
-// holds d candidates that der derived for tag; a nil der derived none.
-// Under the shard lock it derives them with the shard's deriver unless
-// that is der: the loader plans a window of records' candidates before
-// placing any, and a placement in between may have promoted the shard to
-// a new geometry. Mid-resize it derives the next geometry's candidates
-// too.
+// putRouted stores key → val in sh, key's shard, where key's tag is tag:
+// Put's one placement, the put body putLocked under the shard lock.
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) putRouted(sh *shard[K, V], tag uint64, der *hashes.Deriver, cands []uint32, key K, val V) bool {
-	var nextBuf [maxD]uint32
 	sh.lock()
+	ok := m.putLocked(sh, tag, der, cands, key, val)
+	sh.unlock()
+	return ok
+}
+
+// putLocked is the one put body, shared by Put and the recovery loader,
+// which places a window's records of one shard under one lock. cands
+// holds d candidates that der derived for tag; a nil der derived none.
+// It derives them with the shard's deriver unless that is der: the
+// loader plans a window of records' candidates before placing any, and
+// a placement in between may have promoted the shard to a new geometry.
+// Mid-resize it derives the next geometry's candidates too. Caller
+// holds sh.mu.
+//
+//repro:requires-lock
+//repro:digestcarried
+//repro:noalloc
+func (m *Map[K, V]) putLocked(sh *shard[K, V], tag uint64, der *hashes.Deriver, cands []uint32, key K, val V) bool {
+	var nextBuf [maxD]uint32
 	if cur := sh.deriver.Load(); cur != der {
 		cur.CandidateBins(tag, cands)
 	}
@@ -471,7 +483,6 @@ func (m *Map[K, V]) putRouted(sh *shard[K, V], tag uint64, der *hashes.Deriver, 
 		}
 	}
 	m.migrateLocked(sh, m.migrateBatch)
-	sh.unlock()
 	return ok
 }
 
@@ -643,25 +654,28 @@ func (m *Map[K, V]) Delete(key K) bool { return DeleteDigest(m, m.digest(key), k
 //repro:noalloc
 func DeleteDigest[K comparable, V any](m *Map[K, V], digest uint64, key K) bool {
 	sh, tag := m.routeDigest(digest)
-	return m.deleteRouted(sh, tag, key)
+	sh.lock()
+	ok := m.deleteLocked(sh, tag, key)
+	sh.unlock()
+	return ok
 }
 
-// deleteRouted is the delete body, shared by Delete and the recovery
+// deleteLocked is the one delete body, shared by Delete and the recovery
 // loader: it removes key from sh, key's shard, where key's tag is tag.
+// Caller holds sh.mu.
 //
+//repro:requires-lock
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) deleteRouted(sh *shard[K, V], tag uint64, key K) bool {
+func (m *Map[K, V]) deleteLocked(sh *shard[K, V], tag uint64, key K) bool {
 	var buf, nextBuf [maxD]uint32
 	cands := buf[:m.d]
-	sh.lock()
 	sh.deriver.Load().CandidateBins(tag, cands)
 	ok := sh.core.Delete(cands, sh.nextCands(tag, nextBuf[:m.d]), key, tag, sh.candsOf)
 	if n := m.resizeTargetLocked(sh, false); n > 0 {
 		m.startResizeLocked(sh, n)
 	}
 	m.migrateLocked(sh, m.migrateBatch)
-	sh.unlock()
 	return ok
 }
 

@@ -19,6 +19,9 @@ import (
 // misses as GetBatch's chunk keeps in flight.
 const loadChunk = mgetChunk
 
+// placeWindow links a window's records by uint8 indices.
+const _ = uint8(loadChunk - 1)
+
 // loadQueue is the number of windows each worker's queue holds. The
 // caller decodes a record in a small fraction of the time a worker takes
 // to place it, so the queues run full; a worker then finds its next
@@ -78,7 +81,7 @@ func NewLoader[K comparable, V any](m *Map[K, V]) *Loader[K, V] {
 }
 
 // Map returns the map the loader places into. It holds every record
-// handed over once Sync or Close has returned true.
+// handed over once Close has returned true.
 func (l *Loader[K, V]) Map() *Map[K, V] { return l.m }
 
 // Workers returns the number of goroutines that place the records: the
@@ -87,7 +90,7 @@ func (l *Loader[K, V]) Workers() int { return max(l.workers, 1) }
 
 // Put hands over key → val, whose digest is Digest(l.Map(), key). The
 // loader may hold key and val until the record is placed, so memory they
-// view must stay valid until then (see Keep and Sync). Put reports false
+// view must stay valid until then (see Keep). Put reports false
 // once a placement has been rejected: the caller should stop handing
 // over records, and Close will report the rejection.
 //
@@ -108,10 +111,10 @@ func (l *Loader[K, V]) Delete(digest uint64, key K) bool {
 
 // Keep copies b into the window that the record of the given digest is
 // routed to and returns the copy, which stays valid until that record is
-// placed. A caller whose bytes are reused before then — a WAL scan's
-// record buffer — decodes the record from Keep's copies, then hands it
-// over with Put or Delete before it keeps or hands over any other
-// record.
+// placed. A caller whose bytes are reused before then — a snapshot
+// reader's block, a WAL scan's record buffer — decodes the record from
+// Keep's copies, then hands it over with Put or Delete before it keeps
+// or hands over any other record.
 //
 //repro:digestcarried
 func (l *Loader[K, V]) Keep(digest uint64, b []byte) []byte {
@@ -126,11 +129,9 @@ func (l *Loader[K, V]) Keep(digest uint64, b []byte) []byte {
 	return w.bytes[start:len(w.bytes):len(w.bytes)]
 }
 
-// Sync places every record handed over before it returns, and reports
-// whether all were placed. The caller may then reuse the memory the
-// keys and values it handed over view: a snapshot reader's section
-// buffer, at the section's end.
-func (l *Loader[K, V]) Sync() bool {
+// drain places every record handed over before it returns, and reports
+// whether all were placed.
+func (l *Loader[K, V]) drain() bool {
 	for i, w := range l.fill {
 		if w != nil && w.n > 0 {
 			l.flush(i)
@@ -144,7 +145,7 @@ func (l *Loader[K, V]) Sync() bool {
 // waits until each has exited. It reports whether every record was
 // placed. The loader must not be used after.
 func (l *Loader[K, V]) Close() bool {
-	ok := l.Sync()
+	ok := l.drain()
 	for _, q := range l.queues {
 		close(q)
 	}
@@ -258,15 +259,18 @@ type loadWindow[K comparable, V any] struct {
 	bytes   []byte
 }
 
-// placeWindow places w's records in order and empties w; once a
-// placement has been rejected, it only empties w. It runs in three
-// phases, as GetBatch does: plan every record (route it, derive its
-// candidates with its shard's deriver), touch each candidate bucket's
-// slot lines (PrefetchPut) in one volley so the window's cache misses overlap,
-// then place each record through putRouted with its planned candidates,
-// or delete it through deleteRouted. The goroutine placing w owns every
-// shard of its records, so planning needs no lock, and putRouted derives
-// again only for a record whose shard an earlier placement promoted.
+// placeWindow places w's records and empties w; once a placement has
+// been rejected, it only empties w. It runs in three phases, as GetBatch
+// does: plan every record (route it, derive its candidates with its
+// shard's deriver), touch each candidate bucket's slot lines
+// (PrefetchPut) in one volley so the window's cache misses overlap, then
+// place the records shard by shard: each shard's records, in window
+// order, under one hold of its lock, through the put body putLocked with
+// their planned candidates or the delete body deleteLocked. A shard's
+// placements depend only on its own records' order, so the order of the
+// groups changes nothing. The goroutine placing w owns every shard of
+// its records, so planning needs no lock, and putLocked derives again
+// only for a record whose shard an earlier placement promoted.
 //
 //repro:digestcarried
 func (l *Loader[K, V]) placeWindow(w *loadWindow[K, V]) {
@@ -275,11 +279,27 @@ func (l *Loader[K, V]) placeWindow(w *loadWindow[K, V]) {
 	if l.rejected.Load() {
 		return
 	}
+	// Group g holds the window's records in shard heads[g], from first[g]
+	// to last[g] through next, which links a record to its shard's next.
+	var heads [loadChunk]*shard[K, V]
+	var first, last, next [loadChunk]uint8
+	groups := 0
 	for i, d := range tags {
 		sh, tag := m.routeDigest(d)
 		der := sh.deriver.Load()
 		der.CandidateBins(tag, w.cands[i*m.d:(i+1)*m.d])
 		w.shards[i], w.ders[i], tags[i] = sh, der, tag
+		g := 0
+		for g < groups && heads[g] != sh {
+			g++
+		}
+		if g == groups {
+			heads[g], first[g] = sh, uint8(i)
+			groups++
+		} else {
+			next[last[g]] = uint8(i)
+		}
+		last[g] = uint8(i)
 	}
 	// The volley, kept free of interleaved compute (see getChunk).
 	var sum uint32
@@ -287,12 +307,20 @@ func (l *Loader[K, V]) placeWindow(w *loadWindow[K, V]) {
 		sum += w.shards[i].core.PrefetchPut(w.cands[i*m.d : (i+1)*m.d])
 	}
 	keepAlive(sum)
-	for i, tag := range tags {
-		if w.dels[i] {
-			m.deleteRouted(w.shards[i], tag, w.keys[i])
-		} else if !m.putRouted(w.shards[i], tag, w.ders[i], w.cands[i*m.d:(i+1)*m.d], w.keys[i], w.vals[i]) {
-			l.rejected.Store(true)
-			return
+	for g, sh := range heads[:groups] {
+		sh.lock()
+		for i := int(first[g]); ; i = int(next[i]) {
+			if w.dels[i] {
+				m.deleteLocked(sh, tags[i], w.keys[i])
+			} else if !m.putLocked(sh, tags[i], w.ders[i], w.cands[i*m.d:(i+1)*m.d], w.keys[i], w.vals[i]) {
+				sh.unlock()
+				l.rejected.Store(true)
+				return
+			}
+			if i == int(last[g]) {
+				break
+			}
 		}
+		sh.unlock()
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/hashes"
 	"repro/internal/keyed"
 	"repro/internal/persist"
 )
@@ -116,6 +118,70 @@ func TestRecoveryErrorsJoinWorkers(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestLoadLargeSectionsMatchesPutDigest: sections many reader blocks
+// long, whose records straddle the blocks' boundaries, one of them
+// larger than a block, load at GOMAXPROCS 1, 2 and 4 into the map that
+// placing every record with PutDigest builds. Values decode as views
+// (bytesView), so a record placed from bytes the reader has since
+// reused would show as a wrong value.
+func TestLoadLargeSectionsMatchesPutDigest(t *testing.T) {
+	const sections, per = 4, 12_000 // past loadWorkerQuota
+	key := func(i int) string { return fmt.Sprintf("key-%06d", i) }
+	val := func(i int) []byte {
+		if i == 3*per/2 {
+			return bytes.Repeat([]byte{'B'}, 200<<10) // the reader's block is 64 KiB
+		}
+		return varValue(uint64(i))
+	}
+	snap := writeSections(t, keyed.ForType[string](), keyed.StringCodec, bytesView, 3, repeatInts(per, sections), key, val)
+	cfg := Config{Shards: 16, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, MaxLoadFactor: 0.9}
+	cfg.BucketsPerShard = BucketsFor(cfg, sections*per)
+	for _, procs := range pipelineProcs {
+		withProcs(procs, func() {
+			if m, err := loadMatchesPuts(snap, keyed.ForType[string](), keyed.StringCodec, bytesView, cfg, bytes.Equal); err != nil || m == nil {
+				t.Fatalf("GOMAXPROCS %d: loaded map differs from PutDigest placement: %v", procs, err)
+			}
+		})
+	}
+}
+
+// TestLoadCorruptFirstDigestIsCorrupt: the first record reaches the
+// wrong-hasher check before its section's CRC is checked, so a damaged
+// digest there must still fail the load as corruption (ErrCorrupt), not
+// as a wrong hasher, with every worker exited; an intact snapshot under
+// another hasher still fails as a wrong hasher.
+func TestLoadCorruptFirstDigestIsCorrupt(t *testing.T) {
+	const seed = 9
+	key := func(i int) uint64 { return uint64(i)*7919 + 1 }
+	// An empty section first; then one many blocks long, so the CRC
+	// that catches the damage is far past the first record.
+	snap := writeSections(t, keyed.Uint64, keyed.Uint64Codec, keyed.Uint64Codec, seed, []int{0, 6000, 10}, key,
+		func(i int) uint64 { return expectedVal(key(i)) })
+	digest := binary.LittleEndian.AppendUint64(nil, keyed.Uint64(hashes.SipKeyFromSeed(seed), key(0)))
+	at := bytes.Index(snap, digest)
+	if at < 0 {
+		t.Fatal("the first record's digest is not in the snapshot")
+	}
+	corrupt := bytes.Clone(snap)
+	corrupt[at+3] ^= 0x10
+	cfg := Config{Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, MaxLoadFactor: 0.9}
+	for _, procs := range pipelineProcs {
+		withProcs(procs, func() {
+			base := runtime.NumGoroutine()
+			m, err := loadU64(bytes.NewReader(corrupt), cfg)
+			waitGoroutines(t, base)
+			if !errors.Is(err, persist.ErrCorrupt) || m != nil {
+				t.Fatalf("GOMAXPROCS %d: a damaged first digest: map %v, err %v; want ErrCorrupt", procs, m != nil, err)
+			}
+		})
+	}
+	other := func(sk hashes.SipKey, k uint64) uint64 { return keyed.Uint64(sk, k) ^ 0xFFFF }
+	_, err := LoadKeyed[uint64, uint64](bytes.NewReader(snap), other, keyed.Uint64Codec, keyed.Uint64Codec, cfg)
+	if err == nil || errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "wrong hasher") {
+		t.Fatalf("an intact snapshot under another hasher: err %v, want the wrong-hasher error", err)
 	}
 }
 

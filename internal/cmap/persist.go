@@ -17,6 +17,7 @@ package cmap
 // through every snapshot and load.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -110,10 +111,12 @@ func (m *Map[K, V]) Snapshot(w io.Writer, kc keyed.Codec[K], vc keyed.Codec[V]) 
 // workers, each owning a share of the shards, past loadWorkerQuota
 // records. Every shard receives its records in snapshot order, so the
 // loaded map is the one placing every record with PutDigest would build,
-// whatever the worker count. Decoded keys and values may be views of
-// their record's bytes, which the reader keeps valid through the
-// section: the load places a section's records before it reads the
-// next. Every worker has exited when LoadKeyed returns, on every path.
+// whatever the worker count. Keys and values are decoded from copies
+// (Loader.Keep) that live until their record is placed, so a codec may
+// decode views of the bytes it is given. A section's CRC is checked
+// before its last record is handed over, and any error discards the
+// whole load. Every worker has exited when LoadKeyed returns, on every
+// path.
 //
 //repro:digestcarried
 func LoadKeyed[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V], cfg Config) (*Map[K, V], error) {
@@ -125,10 +128,13 @@ func LoadKeyed[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Cod
 	return ld.Map(), nil
 }
 
+// errSnapshotRejected is the error of a snapshot record the map rejected.
+var errSnapshotRejected = errors.New("cmap: snapshot does not fit the target geometry (record rejected; enable MaxLoadFactor or widen the shape)")
+
 // LoadSnapshot is LoadKeyed, returning the Loader that placed the
 // snapshot still open, with every record placed: a recovery hands the
-// log's records to the same pipeline, then closes it. On an error it
-// closes the loader itself.
+// log's records to the same pipeline, decoding them from Keep copies
+// too, then closes it. On an error it closes the loader itself.
 //
 //repro:digestcarried
 func LoadSnapshot[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.Codec[K], vc keyed.Codec[V], cfg Config) (*Loader[K, V], error) {
@@ -144,29 +150,44 @@ func LoadSnapshot[K comparable, V any](r io.Reader, h keyed.Hasher[K], kc keyed.
 	}
 	first := true
 	for sr.Next() {
+		// The reader reuses its block at the next Next, while the record
+		// may wait in a window until its worker places it: decode what the
+		// map receives from copies that live as long as the window.
 		kb, vb, digest := sr.Record()
-		key, err := kc.Decode(kb)
+		key, err := kc.Decode(ld.Keep(digest, kb))
 		if err != nil {
 			return fail(err)
 		}
-		val, err := vc.Decode(vb)
+		val, err := vc.Decode(ld.Keep(digest, vb))
 		if err != nil {
 			return fail(err)
 		}
 		if first {
 			first = false
 			if got := ld.m.digest(key); got != digest { //repro:rehash-ok one-time wrong-hasher detection against the first record
+				// A damaged digest reads as a wrong hasher until its
+				// section's CRC, checked before the section's last record
+				// is yielded, says otherwise.
+				for sec := sr.Section(); sr.Next() && sr.Section() == sec; {
+				}
+				if err := sr.Err(); err != nil {
+					return fail(err)
+				}
 				return fail(fmt.Errorf("cmap: snapshot digest %#x, hasher computes %#x — wrong hasher for this snapshot", digest, got))
 			}
 		}
-		// A section's keys and values may view its buffer, which the
-		// reader reuses after the section's last record.
-		if !ld.Put(digest, key, val) || (sr.SectionDone() && !ld.Sync()) {
-			return fail(fmt.Errorf("cmap: snapshot does not fit the target geometry (record rejected; enable MaxLoadFactor or widen the shape)"))
+		if !ld.Put(digest, key, val) {
+			return fail(errSnapshotRejected)
 		}
 	}
 	if err := sr.Err(); err != nil {
 		return fail(err)
+	}
+	// Place the last windows here, so that the snapshot's load ends when
+	// its records are placed and a recovery's WAL replay starts on empty
+	// queues.
+	if !ld.drain() {
+		return fail(errSnapshotRejected)
 	}
 	return ld, nil
 }

@@ -5,7 +5,7 @@ package lint
 // can be forced to allocate (or loop-append) arbitrarily by one lying
 // frame — the classic remote-amplification bug. The repository's
 // decoders all guard first (`length > maxFrame`, `count > MaxMGetKeys`,
-// `n > readChunk`, `length > maxWALRecordBytes`) and allocate second;
+// `n > MaxRecordBytes`, `length > maxWALRecordBytes`) and allocate second;
 // this analyzer makes that ordering mechanical.
 //
 // Inside a //repro:boundedinput function:

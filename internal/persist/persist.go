@@ -41,8 +41,13 @@
 //
 // Sections exist so a sharded map can stream one shard at a time under
 // that shard's read lock alone: the writer buffers a single section in
-// memory (1/shards of the data), never the whole snapshot, and the
-// reader verifies a section's CRC *before* surfacing any of its records.
+// memory (1/shards of the data), never the whole snapshot. The reader
+// buffers no section: it streams records through one 64 KiB block, and
+// a record's key and value are views of the block, valid until the next
+// record is read. It folds a section's bytes into the section's CRC as
+// it parses them and checks the CRC before it yields the section's last
+// record, so the records before it are yielded unverified: a caller
+// must discard everything a read yielded once the read fails.
 //
 // # Write-ahead log
 //
@@ -51,14 +56,14 @@
 // onto the latest snapshot and truncates a torn tail, so a crash loses
 // only writes that were never acknowledged.
 //
-// The reader trusts nothing: every length prefix is bounded before any
-// allocation (a corrupted or adversarial file makes ReadSnapshot/replay
-// return an error — never panic, never allocate beyond the bytes
-// actually present plus one fixed-size chunk).
+// The readers trust nothing: every length prefix is bounded before any
+// allocation, so a corrupted or adversarial file makes a snapshot read
+// or a WAL replay return an error, never panic. The snapshot reader
+// grows its block only for a record larger than the block, and only as
+// that record's bytes arrive.
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,10 +85,12 @@ const (
 	// file cannot demand an absurd buffer.
 	MaxRecordBytes = 1 << 24
 
-	// readChunk is the growth step for payload buffers: a lying section
-	// length costs at most one chunk of memory beyond the bytes the file
-	// actually contains.
-	readChunk = 1 << 20
+	// readBlock is the size of the block a SnapshotReader reads through.
+	// A record larger than it grows the block, doubling, and only once
+	// the record's bytes fill it: a lying length costs nothing beyond
+	// the block until the stream has delivered a block of the record, and
+	// never more than twice the record bytes it delivered.
+	readBlock = 64 << 10
 )
 
 // castagnoli is the CRC32-C table shared by snapshots and the WAL.
@@ -251,38 +258,44 @@ func (sw *SnapshotWriter) fail(err error) error {
 //	}
 //	err = sr.Err()
 //
-// A section's CRC is verified before any of its records are surfaced, so
-// every record Next yields came from intact bytes. Key and value slices
-// point into the section's buffer and stay valid through the section:
-// the Next call after its last record (see SectionDone) reads the
-// following section into the same buffer. Err is nil only after a clean
-// read of every declared section; any corruption satisfies
-// errors.Is(err, ErrCorrupt).
+// It reads through one block of readBlock bytes, reused for the whole
+// stream and grown only while a record larger than it arrives, so it
+// holds one block, or its largest record, whatever the section size. Key
+// and value slices point into the block and stay valid until the next
+// Next call. A section's CRC is updated as its bytes are parsed and
+// checked before Next yields the section's last record, so the records
+// before it are yielded unverified: a read whose Err is non-nil must be
+// discarded whole, every record it yielded included. Err is nil only
+// after a clean read of every declared section; any corruption
+// satisfies errors.Is(err, ErrCorrupt).
 type SnapshotReader struct {
-	r       *bufio.Reader
+	r       io.Reader
 	hdr     Header
-	buf     []byte // verified payload of the current section
-	off     int    // parse offset into buf
+	buf     []byte // the block: buf[off:end] is read and not yet parsed
+	off     int
+	end     int
+	summed  int    // buf[summed:off] is parsed payload the CRC has not yet covered
+	crc     uint32 // the current section's CRC up to buf[summed]
 	left    uint64 // records remaining in the current section
+	rest    uint64 // payload bytes of the current section not yet parsed
 	section int    // current section index (-1 before the first)
 	key     []byte
 	val     []byte
 	digest  uint64
 	err     error
-	done    bool
 }
 
 // NewSnapshotReader reads and verifies the header.
 func NewSnapshotReader(r io.Reader) (*SnapshotReader, error) {
-	sr := &SnapshotReader{r: bufio.NewReader(r), section: -1}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
+	sr := &SnapshotReader{r: r, buf: make([]byte, readBlock), section: -1}
+	if err := sr.fill(headerSize); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	h, err := parseHeader(&hdr)
+	h, err := parseHeader((*[headerSize]byte)(sr.buf[:headerSize]))
 	if err != nil {
 		return nil, err
 	}
+	sr.off, sr.summed = headerSize, headerSize
 	sr.hdr = h
 	return sr, nil
 }
@@ -380,142 +393,178 @@ func (sr *SnapshotReader) Header() Header { return sr.hdr }
 // Section returns the index of the section the current record came from.
 func (sr *SnapshotReader) Section() int { return sr.section }
 
-// Next advances to the next record, loading (and CRC-verifying) the next
-// section when the current one is exhausted. It returns false at the end
-// of the snapshot or on error — check Err.
+// Next advances to the next record, reading the next section's header
+// when the current one is exhausted, and checking a section's CRC before
+// it yields the section's last record. It returns false at the end of
+// the snapshot or on error — check Err.
 func (sr *SnapshotReader) Next() bool {
-	if sr.err != nil || sr.done {
+	if sr.err != nil {
 		return false
 	}
 	for sr.left == 0 {
 		if sr.section+1 == int(sr.hdr.Sections) {
-			// All sections consumed; the format ends here.
-			sr.done = true
-			return false
+			return false // all sections consumed; the format ends here
 		}
-		if !sr.loadSection() {
+		if !sr.beginSection() || (sr.left == 0 && !sr.endSection()) {
 			return false
 		}
 	}
 	sr.left--
-	return sr.parseRecord()
+	return sr.parseRecord() && (sr.left > 0 || sr.endSection())
 }
 
 // Record returns the current record. Key and val are views of the
-// section's buffer, valid through the section: until the Next call after
-// the record for which SectionDone reports true.
+// reader's block, valid until the next Next call.
 func (sr *SnapshotReader) Record() (key, val []byte, digest uint64) {
 	return sr.key, sr.val, sr.digest
 }
 
-// SectionDone reports whether the current record is the last of its
-// section, so that the next Next call reuses the buffer every view of
-// the section points into.
-func (sr *SnapshotReader) SectionDone() bool { return sr.left == 0 }
-
 // Err returns the first error encountered, or nil after a clean read.
 func (sr *SnapshotReader) Err() error { return sr.err }
 
-// loadSection reads, CRC-verifies and buffers the next section.
+// fail records a corruption of the current section and returns false.
+func (sr *SnapshotReader) fail(format string, args ...any) bool {
+	sr.err = fmt.Errorf("%w: section %d: %s", ErrCorrupt, sr.section, fmt.Sprintf(format, args...))
+	return false
+}
+
+// fill makes n bytes past off readable in the block, reading from the
+// stream as much as the block has room for. When the n bytes would run
+// past the block's end, it first folds the parsed payload into the CRC
+// and moves the unparsed bytes to the front. Only when those bytes fill
+// the whole block, a record larger than it arriving, does it grow the
+// block, doubling and never past n: the block grows only as the
+// record's bytes arrive, however large a length the stream claims.
 //
 //repro:boundedinput
-func (sr *SnapshotReader) loadSection() bool {
-	var hdr [sectionHeaderSize]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		sr.err = fmt.Errorf("%w: section %d header: %v", ErrCorrupt, sr.section+1, err)
-		return false
+func (sr *SnapshotReader) fill(n int) error {
+	for sr.end-sr.off < n {
+		if sr.off > 0 && sr.off+n > len(sr.buf) {
+			sr.crc = crc32.Update(sr.crc, castagnoli, sr.buf[sr.summed:sr.off])
+			sr.end = copy(sr.buf, sr.buf[sr.off:sr.end])
+			sr.off, sr.summed = 0, 0
+		}
+		if sr.end == len(sr.buf) {
+			buf := make([]byte, min(n, 2*len(sr.buf)))
+			copy(buf, sr.buf)
+			sr.buf = buf
+		}
+		k, err := io.ReadAtLeast(sr.r, sr.buf[sr.end:], min(n-(sr.end-sr.off), len(sr.buf)-sr.end))
+		sr.end += k
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF // the stream ended short of n bytes
+		} else if err != nil {
+			return err
+		}
 	}
-	// Reject implausible counts before reading (and before trusting
-	// `length` anywhere).
-	count, length, err := parseSectionHeader(&hdr, sr.section+1)
+	return nil
+}
+
+// beginSection reads and bounds the next section's header and starts
+// its CRC.
+//
+//repro:boundedinput
+func (sr *SnapshotReader) beginSection() bool {
+	sr.section++
+	if err := sr.fill(sectionHeaderSize); err != nil {
+		return sr.fail("header: %v", err)
+	}
+	hdr := (*[sectionHeaderSize]byte)(sr.buf[sr.off : sr.off+sectionHeaderSize])
+	// Reject implausible counts before trusting `length` anywhere.
+	count, length, err := parseSectionHeader(hdr, sr.section)
 	if err != nil {
 		sr.err = err
 		return false
 	}
-	if !sr.readPayload(length) {
-		return false
-	}
-	crc := crc32.Checksum(hdr[:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, sr.buf)
-	var tail [4]byte
-	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		sr.err = fmt.Errorf("%w: section %d CRC: %v", ErrCorrupt, sr.section+1, err)
-		return false
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != crc {
-		sr.err = fmt.Errorf("%w: section %d CRC %#x, want %#x", ErrCorrupt, sr.section+1, got, crc)
-		return false
-	}
-	sr.section++
-	sr.left = count
-	sr.off = 0
+	sr.crc = crc32.Checksum(hdr[:], castagnoli)
+	sr.off += sectionHeaderSize
+	sr.summed = sr.off
+	sr.left, sr.rest = count, length
 	return true
 }
 
-// readPayload fills sr.buf with exactly length bytes, growing the buffer
-// chunkwise so a lying length cannot force an allocation beyond the
-// bytes the stream actually delivers (plus one chunk).
-//
-//repro:boundedinput
-func (sr *SnapshotReader) readPayload(length uint64) bool {
-	sr.buf = sr.buf[:0]
-	for remaining := length; remaining > 0; {
-		n := remaining
-		if n > readChunk {
-			n = readChunk
-		}
-		start := len(sr.buf)
-		sr.buf = append(sr.buf, make([]byte, n)...)
-		if _, err := io.ReadFull(sr.r, sr.buf[start:]); err != nil {
-			sr.err = fmt.Errorf("%w: section %d payload: %v", ErrCorrupt, sr.section+1, err)
-			return false
-		}
-		remaining -= n
+// endSection checks, after the section's last record, that the records
+// spanned the whole payload and that the CRC following it matches.
+// parseRecord has made the CRC's bytes readable with the last record's,
+// so the fill here never moves the bytes that record's views point to.
+func (sr *SnapshotReader) endSection() bool {
+	if sr.rest != 0 {
+		return sr.fail("%d trailing payload bytes", sr.rest)
 	}
+	if err := sr.fill(4); err != nil {
+		return sr.fail("CRC: %v", err)
+	}
+	crc := crc32.Update(sr.crc, castagnoli, sr.buf[sr.summed:sr.off])
+	if got := binary.LittleEndian.Uint32(sr.buf[sr.off:]); got != crc {
+		return sr.fail("CRC %#x, want %#x", got, crc)
+	}
+	sr.off += 4
+	sr.summed = sr.off
 	return true
 }
 
-// parseRecord decodes the next record from the verified section buffer.
+// parseRecord decodes the next record of the current section. It reads
+// the record's length prefixes first, bounds the record by the
+// section's unparsed payload, and only then fills the block with the
+// whole record (and, for the section's last record, the CRC after it),
+// so the key and value views share one fill and no later fill moves
+// them.
 //
 //repro:boundedinput
 func (sr *SnapshotReader) parseRecord() bool {
-	key, ok := sr.parseBytes()
+	keyLen, at, ok := sr.parseLen(0)
 	if !ok {
 		return false
 	}
-	val, ok := sr.parseBytes()
+	if keyLen > sr.rest-uint64(at) {
+		return sr.fail("record overruns payload")
+	}
+	keyAt := at
+	at += int(keyLen)
+	valLen, w, ok := sr.parseLen(at)
 	if !ok {
 		return false
 	}
-	if len(sr.buf)-sr.off < 8 {
-		sr.err = fmt.Errorf("%w: section %d: truncated digest", ErrCorrupt, sr.section)
-		return false
+	at += w
+	if valLen+8 > sr.rest-uint64(at) {
+		return sr.fail("record overruns payload")
 	}
-	sr.key, sr.val = key, val
-	sr.digest = binary.LittleEndian.Uint64(sr.buf[sr.off:])
-	sr.off += 8
-	if sr.left == 0 && sr.off != len(sr.buf) {
-		sr.err = fmt.Errorf("%w: section %d: %d trailing payload bytes", ErrCorrupt, sr.section, len(sr.buf)-sr.off)
-		return false
+	valAt := at
+	size := at + int(valLen) + 8
+	tail := 0
+	if sr.left == 0 {
+		tail = 4 // the section's CRC
 	}
+	if sr.end-sr.off < size+tail {
+		if err := sr.fill(size + tail); err != nil {
+			return sr.fail("payload: %v", err)
+		}
+	}
+	rec := sr.buf[sr.off : sr.off+size]
+	sr.key = rec[keyAt : keyAt+int(keyLen)]
+	sr.val = rec[valAt : valAt+int(valLen)]
+	sr.digest = binary.LittleEndian.Uint64(rec[size-8:])
+	sr.off += size
+	sr.rest -= uint64(size)
 	return true
 }
 
-// parseBytes decodes one length-prefixed byte string in place.
+// parseLen decodes the length prefix at offset at of the current record
+// and bounds it by MaxRecordBytes, returning it and its width. It reads
+// at most the section's unparsed payload, so a prefix cannot run into
+// the bytes after it.
 //
 //repro:boundedinput
-func (sr *SnapshotReader) parseBytes() ([]byte, bool) {
-	n, w := binary.Uvarint(sr.buf[sr.off:])
+func (sr *SnapshotReader) parseLen(at int) (n uint64, w int, ok bool) {
+	span := at + int(min(binary.MaxVarintLen64, sr.rest-uint64(at)))
+	if sr.end-sr.off < span {
+		if err := sr.fill(span); err != nil {
+			return 0, 0, sr.fail("payload: %v", err)
+		}
+	}
+	n, w = binary.Uvarint(sr.buf[sr.off+at : sr.off+span])
 	if w <= 0 || n > MaxRecordBytes {
-		sr.err = fmt.Errorf("%w: section %d: bad length prefix", ErrCorrupt, sr.section)
-		return nil, false
+		return 0, 0, sr.fail("bad length prefix")
 	}
-	sr.off += w
-	if uint64(len(sr.buf)-sr.off) < n {
-		sr.err = fmt.Errorf("%w: section %d: record overruns payload", ErrCorrupt, sr.section)
-		return nil, false
-	}
-	b := sr.buf[sr.off : sr.off+int(n)]
-	sr.off += int(n)
-	return b, true
+	return n, w, true
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // writeSnapshot builds a snapshot with the given sections of (key, val,
@@ -93,32 +96,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// SectionDone marks exactly the last record of each section, and the
-	// views a section's records returned still read their bytes there.
+	// A record's views stay valid until the next Next: each one still
+	// reads its record's bytes when the next record is asked for.
 	sr, err := NewSnapshotReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var views []rec
-	for sr.Next() {
+	var prev *rec
+	var want []rec
+	for _, sec := range in {
+		want = append(want, sec...)
+	}
+	for i := 0; ; i++ {
+		more := prev == nil || (bytes.Equal(prev.key, want[i-1].key) && bytes.Equal(prev.val, want[i-1].val))
+		if !more {
+			t.Fatalf("record %d: view reads %+v before the next Next, want %+v", i-1, *prev, want[i-1])
+		}
+		if !sr.Next() {
+			break
+		}
 		k, v, d := sr.Record()
-		views = append(views, rec{key: k, val: v, digest: d})
-		sec := in[sr.Section()]
-		if done := sr.SectionDone(); done != (len(views) == len(sec)) {
-			t.Fatalf("section %d record %d: SectionDone = %v", sr.Section(), len(views)-1, done)
-		}
-		if !sr.SectionDone() {
-			continue
-		}
-		for j, g := range views {
-			if w := sec[j]; !bytes.Equal(g.key, w.key) || !bytes.Equal(g.val, w.val) {
-				t.Fatalf("section %d record %d: view reads %+v at the section's end, want %+v", sr.Section(), j, g, w)
-			}
-		}
-		views = views[:0]
+		prev = &rec{key: k, val: v, digest: d}
 	}
 	if err := sr.Err(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A section's CRC is checked before its last record is yielded: with
+	// a digest byte of the last record of section 0 flipped, Next fails
+	// where that record would have come, after the first.
+	bad := bytes.Clone(data)
+	bad[headerSize+sectionHeaderSize+int(binary.LittleEndian.Uint64(data[headerSize+8:]))-1] ^= 1
+	sr, err = NewSnapshotReader(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	yielded := 0
+	for sr.Next() {
+		yielded++
+	}
+	if yielded != len(in[0])-1 || !errors.Is(sr.Err(), ErrCorrupt) {
+		t.Fatalf("section 0's CRC fails after %d records yielded (err %v); want %d and ErrCorrupt", yielded, sr.Err(), len(in[0])-1)
 	}
 }
 
@@ -198,6 +216,107 @@ func TestSnapshotLyingLengthsBounded(t *testing.T) {
 		binary.LittleEndian.PutUint64(data[headerSize+8:], mut.length)
 		if _, _, err := readAll(data); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: error %v is not ErrCorrupt", mut.name, err)
+		}
+	}
+
+	// A short file whose first key claims MaxRecordBytes, in a section
+	// long enough to hold it: the block is never full, so it never grows.
+	short := make([]byte, headerSize, 4<<10)
+	copy(short, base[:headerSize])
+	short = binary.LittleEndian.AppendUint64(short, 1)
+	short = binary.LittleEndian.AppendUint64(short, 2*MaxRecordBytes)
+	short = binary.AppendUvarint(short, MaxRecordBytes)
+	short = append(short, bytes.Repeat([]byte{7}, cap(short)-len(short))...)
+	var err error
+	if n := allocated(func() { _, _, err = readAll(short) }); !errors.Is(err, ErrCorrupt) || n > uint64(len(short))+readBlock {
+		t.Fatalf("a %d-byte file claiming a %d-byte key: %d bytes allocated, err %v; want at most %d and ErrCorrupt",
+			len(short), MaxRecordBytes, n, err, len(short)+readBlock)
+	}
+}
+
+// allocated returns the bytes the heap allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotReaderMemoryBounded: reading a section allocates the
+// reader's block and nothing that grows with the section.
+func TestSnapshotReaderMemoryBounded(t *testing.T) {
+	const records = 1 << 17
+	sec := make([]rec, records)
+	for i := range sec {
+		sec[i] = rec{key: fmt.Appendf(nil, "key-%016x", i), val: bytes.Repeat([]byte{byte(i)}, 7+i%9), digest: uint64(i)}
+	}
+	data := writeSnapshot(t, Header{Seed: 1}, [][]rec{sec})
+	if payload := binary.LittleEndian.Uint64(data[headerSize+8:]); payload < 4<<20 {
+		t.Fatalf("payload of %d bytes, want at least 4 MiB", payload)
+	}
+	n, got := 0, uint64(0)
+	var err error
+	got = allocated(func() {
+		var sr *SnapshotReader
+		if sr, err = NewSnapshotReader(bytes.NewReader(data)); err != nil {
+			return
+		}
+		for sr.Next() {
+			n++
+		}
+		err = sr.Err()
+	})
+	if err != nil || n != records {
+		t.Fatalf("read %d records, err %v", n, err)
+	}
+	if got >= 2*readBlock {
+		t.Fatalf("reading a %d-byte section allocated %d bytes, want under two %d-byte blocks", len(data), got, readBlock)
+	}
+}
+
+// TestSnapshotLargeSectionsRoundTrip reads back sections many blocks
+// long, whose records straddle block boundaries, one of whose records is
+// larger than the block, through readers that deliver short reads.
+func TestSnapshotLargeSectionsRoundTrip(t *testing.T) {
+	var in [][]rec
+	for s := 0; s < 3; s++ {
+		var sec []rec
+		for i := 0; i < 9000; i++ {
+			sec = append(sec, rec{key: fmt.Appendf(nil, "s%d-k%d", s, i), val: bytes.Repeat([]byte{byte(i)}, i*37%101), digest: uint64(s<<32 | i)})
+		}
+		in = append(in, sec)
+	}
+	huge := bytes.Repeat([]byte("0123456789abcdef"), 3*readBlock/16+5)
+	in[1] = append(in[1][:4000], append([]rec{{key: []byte("huge"), val: huge, digest: 77}}, in[1][4000:]...)...)
+	in[2] = append(in[2], rec{key: huge[:readBlock+3], val: []byte("last"), digest: 78})
+	data := writeSnapshot(t, Header{Seed: 2}, in)
+	for _, r := range []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+	} {
+		sr, err := NewSnapshotReader(r.wrap(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		s, i := 0, 0
+		for sr.Next() {
+			for i == len(in[s]) {
+				s, i = s+1, 0
+			}
+			k, v, d := sr.Record()
+			if w := in[s][i]; sr.Section() != s || !bytes.Equal(k, w.key) || !bytes.Equal(v, w.val) || d != w.digest {
+				t.Fatalf("%s: section %d record %d: got (%d, %.20q, %d bytes, %d), want (%d, %.20q, %d bytes, %d)",
+					r.name, s, i, sr.Section(), k, len(v), d, s, w.key, len(w.val), w.digest)
+			}
+			i++
+		}
+		if err := sr.Err(); err != nil || s != len(in)-1 || i != len(in[s]) {
+			t.Fatalf("%s: stopped at section %d record %d: %v", r.name, s, i, err)
 		}
 	}
 }

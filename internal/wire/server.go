@@ -276,9 +276,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.handle(cs)
 			replies++
 		}
-		if err != nil && (err == io.EOF || isTimeout(err)) {
+		if err != nil && !framingFault(err) {
 			// Only a burst's first read waits on the socket, so no reply
-			// is owed: the peer closed, went idle, or Shutdown nudged it.
+			// is owed: the peer closed or reset the connection, went idle,
+			// or Shutdown nudged it.
 			if isTimeout(err) && !s.closed.Load() {
 				s.logf("wire: %s: idle timeout", conn.RemoteAddr())
 			}
@@ -415,6 +416,14 @@ func (s *Server) writeOut(conn net.Conn, out []byte, frames int) error {
 	s.counters.BytesOut.Add(int64(len(out)))
 	s.counters.FramesOut.Add(int64(frames))
 	return nil
+}
+
+// framingFault reports whether err, a burst's read or parse error, is a
+// fault of the frames the peer sent: a frame over the size guard, a
+// malformed one, or one the stream cut short. Any other read error ends
+// the connection without one.
+func framingFault(err error) bool {
+	return errors.Is(err, ErrTooBig) || errors.Is(err, ErrMalformed) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // isTimeout reports whether err is a deadline expiry.

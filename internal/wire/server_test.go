@@ -576,6 +576,34 @@ func TestServerIdleTimeoutClosesSilentConnection(t *testing.T) {
 	}
 }
 
+// TestServerPeerResetIsNotADecodeError: a peer that resets its
+// connection, before sending a byte or halfway through a frame, has
+// closed it; it has sent no malformed frame, so no decode error is
+// counted.
+func TestServerPeerResetIsNotADecodeError(t *testing.T) {
+	srv, addr := startServer(t, newMemBackend(), Options{})
+	frame := AppendGetRequest(nil, []byte("some-key"))
+	for _, sent := range []int{0, len(frame) / 2} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCounter(t, &srv.Counters().ConnsActive, 1, "conns_active")
+		if _, err := conn.Write(frame[:sent]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond) // let the server read what was sent
+		if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close() // with no linger, a reset
+		waitCounter(t, &srv.Counters().ConnsActive, 0, "conns_active")
+		if n := srv.Counters().ErrDecode.Load(); n != 0 {
+			t.Fatalf("err_decode = %d after a reset with %d bytes sent, want 0", n, sent)
+		}
+	}
+}
+
 // TestRoundTripAllocFree: once warm, a GET and a 3-key MGET round trip
 // allocate nothing. AllocsPerRun counts the whole process, so this
 // covers the client, the server's burst loop and the backend together.

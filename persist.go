@@ -206,10 +206,10 @@ func Open[K comparable, V any](dir string, opts ...Option) (*DurableMap[K, V], e
 
 // OpenOf is Open with an explicit hasher and codecs. K and V follow
 // NewMap's type rule; OpenOf panics for any other type. The codecs may
-// decode views of the bytes they are given: the snapshot's stay valid
-// until its section is placed, and the WAL replay decodes each record
-// from copies that live until the record is placed. A WAL record's key
-// is decoded twice, once to hash it and once from its copy.
+// decode views of the bytes they are given: the snapshot load and the
+// WAL replay both decode each record from copies that live until the
+// record is placed. A WAL record's key is decoded twice, once to hash
+// it and once from its copy.
 func OpenOf[K comparable, V any](dir string, h Hasher[K], kc Codec[K], vc Codec[V], opts ...Option) (*DurableMap[K, V], error) {
 	o := buildOptions(opts)
 	if o.maxLoad == 0 {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -282,17 +283,14 @@ func TestRecoveryMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRecoveryErrorsJoinWorkers: a WAL record the key codec cannot
-// decode, past the point the workers start, fails Open with the error
-// the serial replay returns, and every worker has exited by the time
-// Open returns.
+// TestRecoveryErrorsJoinWorkers: a recovery that fails past the point
+// its workers start fails Open with the error the serial recovery
+// returns, and every worker has exited by the time Open returns. The
+// failures: a WAL record the key codec cannot decode, and a snapshot
+// whose last section, many reader blocks long, is damaged near its end,
+// so its records were handed to the workers before its CRC failed.
 func TestRecoveryErrorsJoinWorkers(t *testing.T) {
-	dir := t.TempDir()
-	writeKeyOrderedSnapshot(t, filepath.Join(dir, "snapshot"), pipelinePairs/4)
-	ops := chainOps(pipelinePairs / 2)
 	const bad = -1
-	ops = append(ops[:len(ops)-100], append([]walOp{{del: true, i: bad}}, ops[len(ops)-100:]...)...)
-	writeWAL(t, filepath.Join(dir, "wal"), ops)
 	errBad := errors.New("undecodable key")
 	kc := repro.Codec[string]{
 		Append: repro.CodecFor[string]().Append,
@@ -303,33 +301,92 @@ func TestRecoveryErrorsJoinWorkers(t *testing.T) {
 			return string(b), nil
 		},
 	}
-	var serial error
-	for _, procs := range pipelineProcs {
-		withProcs(procs, func() {
-			base := runtime.NumGoroutine()
-			s, err := repro.OpenOf[string, []byte](dir, repro.HasherFor[string](), kc, bytesView, servedFlags()...)
-			waitGoroutines(t, base)
-			if !errors.Is(err, errBad) || s != nil {
-				t.Fatalf("GOMAXPROCS %d: store %v, err %v", procs, s != nil, err)
+	for _, tc := range []struct {
+		name      string
+		write     func(t *testing.T, dir string)
+		is        func(error) bool
+		decodable bool // with a codec that decodes every key, dir recovers
+	}{
+		{"undecodable-wal-key", func(t *testing.T, dir string) {
+			writeKeyOrderedSnapshot(t, filepath.Join(dir, "snapshot"), pipelinePairs/4)
+			ops := chainOps(pipelinePairs / 2)
+			ops = append(ops[:len(ops)-100], append([]walOp{{del: true, i: bad}}, ops[len(ops)-100:]...)...)
+			writeWAL(t, filepath.Join(dir, "wal"), ops)
+		}, func(err error) bool { return errors.Is(err, errBad) }, true},
+		{"corrupt-snapshot-section", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "snapshot")
+			writeKeyOrderedSnapshot(t, path, pipelinePairs)
+			snap, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if procs == 1 {
-				serial = err
-			} else if err.Error() != serial.Error() {
-				t.Fatalf("GOMAXPROCS %d: err %q, the serial replay's %q", procs, err, serial)
+			snap[len(snap)-4-8] ^= 0x40 // the last record's digest, before the section's CRC
+			if err := os.WriteFile(path, snap, 0o644); err != nil {
+				t.Fatal(err)
 			}
+		}, func(err error) bool { return errors.Is(err, persist.ErrCorrupt) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir)
+			var serial error
+			for _, procs := range pipelineProcs {
+				withProcs(procs, func() {
+					var peak peakGoroutines
+					base := runtime.NumGoroutine()
+					s, err := repro.OpenOf[string, []byte](dir, repro.HasherFor[string](), kc, peak.codec(), servedFlags()...)
+					waitGoroutines(t, base)
+					if !tc.is(err) || s != nil {
+						t.Fatalf("GOMAXPROCS %d: store %v, err %v", procs, s != nil, err)
+					}
+					if procs == 1 {
+						serial = err
+					} else if err.Error() != serial.Error() {
+						t.Fatalf("GOMAXPROCS %d: err %q, the serial recovery's %q", procs, err, serial)
+					}
+					if started := int(peak.peak.Load()) - base; procs > 1 && started < procs {
+						t.Fatalf("GOMAXPROCS %d: at most %d goroutines above the baseline before the error; the workers never started", procs, started)
+					}
+				})
+			}
+			if !tc.decodable {
+				return
+			}
+			// The same directory, decodable, recovers with the workers started.
+			withProcs(2, func() {
+				s, err := repro.OpenOf[string, []byte](dir, repro.HasherFor[string](), repro.CodecFor[string](), bytesView, servedFlags()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Recovery().Workers != 2 {
+					t.Errorf("%d workers, want 2", s.Recovery().Workers)
+				}
+				s.Close()
+			})
 		})
 	}
-	// The same directory, decodable, recovers with the workers started.
-	withProcs(2, func() {
-		s, err := repro.OpenOf[string, []byte](dir, repro.HasherFor[string](), repro.CodecFor[string](), bytesView, servedFlags()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Recovery().Workers != 2 {
-			t.Errorf("%d workers, want 2", s.Recovery().Workers)
-		}
-		s.Close()
-	})
+}
+
+// peakGoroutines is bytesView, sampling runtime.NumGoroutine every 1024
+// values it decodes: Open's goroutine decodes them, so the peak shows
+// whether the workers had started.
+type peakGoroutines struct {
+	decoded atomic.Int64
+	peak    atomic.Int64
+}
+
+func (p *peakGoroutines) codec() repro.Codec[[]byte] {
+	return repro.Codec[[]byte]{
+		Append: bytesView.Append,
+		Decode: func(b []byte) ([]byte, error) {
+			if p.decoded.Add(1)%1024 == 0 {
+				if n := int64(runtime.NumGoroutine()); n > p.peak.Load() {
+					p.peak.Store(n)
+				}
+			}
+			return bytesView.Decode(b)
+		},
+	}
 }
 
 // withProcs runs fn at GOMAXPROCS procs.
